@@ -9,7 +9,7 @@
 // -tolerance x in ns/op or allocs/op, so CI can gate on both performance
 // and the allocation-free steady-state invariants:
 //
-//	go run ./cmd/xqbench -check BENCH_6.json -tolerance 2.0
+//	go run ./cmd/xqbench -check BENCH_9.json -tolerance 2.0
 //
 // With -compare it renders a benchstat-style old-vs-new table from two
 // committed summaries instead of running anything:
@@ -160,6 +160,29 @@ func benchmarks(ctx context.Context) []struct {
 				for _, c := range cells {
 					syn.Set(c)
 				}
+				decoder.DecodePatchInto(code, pauli.Z, syn, &sc, &res)
+			}
+		}},
+		{"decode-patch-d15", func(b *testing.B) {
+			// The exact matcher's heavy tail: a fixed d=15 window whose
+			// 18 syndromes (the first Z plaquettes in columns 6-9, row
+			// by row) form one cluster. Clusters of 14-20 syndromes
+			// carry most of the matching work on the paper's scale
+			// evaluations.
+			code := surface.NewCode(15)
+			syn := decoder.NewSyndromeBitmap(code)
+			n := 0
+			for _, st := range code.Stabilizers() {
+				if n < 18 && st.Basis == pauli.Z && st.Anc.Col >= 6 && st.Anc.Col <= 9 {
+					syn.Set(st.Anc)
+					n++
+				}
+			}
+			var sc decoder.Scratch
+			var res decoder.Result
+			decoder.DecodePatchInto(code, pauli.Z, syn, &sc, &res) // warm the scratch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				decoder.DecodePatchInto(code, pauli.Z, syn, &sc, &res)
 			}
 		}},

@@ -8,12 +8,12 @@
 //	xqverify -depth quick                  # pre-commit / CI depth (~1s)
 //	xqverify -depth deep -seed 7           # release depth, custom base seed
 //	xqverify -case lockstep -case decoder  # only the named checks
-//	xqverify -replay lockstep:12345        # re-run one reported failure
+//	xqverify -depth deep -replay isa:42    # re-run one reported failure
 //	xqverify -config params.txt            # validate a Params override file
 //
-// Every failure prints a two-word repro (check name + seed) and, for
+// Every failure prints its repro (depth, check name and seed) and, for
 // circuit-shaped checks, a minimal shrunk circuit dump; feed the repro
-// back through -replay to reproduce it byte-identically.
+// back through -depth and -replay to reproduce it byte-identically.
 package main
 
 import (

@@ -199,11 +199,14 @@ func FrameLogicalErrorRate(ctx context.Context, d int, p float64, rounds, shots 
 		ctxErr           atomic.Bool
 		wg               sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
-		cell := base
-		if w > 0 {
-			cell = base.Clone()
-		}
+	// Clone every worker's cell before any worker starts: Clone copies
+	// the base cell, whose scratch its worker overwrites.
+	cells := make([]*FrameMemoryCell, workers)
+	cells[0] = base
+	for w := 1; w < workers; w++ {
+		cells[w] = base.Clone()
+	}
+	for _, cell := range cells {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

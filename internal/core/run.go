@@ -236,11 +236,14 @@ func RunShotsOpt(ctx context.Context, circ compiler.Circuit, d int, physError fl
 	)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		runner := base
-		if w > 0 {
-			runner = base.Clone()
-		}
+	// Clone every worker's runner before any worker starts: Clone reads
+	// the base runner's pipeline, which its worker's shots overwrite.
+	runners := make([]*ShotRunner, workers)
+	runners[0] = base
+	for w := 1; w < workers; w++ {
+		runners[w] = base.Clone()
+	}
+	for _, runner := range runners {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

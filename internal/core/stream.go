@@ -294,11 +294,14 @@ func StreamLogicalErrorRate(ctx context.Context, cfg StreamMemoryConfig, shots i
 		next   int
 		wg     sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
-		cell := base
-		if w > 0 {
-			cell = base.Clone()
-		}
+	// Clone every worker's cell before any worker starts: Clone copies
+	// the base cell, whose state its worker overwrites.
+	cells := make([]*StreamMemoryCell, workers)
+	cells[0] = base
+	for w := 1; w < workers; w++ {
+		cells[w] = base.Clone()
+	}
+	for _, cell := range cells {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

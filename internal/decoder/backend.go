@@ -23,9 +23,10 @@ import (
 //   - decoding is a pure function of the syndrome: identical inputs give
 //     identical Results on the same backend, on a fresh backend, and on a
 //     Clone;
-//   - the total correction weight is never below the exact matcher's
-//     (ReferenceDecodePatch is minimum-weight, so it lower-bounds every
-//     valid backend).
+//   - when every cluster fits the exact matcher (FitsExactMatcher: at
+//     most 20 syndromes), the total correction weight is never below
+//     ReferenceDecodePatch's, which is then minimum-weight. A larger
+//     cluster falls back to greedy matching, and a backend may beat it.
 //
 // A Backend owns private scratch and is single-goroutine; Clone gives
 // each worker its own.
@@ -86,7 +87,7 @@ func matchingCycleCost(d int, matches []Match) uint64 {
 }
 
 // MatchingBackend adapts the production spike/token matcher
-// (DecodePatchInto: exact bitmask DP per cluster) to the Backend
+// (DecodePatchInto: exact memoized matching per cluster) to the Backend
 // interface. Its corrections are bit-identical to ReferenceDecodePatch.
 type MatchingBackend struct {
 	sc Scratch

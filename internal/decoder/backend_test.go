@@ -2,6 +2,7 @@ package decoder
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"xqsim/internal/pauli"
@@ -20,8 +21,9 @@ func synFromBitmap(bm *SyndromeBitmap) map[surface.Coord]bool {
 
 // checkBackendContract asserts the Backend contract on one decode: the
 // correction annihilates the input syndrome exactly, the weight is never
-// below the minimum-weight reference, and the matching backend is
-// bit-identical to the reference.
+// below the reference when that is minimum-weight (every cluster fits
+// the exact matcher), and the matching backend is bit-identical to the
+// reference.
 func checkBackendContract(t *testing.T, b Backend, c surface.Code, basis pauli.Pauli, bm *SyndromeBitmap) {
 	t.Helper()
 	syn := synFromBitmap(bm)
@@ -41,7 +43,7 @@ func checkBackendContract(t *testing.T, b Backend, c surface.Code, basis pauli.P
 			t.Fatalf("%s d=%d basis=%v: correction excites plaquette %v (flips %v)", b.Name(), c.D, basis, p, res.Flips)
 		}
 	}
-	if len(res.Flips) < len(ref.Flips) {
+	if len(res.Flips) < len(ref.Flips) && FitsExactMatcher(c, basis, bm) {
 		t.Fatalf("%s d=%d basis=%v: weight %d below the minimum-weight reference %d", b.Name(), c.D, basis, len(res.Flips), len(ref.Flips))
 	}
 	if b.Name() == "matching" && !resultsEqual(ref, res) {
@@ -227,5 +229,82 @@ func TestUnionFindSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("union-find steady state allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// heavyWindow returns the first k Z-type plaquettes of c in columns 6-9,
+// in row-major order. At d=15 each lies at least 6 steps from the
+// Z-boundaries and within 3 of the previous one, so every neighbouring
+// pair joins a cluster and for k <= 32 they form a single k-member one.
+func heavyWindow(c surface.Code, k int) *SyndromeBitmap {
+	bm := NewSyndromeBitmap(c)
+	n := 0
+	for _, st := range c.Stabilizers() {
+		if n < k && st.Basis == pauli.Z && st.Anc.Col >= 6 && st.Anc.Col <= 9 {
+			bm.Set(st.Anc)
+			n++
+		}
+	}
+	return bm
+}
+
+// TestMatchingSteadyStateAllocs pins the zero-allocation steady state of
+// the matching backend across cluster sizes: once warm, decoding a d=15
+// window with an 18-member cluster, then a small window, then the large
+// one again allocates nothing (the memo is reused, not regrown).
+func TestMatchingSteadyStateAllocs(t *testing.T) {
+	c := surface.NewCode(15)
+	heavy := heavyWindow(c, 18)
+	small := NewSyndromeBitmap(c)
+	small.FromMap(SyndromeOf(c, pauli.Z, []surface.Coord{{Row: 3, Col: 4}, {Row: 10, Col: 11}}))
+	m := NewMatchingBackend()
+	var res Result
+	m.Decode(c, pauli.Z, heavy, &res)
+	if got := clusterSizes(&m.sc); !reflect.DeepEqual(got, []int{18}) {
+		t.Fatalf("heavy window clusters = %v, want one 18-member cluster", got)
+	}
+	m.Decode(c, pauli.Z, small, &res) // warm the scratch on both shapes
+	allocs := testing.AllocsPerRun(20, func() {
+		m.Decode(c, pauli.Z, heavy, &res)
+		m.Decode(c, pauli.Z, small, &res)
+		m.Decode(c, pauli.Z, heavy, &res)
+	})
+	if allocs != 0 {
+		t.Fatalf("matching steady state allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestMemoFollowsReachableSubsets pins the exact matcher's memory to the
+// subsets its recurrence reaches: solving a k-member cluster fills
+// exactly F(k+2)-1 memo entries (every reached subset but the empty one)
+// in a table under 3*F(k+2) slots, never the 2^k a full subset table
+// takes.
+func TestMemoFollowsReachableSubsets(t *testing.T) {
+	c := surface.NewCode(15)
+	var sc Scratch
+	var res Result
+	fib := []int{1, 2} // fib[k] = F(k+2)
+	for k := 1; k <= maxExactCluster; k++ {
+		fib = append(fib, fib[k]+fib[k-1])
+		bm := heavyWindow(c, k)
+		DecodePatchInto(c, pauli.Z, bm, &sc, &res)
+		if got := clusterSizes(&sc); !reflect.DeepEqual(got, []int{k}) {
+			t.Fatalf("k=%d: window clusters = %v", k, got)
+		}
+		filled := 0
+		for _, e := range sc.memo {
+			if e.set != 0 {
+				filled++
+			}
+		}
+		if reach := reachableSubsets[k]; reach != fib[k] || filled != reach-1 {
+			t.Fatalf("k=%d: %d memo entries filled, table says %d reachable, F(k+2) = %d", k, filled, reach, fib[k])
+		}
+		if len(sc.memo) >= 3*fib[k] {
+			t.Fatalf("k=%d: memo has %d slots for %d reachable subsets", k, len(sc.memo), fib[k])
+		}
+		if want := ReferenceDecodePatch(c, pauli.Z, synFromBitmap(bm)); !resultsEqual(want, res) {
+			t.Fatalf("k=%d: diverged from the reference", k)
+		}
 	}
 }

@@ -20,7 +20,8 @@
 // The hot path is allocation-free: syndromes travel as bit-packed
 // SyndromeBitmaps, per-distance boundary tables are precomputed once, and
 // DecodePatchInto threads a reusable Scratch through clustering, the
-// exact bitmask-DP matcher, and path reconstruction. The map-based
+// exact matcher (a memoized recurrence over the F(k+2) member subsets a
+// k-syndrome cluster reaches), and path reconstruction. The map-based
 // DecodePatch remains as a convenience wrapper producing identical
 // results (see TestBitmapEquivalence).
 package decoder
@@ -235,9 +236,31 @@ func sign(x int) int {
 	return 0
 }
 
-// maxExactCluster bounds the bitmask DP; larger clusters fall back to
+// maxExactCluster bounds the exact matcher; larger clusters fall back to
 // greedy nearest-pair matching.
 const maxExactCluster = 20
+
+// reachableSubsets[k] is the number of subsets the exact matcher visits
+// on a k-member cluster, the empty set included: every step removes the
+// lowest member, alone or with one higher partner, which reaches exactly
+// the Fibonacci number F(k+2) of the 2^k subsets (987 of 16,384 at k=14,
+// 17,711 of 1,048,576 at k=20).
+var reachableSubsets = func() [maxExactCluster + 1]int {
+	var t [maxExactCluster + 1]int
+	a, b := 1, 2 // F(2), F(3)
+	for k := range t {
+		t[k] = a
+		a, b = b, a+b
+	}
+	return t
+}()
+
+// memoEntry is one solved subset of the cluster being matched.
+type memoEntry struct {
+	set    uint32 // member subset (bit i = sc.member[i]); 0 marks a free slot
+	cost   int32  // minimum cost to resolve every syndrome in set
+	choice int32  // partner of set's lowest member (-1 = boundary)
+}
 
 // Scratch holds the reusable working memory of one decode stream. A zero
 // Scratch is ready to use; buffers grow to the high-water mark of the
@@ -253,8 +276,11 @@ type Scratch struct {
 	group  []int32         // per-cell group id
 	member []int32         // member gather buffer for one cluster
 	open   []bool          // greedy-fallback token state
-	f      []int32         // DP: min cost per subset
-	choice []int32         // DP: chosen partner per subset (-1 = boundary)
+	// memo is the exact matcher's open-addressed table of solved
+	// subsets, sized per cluster to the reachable-subset count (never
+	// 2^k) and keyed by a multiplicative hash of the subset.
+	memo      []memoEntry
+	memoShift uint32 // 32 - log2(len(memo))
 }
 
 // grow returns s resized to n, reusing capacity.
@@ -324,9 +350,10 @@ func (sc *Scratch) prepare(c surface.Code, basis pauli.Pauli) int {
 //
 // Syndromes are first split into independent clusters (two syndromes can
 // only be profitably paired when their distance is below the sum of their
-// boundary distances); each cluster is solved exactly by bitmask dynamic
-// programming, with a nearest-pair greedy fallback for clusters too large
-// for the exact solver (which do not occur at the paper's error rates).
+// boundary distances); each cluster is solved exactly by a memoized
+// recurrence over member subsets (decodeClusterInto), with a nearest-pair
+// greedy fallback for clusters too large for the exact solver (which do
+// not occur at the paper's error rates).
 //
 // Cells are consumed in row-major scan order (the hardware's cell scan
 // order), so identical syndromes always produce identical Results.
@@ -350,12 +377,33 @@ func DecodePatchInto(c surface.Code, basis pauli.Pauli, syn *SyndromeBitmap, sc 
 	}
 }
 
-// decodeClusterInto solves one cluster (sc.member) exactly by bitmask DP.
-// f[S] is the minimum cost to resolve the syndromes in subset S; the
-// lowest set bit is always resolved first, either against the boundary or
-// against a higher member, so each subset is visited once. f needs no
-// clearing between calls: every entry is written (in ascending subset
-// order) before it is read.
+// FitsExactMatcher reports whether every cluster of the syndrome has at
+// most maxExactCluster (20) members, so DecodePatch and
+// ReferenceDecodePatch solve all of it exactly and their correction has
+// minimum weight. A larger cluster falls back to greedy matching, which
+// another backend can beat.
+func FitsExactMatcher(c surface.Code, basis pauli.Pauli, syn *SyndromeBitmap) bool {
+	var sc Scratch
+	sc.cells = syn.AppendCells(nil)
+	size := make([]int, sc.prepare(c, basis))
+	for _, g := range sc.group {
+		size[g]++
+		if size[g] > maxExactCluster {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeClusterInto solves one cluster (sc.member) exactly. cost(S) is
+// the minimum cost to resolve the syndromes in member subset S: S's
+// lowest member terminates on the boundary or pairs with a higher member
+// j, so cost(S) = min(bdist + cost(S−lowest), dist(lowest, j) +
+// cost(S−lowest−j)), ties going to the boundary and then to the lowest j.
+// The recurrence is evaluated top-down from the full cluster and
+// memoized, so only the F(k+2) subsets it reaches are ever solved.
+// ReferenceDecodePatch fills the same recurrence bottom-up over all 2^k
+// subsets, and every reached subset gets the same cost and choice there.
 func decodeClusterInto(c surface.Code, basis pauli.Pauli, sc *Scratch, res *Result) {
 	k := len(sc.member)
 	if k == 0 {
@@ -365,32 +413,25 @@ func decodeClusterInto(c surface.Code, basis pauli.Pauli, sc *Scratch, res *Resu
 		decodeGreedyInto(c, basis, sc, res)
 		return
 	}
-	n := len(sc.cells)
-	size := 1 << uint(k)
-	sc.f = growInt32(sc.f, size)
-	sc.choice = growInt32(sc.choice, size)
-	sc.f[0] = 0
-	for s := 1; s < size; s++ {
-		i := bits.TrailingZeros32(uint32(s))
-		rest := s &^ (1 << uint(i))
-		mi := int(sc.member[i])
-		best := sc.bdist[mi] + sc.f[rest]
-		bestJ := int32(-1)
-		for r := rest; r != 0; r &= r - 1 {
-			j := bits.TrailingZeros32(uint32(r))
-			cost := sc.dist[mi*n+int(sc.member[j])] + sc.f[rest&^(1<<uint(j))]
-			if cost < best {
-				best, bestJ = cost, int32(j)
-			}
-		}
-		sc.f[s] = best
-		sc.choice[s] = bestJ
+	// A power-of-two table at least 1.5x the reachable count keeps
+	// linear probes short; it is cleared in O(its size) per cluster.
+	reach := reachableSubsets[k]
+	logSize := bits.Len32(uint32(reach + reach/2))
+	size := 1 << uint(logSize)
+	if cap(sc.memo) < size {
+		sc.memo = make([]memoEntry, size)
 	}
-	// Reconstruct.
-	for s := size - 1; s != 0; {
-		i := bits.TrailingZeros32(uint32(s))
+	sc.memo = sc.memo[:size]
+	clear(sc.memo)
+	sc.memoShift = uint32(32 - logSize)
+
+	full := uint32(1)<<uint(k) - 1
+	sc.cost(full)
+	n := len(sc.cells)
+	for s := full; s != 0; {
+		i := bits.TrailingZeros32(s)
 		mi := int(sc.member[i])
-		j := sc.choice[s]
+		j := sc.memo[sc.slot(s)].choice
 		if j < 0 {
 			res.Matches = append(res.Matches, Match{From: sc.cells[mi], ToBoundary: true, Steps: int(sc.bdist[mi])})
 			res.Flips = appendBoundaryPath(res.Flips, c, basis, sc.cells[mi])
@@ -402,6 +443,53 @@ func decodeClusterInto(c surface.Code, basis pauli.Pauli, sc *Scratch, res *Resu
 		res.Flips = appendPairPath(res.Flips, c, sc.cells[mi], sc.cells[mj])
 		s &^= 1<<uint(i) | 1<<uint(j)
 	}
+}
+
+// slot returns the memo index holding subset s, or the free slot where s
+// belongs. The table never fills: it is sized above the reachable count.
+func (sc *Scratch) slot(s uint32) int {
+	mask := len(sc.memo) - 1
+	h := int((s * 0x9e3779b1) >> sc.memoShift)
+	for sc.memo[h].set != s && sc.memo[h].set != 0 {
+		h = (h + 1) & mask
+	}
+	return h
+}
+
+// cost returns cost(s), solving s on its first reach.
+func (sc *Scratch) cost(s uint32) int32 {
+	if s == 0 {
+		return 0
+	}
+	h := sc.slot(s)
+	if sc.memo[h].set == s {
+		return sc.memo[h].cost
+	}
+	return sc.solve(s, h)
+}
+
+// solve computes and memoizes cost(s) and its choice into free slot h.
+// The slot is claimed before the recursion so later inserts cannot take
+// it; the recursion only descends to strictly smaller subsets, so no
+// claimed entry is read before it is filled.
+func (sc *Scratch) solve(s uint32, h int) int32 {
+	sc.memo[h].set = s
+	i := bits.TrailingZeros32(s)
+	rest := s &^ (1 << uint(i))
+	mi := int(sc.member[i])
+	best := sc.bdist[mi] + sc.cost(rest)
+	bestJ := int32(-1)
+	n := len(sc.cells)
+	for r := rest; r != 0; r &= r - 1 {
+		j := bits.TrailingZeros32(r)
+		pair := sc.dist[mi*n+int(sc.member[j])] + sc.cost(rest&^(1<<uint(j)))
+		if pair < best {
+			best, bestJ = pair, int32(j)
+		}
+	}
+	sc.memo[h].cost = best
+	sc.memo[h].choice = bestJ
+	return best
 }
 
 // decodeGreedyInto is the nearest-pair fallback for oversized clusters.

@@ -12,7 +12,7 @@ import (
 
 // randomSyndrome draws a random subset of the basis' plaquettes, biased
 // toward the sparse densities the decode windows see, with occasional
-// dense draws to stress clustering and the DP.
+// dense draws to stress clustering and the exact matcher.
 func randomSyndrome(r *rand.Rand, c surface.Code, basis pauli.Pauli, dense bool) map[surface.Coord]bool {
 	syn := make(map[surface.Coord]bool)
 	p := 0.05
@@ -78,6 +78,54 @@ func TestBitmapEquivalenceFromErrors(t *testing.T) {
 			}
 		}
 	}
+
+	// Heavier d=15 windows (4-17 errors) reach every exact-matcher
+	// cluster size from 2 to 20 -- the sizes that carry most of the
+	// matcher's work at the paper's operating distance -- through one
+	// reused Scratch. The per-size census is pinned so this coverage
+	// cannot silently vanish.
+	r = rand.New(rand.NewSource(1515))
+	c := surface.NewCode(15)
+	var sc Scratch
+	bm := NewSyndromeBitmap(c)
+	var res Result
+	census := make([]int, maxExactCluster+1)
+	for trial := 0; trial < 150; trial++ {
+		basis := []pauli.Pauli{pauli.Z, pauli.X}[r.Intn(2)]
+		var errs []surface.Coord
+		for i := 0; i < 4+r.Intn(14); i++ {
+			errs = append(errs, surface.Coord{Row: r.Intn(15), Col: r.Intn(15)})
+		}
+		syn := SyndromeOf(c, basis, errs)
+		bm.FromMap(syn)
+		DecodePatchInto(c, basis, bm, &sc, &res)
+		if want := ReferenceDecodePatch(c, basis, syn); !resultsEqual(want, res) {
+			t.Fatalf("d=15 trial=%d basis=%v errs=%v:\nref %+v\ngot %+v", trial, basis, errs, want, res)
+		}
+		for _, k := range clusterSizes(&sc) {
+			if k <= maxExactCluster {
+				census[k]++
+			}
+		}
+	}
+	want := []int{0, 12, 13, 5, 3, 1, 6, 8, 12, 9, 9, 9, 24, 13, 20, 10, 7, 3, 3, 6, 2}
+	if !reflect.DeepEqual(census, want) {
+		t.Fatalf("d=15 cluster-size census (index = members) = %v, want %v", census, want)
+	}
+}
+
+// clusterSizes returns the member count of each cluster of sc's last
+// decode, in cluster (first-seen scan) order.
+func clusterSizes(sc *Scratch) []int {
+	var sizes []int
+	for i := range sc.cells {
+		g := int(sc.group[i])
+		for len(sizes) <= g {
+			sizes = append(sizes, 0)
+		}
+		sizes[g]++
+	}
+	return sizes
 }
 
 // TestGreedyFallbackEquivalence forces clusters past maxExactCluster so
@@ -222,8 +270,8 @@ func BenchmarkDecodePatch(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodePatchDense stresses the bitmask DP with a heavy window
-// (large clusters), still allocation-free after warmup.
+// BenchmarkDecodePatchDense decodes a window of 20 random errors, still
+// allocation-free after warmup.
 func BenchmarkDecodePatchDense(b *testing.B) {
 	c := surface.NewCode(15)
 	r := rand.New(rand.NewSource(9))
@@ -240,6 +288,25 @@ func BenchmarkDecodePatchDense(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		DecodePatchInto(c, pauli.Z, bm, &sc, &res)
+	}
+}
+
+// BenchmarkDecodePatchCluster decodes d=15 windows holding one k-member
+// cluster (heavyWindow), the heavy tail of the exact matcher's work.
+func BenchmarkDecodePatchCluster(b *testing.B) {
+	c := surface.NewCode(15)
+	for _, k := range []int{14, 18, 20} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			bm := heavyWindow(c, k)
+			var sc Scratch
+			var res Result
+			DecodePatchInto(c, pauli.Z, bm, &sc, &res)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				DecodePatchInto(c, pauli.Z, bm, &sc, &res)
+			}
+		})
 	}
 }
 

@@ -28,9 +28,10 @@ func fuzzBasisStabs(dSel, basisSel byte) (surface.Code, pauli.Pauli, []surface.S
 
 // FuzzUnionFind maps fuzzer bytes onto arbitrary plaquette subsets and
 // asserts the union-find backend's contract: the correction annihilates
-// the input syndrome exactly, its weight is never below the
-// minimum-weight reference, and decoding is deterministic across repeat,
-// fresh, and cloned backends.
+// the input syndrome exactly, its weight is never below the reference
+// when every cluster fits the exact matcher (the reference is
+// minimum-weight only then), and decoding is deterministic across
+// repeat, fresh, and cloned backends.
 func FuzzUnionFind(f *testing.F) {
 	f.Add(byte(0), byte(0), []byte{})
 	f.Add(byte(0), byte(1), []byte{0x01})
@@ -64,7 +65,7 @@ func FuzzUnionFind(f *testing.F) {
 			}
 		}
 		ref := ReferenceDecodePatch(c, basis, syn)
-		if len(res.Flips) < len(ref.Flips) {
+		if len(res.Flips) < len(ref.Flips) && FitsExactMatcher(c, basis, bm) {
 			t.Fatalf("d=%d basis=%v: union-find weight %d below minimum-weight reference %d (syn %v)", c.D, basis, len(res.Flips), len(ref.Flips), syn)
 		}
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"xqsim/internal/core"
-	"xqsim/internal/faults"
 	"xqsim/internal/store"
 	"xqsim/internal/sweep"
 	"xqsim/internal/xrand"
@@ -115,7 +114,8 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*jobState
-	backlog  faults.BacklogTracker
+	inflight int   // admitted-but-unfinished (metered) jobs, at most cfg.QueueDepth
+	shed     int64 // submissions refused with ErrOverloaded
 	draining bool
 	queue    chan *jobState
 	retries  sync.WaitGroup // in-flight time.AfterFunc retry timers
@@ -157,11 +157,10 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 
 	s := &Scheduler{
-		cfg:     cfg,
-		st:      st,
-		grids:   NewGridCoordinator(st, cfg.LeaseTTL),
-		jobs:    make(map[string]*jobState),
-		backlog: faults.NewBacklogTracker(cfg.QueueDepth, faults.PolicyBackpressure),
+		cfg:   cfg,
+		st:    st,
+		grids: NewGridCoordinator(st, cfg.LeaseTTL),
+		jobs:  make(map[string]*jobState),
 	}
 	s.jobsCtx, s.jobsStop = context.WithCancel(context.Background())
 
@@ -240,29 +239,26 @@ func (s *Scheduler) Submit(spec JobSpec) (string, SubmitStatus, error) {
 	if js, ok := s.jobs[hash]; ok && js.status != StatusFailed {
 		return hash, SubmitDuplicate, nil
 	}
-	// Admission control: the backlog tracker meters admitted-but-
-	// unfinished submissions against the bounded queue; overflow under
-	// the backpressure policy is the shed signal.
-	s.backlog.Add(1)
-	if s.backlog.Overflow() > 0 {
-		s.backlog.Drain(1)
+	// Admission control: at most QueueDepth admitted-but-unfinished
+	// submissions, so the queue send below always has a free slot.
+	if s.inflight >= s.cfg.QueueDepth {
+		s.shed++
 		return "", 0, ErrOverloaded
 	}
 
 	raw, err := json.Marshal(norm)
 	if err != nil {
-		s.backlog.Drain(1)
 		return "", 0, err
 	}
 	// Durable before acknowledged: a daemon killed right after Submit
 	// returns still knows about the job.
 	if err := s.st.Put("job/"+hash, raw); err != nil {
-		s.backlog.Drain(1)
 		return "", 0, err
 	}
 
 	js := &jobState{hash: hash, spec: norm, status: StatusQueued, metered: true}
 	s.jobs[hash] = js
+	s.inflight++
 	s.queue <- js
 	return hash, SubmitAccepted, nil
 }
@@ -391,7 +387,7 @@ func (s *Scheduler) finish(js *jobState, out Outcome) {
 	js.attempts = out.Attempts
 	if js.metered {
 		js.metered = false
-		s.backlog.Drain(1)
+		s.inflight--
 	}
 }
 
@@ -576,7 +572,7 @@ type Stats struct {
 	Done               int   `json:"done"`
 	Failed             int   `json:"failed"`
 	Pending            int   `json:"pending"`
-	Shed               int64 `json:"shed"`
+	Shed               int64 `json:"shed"` // submissions refused with ErrOverloaded
 	StoreKeys          int   `json:"store_keys"`
 	StoreRecoveredByte int64 `json:"store_recovered_bytes"`
 }
@@ -586,7 +582,7 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{
-		Shed:               int64(s.backlog.Totals().BackpressureRounds),
+		Shed:               s.shed,
 		StoreKeys:          s.st.Len(),
 		StoreRecoveredByte: s.st.RecoveredBytes(),
 	}

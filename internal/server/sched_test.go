@@ -178,12 +178,29 @@ func TestOverloadSheds(t *testing.T) {
 	if _, st, err := s.Submit(specs[1]); err != nil || st != SubmitAccepted {
 		t.Fatalf("job 2: %v, %v", st, err)
 	}
-	// Queue full (2 admitted, capacity 2): the third submission sheds.
-	if _, _, err := s.Submit(specs[2]); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("job 3 err = %v, want ErrOverloaded", err)
+	// Queue full (2 admitted, capacity 2): the third submission sheds,
+	// and so does every further distinct one while both jobs are still
+	// blocked -- a shed must not free a slot that is in use. Each Submit
+	// must also return promptly: an over-admitted job would block Submit
+	// on the full queue while it holds the scheduler lock.
+	for i := 2; i < 9; i++ {
+		spec := JobSpec{Kind: "estimate", Tech: "rsfq", NPhys: 100 * (i + 1), D: 3}
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := s.Submit(spec)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrOverloaded) {
+				t.Fatalf("job %d err = %v, want ErrOverloaded", i+1, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("job %d: Submit still blocked after 5s", i+1)
+		}
 	}
-	if shed := s.Stats().Shed; shed != 1 {
-		t.Fatalf("Stats.Shed = %d, want 1", shed)
+	if shed := s.Stats().Shed; shed != 7 {
+		t.Fatalf("Stats.Shed = %d, want 7", shed)
 	}
 
 	// Finishing a job frees its slot: the shed job is admitted now.

@@ -14,7 +14,10 @@ import (
 // syndrome shrinker minimizes over:
 //
 //   - the correction's own syndrome equals the input exactly;
-//   - the weight is never below the minimum-weight reference;
+//   - the weight is never below the reference when every cluster fits
+//     the exact matcher (the reference is minimum-weight only then; a
+//     larger cluster falls back to greedy matching, which another
+//     backend may legitimately beat);
 //   - repeat decodes and a Clone return identical Results;
 //   - the "matching" backend is bit-identical to ReferenceDecodePatch.
 func backendFailureDetail(b decoder.Backend, c surface.Code, basis pauli.Pauli, syn map[surface.Coord]bool) string {
@@ -35,7 +38,7 @@ func backendFailureDetail(b decoder.Backend, c surface.Code, basis pauli.Pauli, 
 		}
 	}
 	ref := decoder.ReferenceDecodePatch(c, basis, syn)
-	if len(res.Flips) < len(ref.Flips) {
+	if len(res.Flips) < len(ref.Flips) && decoder.FitsExactMatcher(c, basis, bm) {
 		return fmt.Sprintf("weight %d below the minimum-weight reference %d (ref flips %v, got %v)", len(res.Flips), len(ref.Flips), ref.Flips, res.Flips)
 	}
 	if b.Name() == "matching" && !decodeResultsEqual(ref, res) {

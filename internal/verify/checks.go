@@ -22,11 +22,19 @@ type Failure struct {
 	Seed    int64
 	Detail  string
 	Circuit string // DumpCircuit form when the case is a circuit; else ""
+	// Depth names the suite depth the trial ran at (set by RunCtx and
+	// Replay): a trial's size comes from the depth, so a replay at
+	// another depth runs a different case.
+	Depth string
 }
 
 // Error renders the failure with its replay command.
 func (f *Failure) Error() string {
-	s := fmt.Sprintf("FAIL %s seed=%d: %s\nreplay: xqverify -replay %s:%d", f.Check, f.Seed, f.Detail, f.Check, f.Seed)
+	depth := ""
+	if f.Depth != "" {
+		depth = "-depth " + f.Depth + " "
+	}
+	s := fmt.Sprintf("FAIL %s seed=%d: %s\nreplay: xqverify %s-replay %s:%d", f.Check, f.Seed, f.Detail, depth, f.Check, f.Seed)
 	if f.Circuit != "" {
 		s += "\ncircuit:\n" + f.Circuit
 	}
@@ -321,8 +329,8 @@ func CheckDecoder(seed int64, d, trials int) *Failure {
 		var syn map[surface.Coord]bool
 		var errs []surface.Coord
 		if trial%3 == 0 {
-			// Arbitrary plaquette subsets stress clustering and the DP
-			// beyond physically-realizable syndromes.
+			// Arbitrary plaquette subsets stress clustering and the
+			// exact matcher beyond physically-realizable syndromes.
 			syn = make(map[surface.Coord]bool)
 			for _, st := range c.Stabilizers() {
 				if st.Basis == basis && rng.Float64() < 0.15 {

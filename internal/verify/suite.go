@@ -259,6 +259,7 @@ func RunCtx(ctx context.Context, d Depth, baseSeed int64, only map[string]bool) 
 			}
 			rep.TrialsRun[spec.Name]++
 			if f := spec.Run(seed, d); f != nil {
+				f.Depth = d.Name
 				rep.Failures = append(rep.Failures, f)
 				break
 			}
@@ -273,7 +274,11 @@ func RunCtx(ctx context.Context, d Depth, baseSeed int64, only map[string]bool) 
 func Replay(check string, seed int64, d Depth) (*Failure, error) {
 	for _, spec := range AllChecks() {
 		if spec.Name == check {
-			return spec.Run(seed, d), nil
+			f := spec.Run(seed, d)
+			if f != nil {
+				f.Depth = d.Name
+			}
+			return f, nil
 		}
 	}
 	return nil, fmt.Errorf("verify: unknown check %q (have %v)", check, CheckNames())

@@ -203,10 +203,15 @@ func TestLockstepExplicitCircuits(t *testing.T) {
 func TestFailureErrorFormat(t *testing.T) {
 	f := &Failure{Check: "lockstep", Seed: 42, Detail: "boom", Circuit: "qubits 1\nMZ 0\n"}
 	msg := f.Error()
-	for _, want := range []string{"lockstep", "42", "boom", "replay:", "qubits 1"} {
+	for _, want := range []string{"lockstep", "42", "boom", "replay: xqverify -replay lockstep:42", "qubits 1"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("failure message missing %q:\n%s", want, msg)
 		}
+	}
+	// A suite failure names its depth: the trial's size comes from it.
+	f.Depth = "deep"
+	if msg := f.Error(); !strings.Contains(msg, "replay: xqverify -depth deep -replay lockstep:42") {
+		t.Errorf("replay hint does not name the depth:\n%s", msg)
 	}
 }
 
