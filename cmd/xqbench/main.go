@@ -5,11 +5,12 @@
 //	go run ./cmd/xqbench -out BENCH_5.json
 //
 // With -check it additionally compares the fresh run against a committed
-// baseline and exits 1 when any shared benchmark regressed by more than
-// -tolerance x in ns/op or allocs/op, so CI can gate on both performance
-// and the allocation-free steady-state invariants:
+// baseline and exits 1 when any shared benchmark's ns/op exceeds
+// -tolerance x the baseline, or its allocs/op exceed both -tolerance x
+// the baseline and the baseline plus 8 (see checkBaseline; the
+// SteadyStateAllocs tests pin the 0-alloc paths exactly):
 //
-//	go run ./cmd/xqbench -check BENCH_9.json -tolerance 2.0
+//	go run ./cmd/xqbench -check BENCH_10.json -tolerance 2.0
 //
 // With -compare it renders a benchstat-style old-vs-new table from two
 // committed summaries instead of running anything:
@@ -39,6 +40,7 @@ import (
 	"xqsim/internal/cli"
 	"xqsim/internal/core"
 	"xqsim/internal/decoder"
+	"xqsim/internal/microarch"
 	"xqsim/internal/pauli"
 	"xqsim/internal/stab"
 	"xqsim/internal/surface"
@@ -246,6 +248,20 @@ func benchmarks(ctx context.Context) []struct {
 					_ = sd.Finish()
 					sd.Reset()
 				}
+			}
+		}},
+		{"syndrome-round-d15", func(b *testing.B) {
+			// One ESM round of the MeasureRates layout (4 logical qubits
+			// at d=15, scaling mode, p=0.1%): data noise plus syndrome
+			// extraction over the four prepared patches.
+			be := microarch.NewBackend(surface.NewPPRLayout(4, 15), 0.001, 1, false)
+			for q := 0; q < 4; q++ {
+				be.PrepareZero(q)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				be.InjectRoundNoise()
+				be.MeasureSyndromesRound(false)
 			}
 		}},
 		{"frame-memory-cell-d3", func(b *testing.B) {

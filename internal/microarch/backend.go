@@ -22,6 +22,7 @@ package microarch
 
 import (
 	"fmt"
+	"math/bits"
 
 	"xqsim/internal/decoder"
 	"xqsim/internal/ftqc"
@@ -63,11 +64,6 @@ type Backend struct {
 	// condStabs are the seam boundary checks that activate when a side
 	// becomes a Z&X merge seam (surface.ConditionalStabilizers).
 	condStabs []surface.ConditionalStabilizer //xqlint:persistent seam-check templates, fixed at construction
-	// stabDataIdx / condDataIdx are the stabilizer supports flattened to
-	// frame offsets (row*d+col), precomputed so the per-round parity scan
-	// avoids re-deriving indices for every check of every patch.
-	stabDataIdx [][]int //xqlint:persistent precomputed support offsets, fixed at construction
-	condDataIdx [][]int //xqlint:persistent precomputed support offsets, fixed at construction
 
 	// Reusable decode state: syndromes are bit-packed per window and the
 	// decoder's scratch buffers persist across windows, keeping the
@@ -82,39 +78,45 @@ type Backend struct {
 	// window purely from DecodeWindowCycles).
 	dec decoder.Backend //xqlint:persistent configured decode backend, not shot state
 
-	// synActive marks patches with a live syndrome baseline; the three
-	// per-patch slabs below are allocated once for every lattice position
-	// and zeroed on (re)activation, so the round loop never allocates.
+	// Syndrome state is bit-packed over the check templates: bit si is
+	// regular check si for si < len(stabs), then seam check
+	// si-len(stabs). Each per-patch slab holds synWords words per lattice
+	// position, allocated once and re-derived on (re)activation, so the
+	// round loop never allocates.
+	synWords int //xqlint:persistent template bit width, fixed at construction
+	// synActive marks patches with a live syndrome baseline.
 	synActive []bool
-	// prevSyn holds the previous round's syndrome per active patch,
-	// indexed by stabilizer template position (regular checks first,
-	// then conditional seam checks).
-	prevSyn [][]bool //xqlint:persistent re-zeroed on patch activation (Reset clears synActive)
+	// diff bit si is set when check si's last measured value disagrees
+	// with its current noise-free parity. flipErr keeps it current on
+	// every truth-frame write, so a round reads the events straight off it
+	// instead of re-deriving each check's parity from the frame.
+	diff []uint64 //xqlint:persistent re-derived on patch activation (Reset clears synActive)
 	// eventAcc accumulates detection-event parity over the current
 	// decode window.
-	eventAcc [][]bool //xqlint:persistent re-zeroed on patch activation (Reset clears synActive)
-	// condWasActive tracks seam-check liveness so a check switching on
-	// mid-merge re-baselines instead of firing a stale event.
-	condWasActive [][]bool //xqlint:persistent re-zeroed on patch activation (Reset clears synActive)
-	// Quiet-round fast path: at realistic error rates almost every
-	// patch-round has no new data errors, no measurement-error hit, and an
-	// unchanged check set, in which case the syndrome scan is a provable
-	// no-op and the round costs O(1) per patch (a bulk countdown advance
-	// consuming exactly the trials the per-check scan would).
-	//
-	// chkSig[patch] is the dynamic-state signature the per-patch caches
-	// were computed under; chkList[patch] the resolved active-check list at
-	// that signature (shared across patches via chkLists, keyed by
-	// signature — the templates are patch-independent). cleanPrev[patch]
-	// records that prevSyn equals the noise-free parity for every active
-	// check (no lingering measurement flip to resolve); frameDirty[patch]
-	// that errFrame changed since the last scan.
-	chkSig     []uint32
-	chkEpoch   []uint64
-	chkList    []*checkList          //xqlint:persistent stale entries are unreachable: Reset invalidates every chkSig
-	chkLists   map[uint32]*checkList //xqlint:persistent memoized by signature, deliberately survives Reset
-	cleanPrev  []bool
-	frameDirty []bool
+	eventAcc []uint64 //xqlint:persistent re-zeroed on patch activation (Reset clears synActive)
+	// condWasActive marks checks measured since they last switched on; it
+	// gates seam checks only, so a seam switching on mid-merge
+	// re-baselines instead of firing a stale event.
+	condWasActive []uint64 //xqlint:persistent re-zeroed on patch activation (Reset clears synActive)
+	// regMask has the regular-check bits set.
+	regMask []uint64 //xqlint:persistent template mask, fixed at construction
+	// adj is the data-qubit -> check adjacency: entries
+	// [(2*off+c)*adjStride, +adjStride) list, -1 padded, the template bits
+	// whose parity error component c (0: X, seen by Z checks; 1: Z, seen
+	// by X checks) flips at patch-local data offset off.
+	adj       []int32 //xqlint:persistent check adjacency, fixed at construction
+	adjStride int     //xqlint:persistent check adjacency, fixed at construction
+	// hitBits is the round's measurement-flip scratch, all-zero between
+	// patches.
+	hitBits []uint64 //xqlint:persistent all-zero between uses
+	// chkSig[patch] is the dynamic-state signature chkList[patch] was
+	// resolved under (shared across patches via chkLists, keyed by
+	// signature — the templates are patch-independent); chkEpoch[patch]
+	// the lattice epoch it was last checked at.
+	chkSig   []uint32
+	chkEpoch []uint64
+	chkList  []*checkList          //xqlint:persistent stale entries are unreachable: Reset invalidates every chkSig
+	chkLists map[uint32]*checkList //xqlint:persistent memoized by signature, deliberately survives Reset
 	// eventCount[patch] is the number of pending detection events in
 	// eventAcc; most windows end with zero, letting FinishWindow skip the
 	// per-basis scans entirely.
@@ -149,10 +151,6 @@ type Backend struct {
 	// the syndrome state still advances, but the events never reach the
 	// EDU, so the errors they witnessed stay uncorrected.
 	dropNextRound bool
-
-	// stats
-	RoundsRun      int
-	LogicalRejects int // decode windows leaving residual logical flips (diagnostic)
 }
 
 // NewBackend builds the substrate for a layout. functional enables the
@@ -188,19 +186,13 @@ func NewBackend(layout *surface.PPRLayout, p float64, seed int64, functional boo
 	}
 	b.tabBlock = len(b.tabOff)
 	nPatches := layout.NumPatches()
-	total := len(b.stabs) + len(b.condStabs)
+	b.buildCheckTables()
+	w := b.synWords
 	b.synActive = make([]bool, nPatches)
-	b.prevSyn = make([][]bool, nPatches)
-	b.eventAcc = make([][]bool, nPatches)
-	b.condWasActive = make([][]bool, nPatches)
-	prevSlab := make([]bool, nPatches*total)
-	accSlab := make([]bool, nPatches*total)
-	condSlab := make([]bool, nPatches*len(b.condStabs))
-	for i := 0; i < nPatches; i++ {
-		b.prevSyn[i] = prevSlab[i*total : (i+1)*total : (i+1)*total]
-		b.eventAcc[i] = accSlab[i*total : (i+1)*total : (i+1)*total]
-		b.condWasActive[i] = condSlab[i*len(b.condStabs) : (i+1)*len(b.condStabs) : (i+1)*len(b.condStabs)]
-	}
+	slab := make([]uint64, 3*nPatches*w)
+	b.diff = slab[: nPatches*w : nPatches*w]
+	b.eventAcc = slab[nPatches*w : 2*nPatches*w : 2*nPatches*w]
+	b.condWasActive = slab[2*nPatches*w:]
 	b.chkSig = make([]uint32, nPatches)
 	for i := range b.chkSig {
 		b.chkSig[i] = sigInvalid
@@ -208,16 +200,8 @@ func NewBackend(layout *surface.PPRLayout, p float64, seed int64, functional boo
 	b.chkEpoch = make([]uint64, nPatches)
 	b.chkList = make([]*checkList, nPatches)
 	b.chkLists = make(map[uint32]*checkList)
-	b.cleanPrev = make([]bool, nPatches)
-	b.frameDirty = make([]bool, nPatches)
 	b.eventCount = make([]int, nPatches)
 	b.synBM = decoder.NewSyndromeBitmap(layout.Code)
-	b.stabDataIdx = flattenSupports(b.stabs, d)
-	cond := make([]surface.Stabilizer, len(b.condStabs))
-	for i, cs := range b.condStabs {
-		cond[i] = cs.Stabilizer
-	}
-	b.condDataIdx = flattenSupports(cond, d)
 	if functional {
 		b.tab = stab.New((layout.NLQ+2)*b.tabBlock, seed+2)
 		b.tabVirgin = make([]bool, layout.NLQ+2)
@@ -228,17 +212,94 @@ func NewBackend(layout *surface.PPRLayout, p float64, seed int64, functional boo
 	return b
 }
 
-// flattenSupports precomputes each stabilizer's data-qubit frame offsets.
-func flattenSupports(stabs []surface.Stabilizer, d int) [][]int {
-	out := make([][]int, len(stabs))
-	for i, st := range stabs {
-		idx := make([]int, len(st.Data))
-		for j, q := range st.Data {
-			idx[j] = q.Row*d + q.Col
+// buildCheckTables derives the template bit layout, the regular-check
+// mask and the data-qubit -> check adjacency from the stabilizer
+// templates.
+func (b *Backend) buildCheckTables() {
+	d := b.Code.D
+	nReg := len(b.stabs)
+	total := nReg + len(b.condStabs)
+	w := (total + 63) / 64
+	b.synWords = w
+	masks := make([]uint64, 2*w)
+	b.regMask, b.hitBits = masks[:w:w], masks[w:]
+	// An error component at a data qubit flips exactly the checks of the
+	// other basis around it.
+	slot := func(st *surface.Stabilizer, q surface.Coord) int {
+		if st.Basis == pauli.Z {
+			return 2 * (q.Row*d + q.Col)
 		}
-		out[i] = idx
+		return 2*(q.Row*d+q.Col) + 1
 	}
-	return out
+	fill := make([]int32, 2*d*d)
+	for si := 0; si < total; si++ {
+		st := b.template(si)
+		if si < nReg {
+			b.regMask[si>>6] |= 1 << (si & 63)
+		}
+		for _, q := range st.Data {
+			k := slot(st, q)
+			fill[k]++
+			b.adjStride = max(b.adjStride, int(fill[k]))
+		}
+	}
+	b.adj = make([]int32, 2*d*d*b.adjStride)
+	for i := range b.adj {
+		b.adj[i] = -1
+	}
+	clear(fill)
+	for si := 0; si < total; si++ {
+		st := b.template(si)
+		for _, q := range st.Data {
+			k := slot(st, q)
+			b.adj[k*b.adjStride+int(fill[k])] = int32(si)
+			fill[k]++
+		}
+	}
+}
+
+// template returns check template si: the regular stabilizers first,
+// then the seam checks.
+func (b *Backend) template(si int) *surface.Stabilizer {
+	if si < len(b.stabs) {
+		return &b.stabs[si]
+	}
+	return &b.condStabs[si-len(b.stabs)].Stabilizer
+}
+
+// synRow returns patch's words of a per-patch syndrome slab.
+func (b *Backend) synRow(slab []uint64, patch int) []uint64 {
+	w := b.synWords
+	return slab[patch*w : (patch+1)*w : (patch+1)*w]
+}
+
+// flipErr multiplies op into the truth frame at patch-local data offset
+// off. Every truth-frame write goes through here, so diff stays exact
+// without a per-round parity scan.
+//
+//xqlint:noalloc per-error hot path of every noise round
+func (b *Backend) flipErr(patch, off int, op pauli.Pauli) {
+	d := b.Code.D
+	b.errFrame.Ops[patch*d*d+off] ^= op
+	b.flipParity(b.synRow(b.diff, patch), off, op)
+}
+
+// flipParity flips in diff the bits of the (at most four) checks whose
+// noise-free parity an op at data offset off changes: its X component
+// flips the adjacent Z checks, its Z component the adjacent X checks.
+func (b *Backend) flipParity(diff []uint64, off int, op pauli.Pauli) {
+	for c := 0; c < 2; c++ {
+		if op&(1<<c) == 0 {
+			continue
+		}
+		k := (2*off + c) * b.adjStride
+		for _, si := range b.adj[k : k+b.adjStride] {
+			if si < 0 {
+				break
+			}
+			diff[si>>6] ^= 1 << (si & 63)
+		}
+	}
 }
 
 // NumLQ implements ftqc.Machine: data qubits plus the two resource slots.
@@ -284,21 +345,30 @@ func (b *Backend) patchOf(lq int) int {
 func (b *Backend) resetPatchFrames(patch int) {
 	d := b.Code.D
 	base := patch * d * d
-	for i := 0; i < d*d; i++ {
-		b.errFrame.Ops[base+i] = pauli.I
-		b.pfFrame.Ops[base+i] = pauli.I
+	for off := 0; off < d*d; off++ {
+		if op := b.errFrame.Ops[base+off]; op != pauli.I {
+			b.flipErr(patch, off, op)
+		}
+		b.pfFrame.Ops[base+off] = pauli.I
 	}
-	b.frameDirty[patch] = true
 }
 
 // activatePatch (re)sets the syndrome baseline so no stale detection
 // events fire on the first round after (re)initialization.
 func (b *Backend) activatePatch(patch int) {
 	b.synActive[patch] = true
-	clearBools(b.prevSyn[patch])
-	clearBools(b.eventAcc[patch])
-	clearBools(b.condWasActive[patch])
-	b.cleanPrev[patch] = false // force a full scan to re-establish prev
+	clear(b.synRow(b.eventAcc, patch))
+	clear(b.synRow(b.condWasActive, patch))
+	// No check has been measured yet (last values all zero), so diff is
+	// the frame's own parity.
+	diff := b.synRow(b.diff, patch)
+	clear(diff)
+	d := b.Code.D
+	for off, op := range b.errFrame.Ops[patch*d*d : (patch+1)*d*d] {
+		if op != pauli.I {
+			b.flipParity(diff, off, op)
+		}
+	}
 	b.eventCount[patch] = 0
 }
 
@@ -322,14 +392,13 @@ func dynSig(dyn surface.Dynamic) uint32 {
 	return s
 }
 
-// checkList is the set of checks active under one dynamic signature:
-// template indices of the live regular and seam stabilizers, in template
-// order (the order the legacy full scan measured them in, so the
-// measurement-noise stream is unchanged).
+// checkList is the set of checks active under one dynamic signature.
 type checkList struct {
-	regular []int32
-	cond    []int32
-	count   int
+	// active has the live checks' template bits set.
+	active []uint64
+	// count is the number of live checks: a round's measurements and
+	// measurement-noise trials, consumed in template order.
+	count int
 }
 
 // checksFor resolves (building and memoizing on first sight) the active
@@ -340,18 +409,21 @@ func (b *Backend) checksFor(sig uint32, dyn surface.Dynamic) *checkList {
 	if cl, ok := b.chkLists[sig]; ok {
 		return cl
 	}
-	cl := &checkList{}
+	cl := &checkList{active: make([]uint64, b.synWords)}
+	set := func(si int) {
+		cl.active[si>>6] |= 1 << (si & 63)
+		cl.count++
+	}
 	for si, st := range b.stabs {
 		if surface.StabilizerActive(b.Code, st, dyn) {
-			cl.regular = append(cl.regular, int32(si))
+			set(si)
 		}
 	}
 	for ci, cs := range b.condStabs {
 		if surface.ConditionalActive(cs, dyn) {
-			cl.cond = append(cl.cond, int32(ci))
+			set(len(b.stabs) + ci)
 		}
 	}
-	cl.count = len(cl.regular) + len(cl.cond)
 	b.chkLists[sig] = cl
 	return cl
 }
@@ -369,6 +441,8 @@ func clearBools(s []bool) {
 // bit-for-bit for the same seed, which the shot-equivalence tests pin.
 func (b *Backend) Reset(seed int64) {
 	b.Layout.Reset()
+	// A wholesale frame wipe bypasses flipErr: Reset deactivates every
+	// patch, and activation re-derives diff from the frame.
 	for i := range b.errFrame.Ops {
 		b.errFrame.Ops[i] = pauli.I
 		b.pfFrame.Ops[i] = pauli.I
@@ -382,16 +456,12 @@ func (b *Backend) Reset(seed int64) {
 		}
 	}
 	clearBools(b.synActive)
-	clearBools(b.cleanPrev)
-	clearBools(b.frameDirty)
 	for i := range b.chkSig {
 		b.chkSig[i] = sigInvalid
 		b.chkEpoch[i] = 0 // the lattice epoch starts at 1 and only grows
 		b.eventCount[i] = 0
 	}
 	b.dropNextRound = false
-	b.RoundsRun = 0
-	b.LogicalRejects = 0
 }
 
 // SetPhysError retargets both noise models to a new per-site error rate
@@ -593,16 +663,13 @@ func (b *Backend) MeasureProductDetail(pr pauli.Product, extraFramePatches []int
 func (b *Backend) InjectRoundNoise() {
 	d := b.Code.D
 	for _, patch := range b.Layout.ActiveESMPatches() {
-		base := patch * d * d
 		b.siteBuf = b.dataNoise.AppendSites(b.siteBuf[:0], d*d)
-		for _, i := range b.siteBuf {
-			b.errFrame.Ops[base+i] ^= pauli.X
-			b.frameDirty[patch] = true
+		for _, off := range b.siteBuf {
+			b.flipErr(patch, off, pauli.X)
 		}
 		b.siteBuf = b.dataNoise.AppendSites(b.siteBuf[:0], d*d)
-		for _, i := range b.siteBuf {
-			b.errFrame.Ops[base+i] ^= pauli.Z
-			b.frameDirty[patch] = true
+		for _, off := range b.siteBuf {
+			b.flipErr(patch, off, pauli.Z)
 		}
 	}
 }
@@ -629,108 +696,77 @@ func (b *Backend) DropNextRoundEvents() { b.dropNextRound = true }
 // at the decode boundary and corrupts logical readouts at a rate the code
 // distance cannot suppress (the standard phenomenological-model boundary
 // condition).
+//
+// A round costs O(words + errors) per patch: a live check's event is its
+// diff bit XOR its measurement flip, after which diff holds just the
+// flip. Measurement flips are drawn with one AppendSites over the live
+// checks, which consumes exactly the trials one Hit per check in
+// template order would, so every event matches a full parity scan.
 func (b *Backend) MeasureSyndromesRound(final bool) int {
-	d := b.Code.D
 	measured := 0
 	dropped := b.dropNextRound
 	b.dropNextRound = false
 	epoch := b.Layout.ESMEpoch()
+	hits := b.hitBits
 	for _, patch := range b.Layout.ActiveESMPatches() {
 		if !b.synActive[patch] {
 			b.activatePatch(patch)
 		}
+		was := b.synRow(b.condWasActive, patch)
 		if b.chkEpoch[patch] != epoch {
 			b.chkEpoch[patch] = epoch
 			dyn := b.Layout.Patch(patch).Dynamic
 			if sig := dynSig(dyn); sig != b.chkSig[patch] {
 				b.chkSig[patch] = sig
 				b.chkList[patch] = b.checksFor(sig, dyn)
-				b.cleanPrev[patch] = false // the active set may have changed
 				// Seam checks that just went inactive re-baseline on their
-				// next activation (the legacy full scan cleared these every
-				// round; clearing on the transition is equivalent because
-				// wasActive is only read while active).
-				was := b.condWasActive[patch]
-				j := 0
-				for ci := range was {
-					if j < len(b.chkList[patch].cond) && int(b.chkList[patch].cond[j]) == ci {
-						j++
-						continue
-					}
-					was[ci] = false
+				// next activation.
+				for i, act := range b.chkList[patch].active {
+					was[i] &= act
 				}
 			}
 		}
 		cl := b.chkList[patch]
-		// Quiet-round fast path: prev equals the noise-free parity, the
-		// frame has not changed, and the check set is the same, so the scan
-		// below cannot fire an event or change prev. All that remains is
-		// consuming the round's measurement-noise trials; TryAdvance does
-		// that in bulk iff none hits, drawing the exact per-check stream.
-		if b.cleanPrev[patch] && !b.frameDirty[patch] {
-			if final || b.measNoise.TryAdvance(cl.count) {
-				measured += cl.count
-				continue
+		measured += cl.count
+		if !final {
+			b.siteBuf = b.measNoise.AppendSites(b.siteBuf[:0], cl.count)
+			selectBits(hits, cl.active, b.siteBuf)
+		}
+		diff := b.synRow(b.diff, patch)
+		acc := b.synRow(b.eventAcc, patch)
+		for i, act := range cl.active {
+			// Seam checks fire only once measured since switching on.
+			ev := (diff[i]&act ^ hits[i]) & (b.regMask[i] | was[i])
+			diff[i] = diff[i]&^act | hits[i]
+			was[i] |= act
+			hits[i] = 0
+			if ev != 0 && !dropped {
+				b.eventCount[patch] += bits.OnesCount64(ev&^acc[i]) - bits.OnesCount64(ev&acc[i])
+				acc[i] ^= ev
 			}
 		}
-		prev := b.prevSyn[patch]
-		acc := b.eventAcc[patch]
-		base := patch * d * d
-		measHit := false
-		parityOf := func(basis pauli.Pauli, idx []int) bool {
-			par := false
-			for _, q := range idx {
-				rec := b.errFrame.Ops[base+q]
-				if !rec.Commutes(basis) {
-					par = !par
-				}
-			}
-			if !final && b.measNoise.Hit() {
-				par = !par
-				measHit = true
-			}
-			return par
-		}
-		for _, si32 := range cl.regular {
-			si := int(si32)
-			par := parityOf(b.stabs[si].Basis, b.stabDataIdx[si])
-			if par != prev[si] && !dropped {
-				acc[si] = !acc[si]
-				if acc[si] {
-					b.eventCount[patch]++
-				} else {
-					b.eventCount[patch]--
-				}
-			}
-			prev[si] = par
-			measured++
-		}
-		// Seam checks: only while their side is a Z&X seam; re-baseline
-		// on activation.
-		wasActive := b.condWasActive[patch]
-		for _, ci32 := range cl.cond {
-			ci := int(ci32)
-			si := len(b.stabs) + ci
-			par := parityOf(b.condStabs[ci].Basis, b.condDataIdx[ci])
-			if wasActive[ci] && par != prev[si] && !dropped {
-				acc[si] = !acc[si]
-				if acc[si] {
-					b.eventCount[patch]++
-				} else {
-					b.eventCount[patch]--
-				}
-			}
-			prev[si] = par
-			wasActive[ci] = true
-			measured++
-		}
-		// prev is now synced to the measured parity: clean unless a
-		// measurement flip left it disagreeing with the frame's truth.
-		b.cleanPrev[patch] = !measHit
-		b.frameDirty[patch] = false
 	}
-	b.RoundsRun++
 	return measured
+}
+
+// selectBits sets in dst, for every j in idx (ascending, each below the
+// mask's popcount), the j-th set bit of mask counting up from bit 0 of
+// mask[0].
+//
+//xqlint:noalloc per-round measurement-flip placement
+func selectBits(dst, mask []uint64, idx []int) {
+	w, below := 0, 0
+	for _, j := range idx {
+		for n := bits.OnesCount64(mask[w]); j-below >= n; n = bits.OnesCount64(mask[w]) {
+			below += n
+			w++
+		}
+		m := mask[w]
+		for k := j - below; k > 0; k-- {
+			m &= m - 1
+		}
+		dst[w] |= m & -m
+	}
 }
 
 // WindowDecode is the per-window decoding outcome consumed by the EDU
@@ -779,13 +815,13 @@ func (b *Backend) FinishWindow() WindowDecode {
 	var out WindowDecode
 	out.MatchesZ = b.wdMatchesZ[:0]
 	out.MatchesX = b.wdMatchesX[:0]
+	nReg := len(b.stabs)
 	for _, patch := range b.Layout.ActiveESMPatches() {
 		if !b.synActive[patch] {
 			continue
 		}
-		acc := b.eventAcc[patch]
 		out.Windows++
-		out.ActiveCells += len(b.stabs)
+		out.ActiveCells += nReg
 		cl := b.chkList[patch]
 		if cl == nil || b.eventCount[patch] == 0 {
 			// No syndrome round has run on this patch yet, or the window
@@ -794,39 +830,37 @@ func (b *Backend) FinishWindow() WindowDecode {
 			continue
 		}
 		b.eventCount[patch] = 0 // everything pending is consumed below
+		acc := b.synRow(b.eventAcc, patch)
 
 		// Seam-check events: counted into the decode load (one short
 		// boundary-matched token each — the cross-patch pairing itself is
 		// subsumed by the joint logical measurement; see DESIGN.md §5),
 		// but they contribute no per-patch corrections. Events can only be
 		// pending for checks active during the window's rounds, so the
-		// cached active list covers every set accumulator.
-		for _, ci32 := range cl.cond {
-			ci := int(ci32)
-			si := len(b.stabs) + ci
-			if !acc[si] {
-				continue
+		// cached active mask covers every set accumulator.
+		for i, a := range acc {
+			for m := a & cl.active[i] &^ b.regMask[i]; m != 0; m &= m - 1 {
+				cs := &b.condStabs[i<<6+bits.TrailingZeros64(m)-nReg]
+				out.Syndromes++
+				match := decoder.Match{From: cs.Anc, ToBoundary: true, Steps: 1}
+				if cs.Basis == pauli.Z {
+					out.MatchesZ = append(out.MatchesZ, match)
+				} else {
+					out.MatchesX = append(out.MatchesX, match)
+				}
 			}
-			out.Syndromes++
-			cs := b.condStabs[ci]
-			m := decoder.Match{From: cs.Anc, ToBoundary: true, Steps: 1}
-			if cs.Basis == pauli.Z {
-				out.MatchesZ = append(out.MatchesZ, m)
-			} else {
-				out.MatchesX = append(out.MatchesX, m)
-			}
-			acc[si] = false
 		}
 		for _, basis := range [2]pauli.Pauli{pauli.Z, pauli.X} {
 			// Bit-pack the window's detection events; the ascending scan
 			// fills the bitmap in the hardware's row-major cell order.
 			b.synBM.Reset()
 			nontrivial := 0
-			for _, si32 := range cl.regular {
-				si := int(si32)
-				if st := &b.stabs[si]; st.Basis == basis && acc[si] {
-					b.synBM.Set(st.Anc)
-					nontrivial++
+			for i, a := range acc {
+				for m := a & cl.active[i] & b.regMask[i]; m != 0; m &= m - 1 {
+					if st := &b.stabs[i<<6+bits.TrailingZeros64(m)]; st.Basis == basis {
+						b.synBM.Set(st.Anc)
+						nontrivial++
+					}
 				}
 			}
 			if nontrivial == 0 {
@@ -854,8 +888,8 @@ func (b *Backend) FinishWindow() WindowDecode {
 				b.pfFrame.Ops[b.frameIndex(patch, q)] ^= errType
 			}
 		}
-		for _, si32 := range cl.regular {
-			acc[si32] = false
+		for i, act := range cl.active {
+			acc[i] &^= act
 		}
 	}
 	b.wdMatchesZ = out.MatchesZ
@@ -912,9 +946,8 @@ func (b *Backend) DiscardLogical(lq int) {
 // logical operator string written into the truth frame.
 func (b *Backend) InjectLogicalError(lq int, basis pauli.Pauli) {
 	qs, ops := b.logicalFrameString(lq, basis)
-	d := b.Code.D
+	dd := b.Code.D * b.Code.D
 	for i, q := range qs {
-		b.errFrame.Ops[q] ^= ops[i]
-		b.frameDirty[q/(d*d)] = true
+		b.flipErr(q/dd, q%dd, ops[i])
 	}
 }

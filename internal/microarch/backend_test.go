@@ -84,7 +84,7 @@ func TestSingleErrorDecodedThroughWindow(t *testing.T) {
 	b := newTestBackend(1, 5, 0, 5)
 	b.PrepareZero(0)
 	patch, _ := b.Layout.PatchOfLQ(0)
-	b.errFrame.Ops[b.frameIndex(patch, surface.Coord{Row: 2, Col: 2})] = pauli.X
+	b.flipErr(patch, b.Code.DataIndex(surface.Coord{Row: 2, Col: 2}), pauli.X)
 	for r := 0; r < 5; r++ {
 		b.MeasureSyndromes()
 	}
@@ -111,7 +111,7 @@ func TestErrorChainAcrossLogicalString(t *testing.T) {
 	b := newTestBackend(1, 5, 0, 6)
 	b.PrepareZero(0)
 	patch, _ := b.Layout.PatchOfLQ(0)
-	b.errFrame.Ops[b.frameIndex(patch, surface.Coord{Row: 2, Col: 0})] = pauli.X
+	b.flipErr(patch, b.Code.DataIndex(surface.Coord{Row: 2, Col: 0}), pauli.X)
 	pr := pauli.NewProduct(b.NumLQ())
 	pr.Ops[0] = pauli.Z
 	_, raw, _ := b.MeasureProductDetail(pr, nil)

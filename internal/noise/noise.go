@@ -20,7 +20,8 @@ import (
 // All entry points (AppendSites, Hit, CountHits) consume trials from one
 // geometric countdown that carries across calls, so the number of random
 // draws is proportional to the number of *hits*, not the number of trials
-// — a Hit() in a syndrome round costs a decrement, not a Float64.
+// — and AppendSites(n) consumes exactly the trials n Hit calls would,
+// reporting the same hits.
 type Model struct {
 	P   float64
 	rng *xrand.Rand
@@ -115,27 +116,6 @@ func (m *Model) Hit() bool {
 		return true
 	}
 	m.gap--
-	return false
-}
-
-// TryAdvance consumes n Bernoulli trials only if all of them miss, and
-// reports whether it did. On a false return nothing is consumed: the
-// caller runs the same n trials through Hit one by one and observes the
-// hit the countdown promised, drawing the exact stream a Hit-only caller
-// would. This is the bulk fast path for syndrome rounds where no
-// measurement error fires.
-func (m *Model) TryAdvance(n int) bool {
-	//xqlint:ignore floateq exact p==0 sentinel: the disabled model must draw nothing
-	if m.P == 0 {
-		return true
-	}
-	if m.gap < 0 {
-		m.gap = m.skip()
-	}
-	if m.gap >= n {
-		m.gap -= n
-		return true
-	}
 	return false
 }
 

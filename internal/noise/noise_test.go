@@ -2,7 +2,10 @@ package noise
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"xqsim/internal/xrand"
 )
 
 func TestZeroProbability(t *testing.T) {
@@ -87,5 +90,44 @@ func TestInvalidProbabilityPanics(t *testing.T) {
 			}()
 			NewModel(p, 1)
 		}()
+	}
+}
+
+// TestAppendSitesMatchesHit pins the premise incremental syndrome
+// extraction rests on: AppendSites(n) reports exactly the trial indices
+// at which n Hit calls on a twin model return true, and leaves both
+// streams in step, so a syndrome round may draw its per-check
+// measurement flips in one bulk call.
+func TestAppendSitesMatchesHit(t *testing.T) {
+	for _, p := range []float64{0, 0.001, 0.05, 0.3} {
+		bulk, twin := NewModel(p, 99), NewModel(p, 99)
+		lengths := xrand.New(7)
+		var got, want []int
+		for call := 0; call < 3000; call++ {
+			n := lengths.Intn(260)
+			if call%7 == 0 {
+				n = 0
+			}
+			got = bulk.AppendSites(got[:0], n)
+			want = want[:0]
+			for i := 0; i < n; i++ {
+				if twin.Hit() {
+					want = append(want, i)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("p=%v call %d: AppendSites(%d) = %v, %d Hit calls hit at %v", p, call, n, got, n, want)
+			}
+			if call%5 == 0 { // a single trial between bulk calls
+				if b, w := bulk.Hit(), twin.Hit(); b != w {
+					t.Fatalf("p=%v call %d: interleaved Hit %v vs %v", p, call, b, w)
+				}
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			if b, w := bulk.Hit(), twin.Hit(); b != w {
+				t.Fatalf("p=%v: draw %d after the bulk calls diverged: %v vs %v", p, i, b, w)
+			}
+		}
 	}
 }
