@@ -10,7 +10,7 @@
 // the baseline and the baseline plus 8 (see checkBaseline; the
 // SteadyStateAllocs tests pin the 0-alloc paths exactly):
 //
-//	go run ./cmd/xqbench -check BENCH_10.json -tolerance 2.0
+//	go run ./cmd/xqbench -check BENCH_11.json -tolerance 2.0
 //
 // With -compare it renders a benchstat-style old-vs-new table from two
 // committed summaries instead of running anything:
@@ -349,6 +349,22 @@ func benchmarks(ctx context.Context) []struct {
 			// allocation-free path RunShots workers run).
 			circ := xqsim.SinglePPR("ZZZ", xqsim.AnglePi8).SubstituteStabilizer()
 			runner, err := core.NewShotRunner(circ, 3, 0.001, 1, core.RunOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := runner.RunShot(ctx, i); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"pipeline-shot-d5", func(b *testing.B) {
+			// Steady-state shot of Table 3's d=5 QFT row, which with
+			// QAOA carries most of a Table 3 run: logical-tableau
+			// products and resets plus d=5 ESM rounds and decode.
+			circ := xqsim.QFT2(2).SubstituteStabilizer()
+			runner, err := core.NewShotRunner(circ, 5, 0.001, 1, core.RunOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

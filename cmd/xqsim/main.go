@@ -11,8 +11,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"xqsim"
@@ -22,63 +24,86 @@ import (
 )
 
 func main() {
-	var (
-		workload   = flag.String("workload", "random", "workload: random | qft2 | qaoa | ppr")
-		lq         = flag.Int("lq", 4, "logical qubits (random/qaoa)")
-		pprs       = flag.Int("pprs", 10, "rotation count (random)")
-		product    = flag.String("product", "ZZZ", "Pauli product (ppr workload)")
-		d          = flag.Int("d", 15, "code distance")
-		p          = flag.Float64("p", 0.001, "physical error rate")
-		seed       = flag.Int64("seed", 1, "random seed")
-		shots      = flag.Int("shots", 256, "shots (functional mode)")
-		functional = flag.Bool("functional", false, "run the noisy quantum backend and report the output distribution")
-		system     = flag.String("system", "current", "system: current | current-opt1 | nf-rsfq | nf-rsfq-opt | nf-cmos | nf-cmos-vs | future | future-edu4k | future-final")
-		nphys      = flag.Int("n", 0, "evaluate scalability at this qubit count (0 = workload size)")
-		trace      = flag.String("trace", "", "write a per-instruction JSON trace of one shot to this file")
-
-		faultsOn    = flag.Bool("faults", false, "inject control-processor faults (decoder stalls, buffer overflow, link corruption) into every shot")
-		faultStall  = flag.Float64("fault-stall", config.DefaultFaultStallProb, "per-window decoder stall probability (with -faults)")
-		faultFactor = flag.Float64("fault-stall-factor", config.DefaultFaultStallFactor, "decode latency multiplier during a stall spike")
-		faultBuffer = flag.Int("fault-buffer", 0, "syndrome buffer capacity in ESM rounds (0 = one window, i.e. d rounds)")
-		faultPolicy = flag.String("fault-policy", "drop-oldest", "buffer overflow policy: drop-oldest | backpressure")
-		faultLink   = flag.Float64("fault-link", config.DefaultFaultLinkProb, "per-round cross-temperature link corruption probability")
-		faultRetry  = flag.Int("fault-retries", config.DefaultFaultLinkRetries, "link retransmission budget per round")
-		shotTimeout = flag.Duration("shot-timeout", 0, "per-shot watchdog timeout (0 = none)")
-	)
-	flag.Parse()
-	defer prof.Start()()
-
 	// SIGINT/SIGTERM cancel the run between pipeline instructions, so
 	// partial results and profiles still flush instead of dying mid-write.
 	ctx, stop := cli.SignalContext()
-	defer stop()
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the whole command: it parses args, runs the workload and
+// returns the exit status (0 ok, 1 failure, 2 usage error).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("xqsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		workload   = fs.String("workload", "random", "workload: random | qft2 | qaoa | ppr")
+		lq         = fs.Int("lq", 4, "logical qubits (random/qaoa)")
+		pprs       = fs.Int("pprs", 10, "rotation count (random)")
+		product    = fs.String("product", "ZZZ", "Pauli product (ppr workload)")
+		d          = fs.Int("d", 15, "code distance")
+		p          = fs.Float64("p", 0.001, "physical error rate")
+		seed       = fs.Int64("seed", 1, "random seed")
+		shots      = fs.Int("shots", 256, "shots (functional mode)")
+		functional = fs.Bool("functional", false, "run the noisy quantum backend and report the output distribution")
+		system     = fs.String("system", "current", "system: current | current-opt1 | nf-rsfq | nf-rsfq-opt | nf-cmos | nf-cmos-vs | future | future-edu4k | future-final")
+		nphys      = fs.Int("n", 0, "evaluate scalability at this qubit count (0 = workload size)")
+		trace      = fs.String("trace", "", "write a per-instruction JSON trace of one shot to this file")
+		profiles   = prof.RegisterFlags(fs)
+
+		faultsOn    = fs.Bool("faults", false, "inject control-processor faults (decoder stalls, buffer overflow, link corruption) into every shot")
+		faultStall  = fs.Float64("fault-stall", config.DefaultFaultStallProb, "per-window decoder stall probability (with -faults)")
+		faultFactor = fs.Float64("fault-stall-factor", config.DefaultFaultStallFactor, "decode latency multiplier during a stall spike")
+		faultBuffer = fs.Int("fault-buffer", 0, "syndrome buffer capacity in ESM rounds (0 = one window, i.e. d rounds)")
+		faultPolicy = fs.String("fault-policy", "drop-oldest", "buffer overflow policy: drop-oldest | backpressure")
+		faultLink   = fs.Float64("fault-link", config.DefaultFaultLinkProb, "per-round cross-temperature link corruption probability")
+		faultRetry  = fs.Int("fault-retries", config.DefaultFaultLinkRetries, "link retransmission budget per round")
+		shotTimeout = fs.Duration("shot-timeout", 0, "per-shot watchdog timeout (0 = none)")
+	)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	stopProf, err := prof.StartPaths(profiles.CPU, profiles.Mem)
+	if err != nil {
+		_, _ = fmt.Fprintln(stderr, "prof:", err)
+		return 1
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			_, _ = fmt.Fprintln(stderr, "prof:", err)
+		}
+	}()
+	fail := func(err error) int {
+		_, _ = fmt.Fprintln(stderr, "xqsim:", err)
+		return 1
+	}
 
 	circ, err := buildWorkload(*workload, *lq, *pprs, *product, *seed)
 	if err != nil {
-		_, _ = fmt.Fprintln(os.Stderr, "xqsim:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	sys, scheme, err := buildSystem(*system, *d)
 	if err != nil {
-		_, _ = fmt.Fprintln(os.Stderr, "xqsim:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	if *trace != "" {
 		if err := writeTrace(circ, *d, *p, *seed, *trace); err != nil {
-			_, _ = fmt.Fprintln(os.Stderr, "xqsim:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		_, _ = fmt.Fprintf(os.Stderr, "wrote trace to %s\n", *trace)
+		_, _ = fmt.Fprintf(stderr, "wrote trace to %s\n", *trace)
 	}
 
 	opts := xqsim.RunOptions{ShotTimeout: *shotTimeout}
 	if *faultsOn {
 		policy, err := xqsim.ParseFaultPolicy(*faultPolicy)
 		if err != nil {
-			_, _ = fmt.Fprintln(os.Stderr, "xqsim:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		buffer := *faultBuffer
 		if buffer == 0 {
@@ -93,38 +118,36 @@ func main() {
 			LinkRetries:   *faultRetry,
 		}
 		if err := opts.Faults.Validate(); err != nil {
-			_, _ = fmt.Fprintln(os.Stderr, "xqsim:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
 
 	if *functional {
 		dist, metrics, err := xqsim.RunShotsOpt(ctx, circ.SubstituteStabilizer(), *d, *p, *shots, *seed, opts)
 		if err != nil {
-			_, _ = fmt.Fprintln(os.Stderr, "xqsim:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		ref := xqsim.ReferenceDistribution(circ.SubstituteStabilizer())
-		fmt.Printf("workload %s (%d logical qubits, d=%d, p=%g, %d shots)\n",
+		_, _ = fmt.Fprintf(stdout, "workload %s (%d logical qubits, d=%d, p=%g, %d shots)\n",
 			circ.Name, circ.NLQ, *d, *p, *shots)
-		fmt.Println("outcome   measured   reference")
+		_, _ = fmt.Fprintln(stdout, "outcome   measured   reference")
 		for i := range dist {
 			if dist[i] > 0.002 || ref[i] > 0.002 {
-				fmt.Printf("  %0*b    %6.4f     %6.4f\n", circ.NLQ, i, dist[i], ref[i])
+				_, _ = fmt.Fprintf(stdout, "  %0*b    %6.4f     %6.4f\n", circ.NLQ, i, dist[i], ref[i])
 			}
 		}
-		fmt.Printf("ESM rounds: %d, decode windows: %d, instructions: %d\n",
+		_, _ = fmt.Fprintf(stdout, "ESM rounds: %d, decode windows: %d, instructions: %d\n",
 			metrics.ESMRounds, metrics.DecodeWindows, metrics.Instructions)
 		if *faultsOn {
 			f := metrics.Faults
-			fmt.Printf("fault injection: stall windows %d (%d cycles), dropped rounds %d, backpressure rounds %d, retransmits %d (%d backoff cycles)\n",
+			_, _ = fmt.Fprintf(stdout, "fault injection: stall windows %d (%d cycles), dropped rounds %d, backpressure rounds %d, retransmits %d (%d backoff cycles)\n",
 				f.StallWindows, f.StallCycles, f.DroppedRounds, f.BackpressureRounds, f.Retransmits, f.BackoffCycles)
 		}
 	}
 
 	if err := ctx.Err(); err != nil {
-		_, _ = fmt.Fprintln(os.Stderr, "xqsim: interrupted before the scalability evaluation:", err)
-		os.Exit(1)
+		_, _ = fmt.Fprintln(stderr, "xqsim: interrupted before the scalability evaluation:", err)
+		return 1
 	}
 
 	rates := xqsim.MeasureRates(*d, *p, scheme, *seed)
@@ -133,18 +156,19 @@ func main() {
 		n = xqsim.NewPPRLayout(circ.NLQ, *d).PhysicalQubits()
 	}
 	rep := sys.Evaluate(n, rates)
-	fmt.Printf("\nsystem %s at %d physical qubits:\n", sys.Name, n)
-	fmt.Printf("  instruction bandwidth : %8.1f Gbps\n", rep.InstBandwidthGbps)
-	fmt.Printf("  decode latency        : %8.1f ns\n", rep.DecodeLatencyNs)
-	fmt.Printf("  300K-4K transfer      : %8.1f Gbps (%.3f W cable heat)\n", rep.CrossTransferGbps, rep.CrossHeatW)
-	fmt.Printf("  4K device power       : %8.4f W\n", rep.Power4KW)
-	fmt.Printf("  4K device area        : %8.2f cm^2\n", rep.Area4KCm2)
+	_, _ = fmt.Fprintf(stdout, "\nsystem %s at %d physical qubits:\n", sys.Name, n)
+	_, _ = fmt.Fprintf(stdout, "  instruction bandwidth : %8.1f Gbps\n", rep.InstBandwidthGbps)
+	_, _ = fmt.Fprintf(stdout, "  decode latency        : %8.1f ns\n", rep.DecodeLatencyNs)
+	_, _ = fmt.Fprintf(stdout, "  300K-4K transfer      : %8.1f Gbps (%.3f W cable heat)\n", rep.CrossTransferGbps, rep.CrossHeatW)
+	_, _ = fmt.Fprintf(stdout, "  4K device power       : %8.4f W\n", rep.Power4KW)
+	_, _ = fmt.Fprintf(stdout, "  4K device area        : %8.2f cm^2\n", rep.Area4KCm2)
 	if rep.OK() {
-		fmt.Println("  all constraints satisfied")
+		_, _ = fmt.Fprintln(stdout, "  all constraints satisfied")
 	} else {
-		fmt.Println("  VIOLATED:", rep.Violations())
+		_, _ = fmt.Fprintln(stdout, "  VIOLATED:", rep.Violations())
 	}
-	fmt.Printf("  sustainable scale     : %d qubits\n", sys.MaxQubits(rates))
+	_, _ = fmt.Fprintf(stdout, "  sustainable scale     : %d qubits\n", sys.MaxQubits(rates))
+	return 0
 }
 
 func writeTrace(circ xqsim.Circuit, d int, p float64, seed int64, path string) error {

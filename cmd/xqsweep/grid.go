@@ -28,6 +28,9 @@ type gridFlags struct {
 	submit     string // -submit <url>
 	fetch      string // -fetch <url> (with -grid-id)
 	gridID     string
+	// stdout receives the grid JSONL when no -jsonl/-csv file is given
+	// (and -submit's grid id); stderr the progress notes.
+	stdout, stderr io.Writer
 }
 
 // buildGridSpec assembles and normalizes the GridSpec from the flags.
@@ -116,9 +119,9 @@ func runGridLocal(ctx context.Context, f gridFlags) error {
 			}
 			if loaded.CompatibleGrid(g.Hash()) {
 				ck = loaded
-				_, _ = fmt.Fprintf(os.Stderr, "resuming from %s (%d cells done)\n", f.checkpoint, len(loaded.Cells))
+				_, _ = fmt.Fprintf(f.stderr, "resuming from %s (%d cells done)\n", f.checkpoint, len(loaded.Cells))
 			} else if loaded != nil {
-				_, _ = fmt.Fprintf(os.Stderr, "checkpoint %s belongs to a different grid; starting over\n", f.checkpoint)
+				_, _ = fmt.Fprintf(f.stderr, "checkpoint %s belongs to a different grid; starting over\n", f.checkpoint)
 			}
 		}
 		if ck == nil {
@@ -131,7 +134,7 @@ func runGridLocal(ctx context.Context, f gridFlags) error {
 	timings := make([]xqsim.GridCellTiming, 0, len(cells))
 	for _, cell := range cells {
 		if r, ok := ck.CellAt(cell.Index); ok {
-			_, _ = fmt.Fprintf(os.Stderr, "skipping cell %d (checkpointed)\n", cell.Index)
+			_, _ = fmt.Fprintf(f.stderr, "skipping cell %d (checkpointed)\n", cell.Index)
 			results = append(results, r)
 			timings = append(timings, xqsim.GridCellTiming{})
 			continue
@@ -156,7 +159,7 @@ func runGridLocal(ctx context.Context, f gridFlags) error {
 		}); err != nil {
 			return err
 		}
-		_, _ = fmt.Fprintf(os.Stderr, "wrote %d cells to %s\n", len(results), f.jsonl)
+		_, _ = fmt.Fprintf(f.stderr, "wrote %d cells to %s\n", len(results), f.jsonl)
 	}
 	if f.csv != "" {
 		shardLabel := f.shard
@@ -165,10 +168,10 @@ func runGridLocal(ctx context.Context, f gridFlags) error {
 		}); err != nil {
 			return err
 		}
-		_, _ = fmt.Fprintf(os.Stderr, "wrote timings to %s\n", f.csv)
+		_, _ = fmt.Fprintf(f.stderr, "wrote timings to %s\n", f.csv)
 	}
 	if f.jsonl == "" && f.csv == "" {
-		if err := xqsim.WriteGridJSONL(os.Stdout, g, results); err != nil {
+		if err := xqsim.WriteGridJSONL(f.stdout, g, results); err != nil {
 			return err
 		}
 	}
@@ -204,8 +207,8 @@ func runGridMerge(f gridFlags, shardPaths []string) error {
 		}); err != nil {
 			return err
 		}
-		_, _ = fmt.Fprintf(os.Stderr, "merged %d shards into %s\n", len(shardPaths), f.jsonl)
-	} else if err := xqsim.MergeGridFiles(os.Stdout, readers); err != nil {
+		_, _ = fmt.Fprintf(f.stderr, "merged %d shards into %s\n", len(shardPaths), f.jsonl)
+	} else if err := xqsim.MergeGridFiles(f.stdout, readers); err != nil {
 		return err
 	}
 	if f.csv != "" {
@@ -218,7 +221,7 @@ func runGridMerge(f gridFlags, shardPaths []string) error {
 		}); err != nil {
 			return err
 		}
-		_, _ = fmt.Fprintf(os.Stderr, "wrote merged reference CSV to %s\n", f.csv)
+		_, _ = fmt.Fprintf(f.stderr, "wrote merged reference CSV to %s\n", f.csv)
 	}
 	return nil
 }

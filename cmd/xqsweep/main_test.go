@@ -1,0 +1,161 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// runCmd runs the command in process and returns its exit status and
+// output streams.
+func runCmd(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	code = run(context.Background(), args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+func TestRunExperiments(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name string
+		args []string
+		want []string // substrings of stdout
+	}{
+		{"table3", []string{"-table", "3", "-shots", "64"}, []string{"== table3:", "QFT dTV"}},
+		{"fig14", []string{"-fig", "14"}, []string{"== fig14:", "decode limit with Opt#1"}},
+		{"fig5-outputs", []string{"-fig", "5",
+			"-csv", filepath.Join(dir, "fig5.csv"),
+			"-jsonl", filepath.Join(dir, "fig5.jsonl"),
+			"-md", filepath.Join(dir, "fig5.md")}, []string{"== fig5:"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			code, out, errOut := runCmd(t, tc.args...)
+			if code != 0 {
+				t.Fatalf("exit %d, stderr:\n%s", code, errOut)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(out, w) {
+					t.Errorf("stdout lacks %q:\n%s", w, out)
+				}
+			}
+		})
+	}
+	for _, name := range []string{"fig5.csv", "fig5.jsonl", "fig5.md"} {
+		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
+			t.Errorf("%s not written: %v", name, err)
+		}
+	}
+}
+
+// TestRunCheckpointResume runs an experiment with a checkpoint, then
+// resumes from it: the resumed run skips the experiment and prints the
+// same result bytes.
+func TestRunCheckpointResume(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "sweep.json")
+	code, first, errOut := runCmd(t, "-fig", "19", "-checkpoint", ck)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, errOut)
+	}
+	code, again, errOut := runCmd(t, "-fig", "19", "-checkpoint", ck, "-resume")
+	if code != 0 {
+		t.Fatalf("resume: exit %d, stderr:\n%s", code, errOut)
+	}
+	if !strings.Contains(errOut, "skipping fig19 (checkpointed)") {
+		t.Errorf("resume did not skip the checkpointed experiment; stderr:\n%s", errOut)
+	}
+	if again != first {
+		t.Errorf("resumed output differs:\n%s\nvs\n%s", again, first)
+	}
+	code, _, errOut = runCmd(t, "-fig", "19", "-checkpoint", ck, "-resume", "-seed", "2")
+	if code != 0 || !strings.Contains(errOut, "starting over") {
+		t.Errorf("incompatible checkpoint: exit %d, stderr:\n%s", code, errOut)
+	}
+}
+
+// TestRunGridShardMerge runs a 2-cell grid in one process and as two
+// shards, and checks that merging the shards reproduces the
+// single-process bytes.
+func TestRunGridShardMerge(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	grid := []string{"-grid", "threshold", "-d", "3", "-p", "0.01,0.03", "-trials", "32", "-seed", "5"}
+	steps := [][]string{
+		append(grid[:len(grid):len(grid)], "-jsonl", path("whole.jsonl")),
+		append(grid[:len(grid):len(grid)], "-shard", "0/2", "-jsonl", path("s0.jsonl"), "-checkpoint", path("ck0.json")),
+		append(grid[:len(grid):len(grid)], "-shard", "1/2", "-jsonl", path("s1.jsonl"), "-csv", path("s1.csv")),
+		{"-merge", "-jsonl", path("merged.jsonl"), "-csv", path("merged.csv"), path("s0.jsonl"), path("s1.jsonl")},
+	}
+	for _, args := range steps {
+		if code, _, errOut := runCmd(t, args...); code != 0 {
+			t.Fatalf("%v: exit %d, stderr:\n%s", args, code, errOut)
+		}
+	}
+	whole, err := os.ReadFile(path("whole.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := os.ReadFile(path("merged.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(whole, merged) {
+		t.Fatalf("merged shards differ from the single-process grid:\n%s\nvs\n%s", merged, whole)
+	}
+
+	// Without -jsonl, both the grid and the merge stream to stdout.
+	code, streamed, errOut := runCmd(t, grid...)
+	if code != 0 || streamed != string(whole) {
+		t.Fatalf("stdout grid: exit %d, stderr %s, bytes equal %v", code, errOut, streamed == string(whole))
+	}
+	code, streamed, errOut = runCmd(t, "-merge", path("s0.jsonl"), path("s1.jsonl"))
+	if code != 0 || streamed != string(whole) {
+		t.Fatalf("stdout merge: exit %d, stderr %s, bytes equal %v", code, errOut, streamed == string(whole))
+	}
+
+	// A resumed shard skips its checkpointed cell and writes the same bytes.
+	s0, err := os.ReadFile(path("s0.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := append(grid[:len(grid):len(grid)], "-shard", "0/2", "-checkpoint", path("ck0.json"), "-resume")
+	code, streamed, errOut = runCmd(t, args...)
+	if code != 0 || streamed != string(s0) || !strings.Contains(errOut, "skipping cell 0 (checkpointed)") {
+		t.Fatalf("resumed shard: exit %d, stderr %s, bytes equal %v", code, errOut, streamed == string(s0))
+	}
+}
+
+func TestRunExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"help", []string{"-h"}, 0},
+		{"unknown flag", []string{"-bogus"}, 2},
+		{"no mode", nil, 2},
+		{"bad flag value", []string{"-shots", "many"}, 2},
+		{"unknown figure", []string{"-fig", "99"}, 1},
+		{"unwritable profile", []string{"-fig", "14", "-cpuprofile", filepath.Join(dir, "absent", "cpu.prof")}, 1},
+		{"unreadable checkpoint", []string{"-fig", "14", "-checkpoint", dir, "-resume"}, 1},
+		{"bad distance list", []string{"-grid", "threshold", "-d", "x", "-p", "0.01"}, 1},
+		{"bad rate list", []string{"-grid", "threshold", "-d", "3", "-p", ""}, 1},
+		{"bad shard", []string{"-grid", "threshold", "-d", "3", "-p", "0.01", "-shard", "3/2"}, 1},
+		{"merge without files", []string{"-merge"}, 1},
+		{"merge missing file", []string{"-merge", filepath.Join(dir, "absent.jsonl")}, 1},
+		{"worker without id", []string{"-worker", "http://127.0.0.1:1"}, 1},
+		{"fetch without id", []string{"-fetch", "http://127.0.0.1:1"}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if code, _, errOut := runCmd(t, tc.args...); code != tc.code {
+				t.Fatalf("exit %d, want %d; stderr:\n%s", code, tc.code, errOut)
+			}
+		})
+	}
+}

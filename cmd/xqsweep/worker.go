@@ -166,8 +166,8 @@ func runGridSubmit(ctx context.Context, f gridFlags) error {
 	if err != nil {
 		return err
 	}
-	_, _ = fmt.Fprintf(os.Stderr, "grid %s (%d cells): %s\n", reply.ID, reply.Cells, reply.Status)
-	fmt.Println(reply.ID)
+	_, _ = fmt.Fprintf(f.stderr, "grid %s (%d cells): %s\n", reply.ID, reply.Cells, reply.Status)
+	_, _ = fmt.Fprintln(f.stdout, reply.ID)
 	return nil
 }
 
@@ -185,10 +185,10 @@ func runGridFetch(ctx context.Context, f gridFlags) error {
 		if err := os.WriteFile(f.jsonl, out, 0o644); err != nil {
 			return err
 		}
-		_, _ = fmt.Fprintf(os.Stderr, "fetched grid %s to %s\n", f.gridID, f.jsonl)
+		_, _ = fmt.Fprintf(f.stderr, "fetched grid %s to %s\n", f.gridID, f.jsonl)
 		return nil
 	}
-	_, err = os.Stdout.Write(out)
+	_, err = f.stdout.Write(out)
 	return err
 }
 
@@ -200,6 +200,7 @@ type workerFlags struct {
 	leaseBatch int
 	checkpoint string
 	csv        string
+	stderr     io.Writer // progress notes
 }
 
 // runGridWorker is the work-stealing loop: lease a batch of cells,
@@ -239,7 +240,7 @@ func runGridWorker(ctx context.Context, f workerFlags) error {
 		}
 		if loaded.CompatibleGrid(f.gridID) {
 			ck = loaded
-			_, _ = fmt.Fprintf(os.Stderr, "worker %s: resuming checkpoint %s (%d cells)\n", f.name, f.checkpoint, len(loaded.Cells))
+			_, _ = fmt.Fprintf(f.stderr, "worker %s: resuming checkpoint %s (%d cells)\n", f.name, f.checkpoint, len(loaded.Cells))
 		}
 		if ck == nil {
 			ck = xqsim.NewSweepCheckpoint(0, 0)
@@ -252,7 +253,7 @@ func runGridWorker(ctx context.Context, f workerFlags) error {
 			if conflict, err := c.complete(ctx, f.gridID, r); conflict {
 				return err
 			} else if err != nil {
-				_, _ = fmt.Fprintf(os.Stderr, "worker %s: re-push cell %d: %v\n", f.name, r.Index, err)
+				_, _ = fmt.Fprintf(f.stderr, "worker %s: re-push cell %d: %v\n", f.name, r.Index, err)
 			}
 		}
 	}
@@ -270,7 +271,7 @@ func runGridWorker(ctx context.Context, f workerFlags) error {
 		kind = reply.Status.Kind
 		if len(reply.Cells) == 0 {
 			if reply.Status.Done {
-				_, _ = fmt.Fprintf(os.Stderr, "worker %s: grid %s done (%d/%d cells, ran %d here)\n",
+				_, _ = fmt.Fprintf(f.stderr, "worker %s: grid %s done (%d/%d cells, ran %d here)\n",
 					f.name, f.gridID, reply.Status.Complete, reply.Status.Cells, ran)
 				break
 			}
@@ -287,7 +288,7 @@ func runGridWorker(ctx context.Context, f workerFlags) error {
 		renew := startBatchRenewal(ctx, c, f, reply.Cells)
 		for _, lc := range reply.Cells {
 			if lc.Attempt > 1 {
-				_, _ = fmt.Fprintf(os.Stderr, "worker %s: cell %d re-leased (attempt %d)\n", f.name, lc.Cell.Index, lc.Attempt)
+				_, _ = fmt.Fprintf(f.stderr, "worker %s: cell %d re-leased (attempt %d)\n", f.name, lc.Cell.Index, lc.Attempt)
 			}
 			r, t, err := xqsim.RunGridCell(ctx, g, lc.Cell, clock)
 			if err != nil {
@@ -315,7 +316,7 @@ func runGridWorker(ctx context.Context, f workerFlags) error {
 				return err
 			}
 			if err != nil {
-				_, _ = fmt.Fprintf(os.Stderr, "worker %s: push cell %d: %v\n", f.name, r.Index, err)
+				_, _ = fmt.Fprintf(f.stderr, "worker %s: push cell %d: %v\n", f.name, r.Index, err)
 			}
 		}
 		renew.stop()
@@ -328,7 +329,7 @@ func runGridWorker(ctx context.Context, f workerFlags) error {
 		}); err != nil {
 			return err
 		}
-		_, _ = fmt.Fprintf(os.Stderr, "worker %s: wrote timings to %s\n", f.name, f.csv)
+		_, _ = fmt.Fprintf(f.stderr, "worker %s: wrote timings to %s\n", f.name, f.csv)
 	}
 	return nil
 }
@@ -390,7 +391,7 @@ func startBatchRenewal(ctx context.Context, c *gridClient, f workerFlags, cells 
 						// Lost lease (expired and re-leased, or daemon
 						// gone): keep computing — completion is
 						// idempotent, the first result to land wins.
-						_, _ = fmt.Fprintf(os.Stderr, "worker %s: renew cell %d: %v\n", f.name, i, err)
+						_, _ = fmt.Fprintf(f.stderr, "worker %s: renew cell %d: %v\n", f.name, i, err)
 					}
 				}
 			}

@@ -47,27 +47,39 @@ func TestShotRunnerMatchesRunOneShot(t *testing.T) {
 }
 
 // TestShotRunnerSteadyStateAllocs pins the tentpole: after warmup, a
-// noisy, fault-injected shot through the reusable runner performs zero
-// heap allocations.
+// noisy shot through the reusable runner performs zero heap allocations,
+// both for a fault-injected d=3 PPR and for Table 3's d=5 QFT row.
 func TestShotRunnerSteadyStateAllocs(t *testing.T) {
-	circ := compiler.SinglePPR("ZZZ", ftqc.AnglePi8).SubstituteStabilizer()
-	runner, err := NewShotRunner(circ, 3, 0.001, 11, RunOptions{Faults: testFaults()})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		circ compiler.Circuit
+		d    int
+		opts RunOptions
+	}{
+		{"ppr-zzz-d3-faults", compiler.SinglePPR("ZZZ", ftqc.AnglePi8).SubstituteStabilizer(), 3, RunOptions{Faults: testFaults()}},
+		{"qft2-d5", compiler.QFT2(2).SubstituteStabilizer(), 5, RunOptions{}},
 	}
-	ctx := context.Background()
-	shot := 0
-	run := func() {
-		if _, _, err := runner.RunShot(ctx, shot); err != nil {
-			t.Fatal(err)
-		}
-		shot++
-	}
-	for i := 0; i < 8; i++ {
-		run() // warm up lazily-grown scratch
-	}
-	if avg := testing.AllocsPerRun(32, run); avg != 0 {
-		t.Fatalf("steady-state shot allocates %.1f times, want 0", avg)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runner, err := NewShotRunner(tc.circ, tc.d, 0.001, 11, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			shot := 0
+			run := func() {
+				if _, _, err := runner.RunShot(ctx, shot); err != nil {
+					t.Fatal(err)
+				}
+				shot++
+			}
+			for i := 0; i < 8; i++ {
+				run() // warm up lazily-grown scratch
+			}
+			if avg := testing.AllocsPerRun(32, run); avg != 0 {
+				t.Fatalf("steady-state shot allocates %.1f times, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -5,10 +5,12 @@
 //
 // The backend keeps three layers of state:
 //
-//   - an ideal stabilizer tableau over the data qubits of mapped patches,
-//     advanced only by logical-product measurements and resets (the
-//     lattice-surgery entangling semantics; see DESIGN.md for why this
-//     substitution preserves behaviour);
+//   - an ideal stabilizer tableau with one qubit per logical qubit,
+//     advanced only by logical-product measurements, resets and logical
+//     Paulis (the lattice-surgery entangling semantics), plus one gauge
+//     bit per logical qubit that replays the physical reset's random
+//     draws exactly (see DESIGN.md §5.3 for why both substitutions
+//     preserve every outcome);
 //   - the truth error frame (errFrame): Pauli errors injected by the noise
 //     model each ESM round;
 //   - the estimate frame (pfFrame): the corrections the error decode unit
@@ -37,20 +39,16 @@ type Backend struct {
 	Layout *surface.PPRLayout
 	Code   surface.Code //xqlint:persistent code geometry, fixed at construction
 
-	// tab covers, for each logical-qubit block (nLQ+2 of them), the cross
-	// of the canonical logical-Z and logical-X supports (tabBlock = 2d-1
-	// sites per block). The remaining sites of a block are only ever reset
-	// or Hadamard-ed — never entangled and never part of a measured
-	// product — so they cannot influence any outcome and are not tracked.
+	// tab is the ideal state of the machine's nLQ+2 logical qubits, one
+	// tableau qubit each. Every operation on a patch's data qubits is
+	// logical except PrepareZero's per-site reset, which xGauge replays.
 	// nil in scaling mode, where only error frames and syndromes are
 	// simulated.
 	tab *stab.Tableau
-	// tabBlock is the tracked sites per block; tabOff maps a compact
-	// tableau index (mod tabBlock) to its patch-local site offset
-	// (row*d+col); tabIdx is the inverse (-1 for untracked sites).
-	tabBlock int   //xqlint:persistent compact-tableau geometry, derived from the code distance
-	tabOff   []int //xqlint:persistent compact-tableau geometry, derived from the code distance
-	tabIdx   []int //xqlint:persistent compact-tableau geometry, derived from the code distance
+	// xGauge[lq] records that lq's block was last prepared by PreparePlus,
+	// so its gauge qubits are X-type and PrepareZero's per-site reset
+	// draws randomness on every site (resetLogical). Nil in scaling mode.
+	xGauge []bool
 
 	// errFrame and pfFrame cover the data qubits of every patch
 	// (numPatches * d^2), indexed patch*d*d + row*d + col.
@@ -122,25 +120,21 @@ type Backend struct {
 	// per-basis scans entirely.
 	eventCount []int
 
-	// Reusable measurement scratch (MeasureProductDetail's operator
-	// strings) and noise-site buffer; both grow to their steady-state
-	// capacity within one shot and are reused thereafter.
+	// Reusable measurement scratch (MeasureProductDetail's logical and
+	// frame operator strings) and noise-site buffer; both grow to their
+	// steady-state capacity within one shot and are reused thereafter.
 	mTqs    []int         //xqlint:persistent reusable scratch, overwritten before each use
 	mTops   []pauli.Pauli //xqlint:persistent reusable scratch, overwritten before each use
 	mFqs    []int         //xqlint:persistent reusable scratch, overwritten before each use
 	mFops   []pauli.Pauli //xqlint:persistent reusable scratch, overwritten before each use
 	siteBuf []int         //xqlint:persistent reusable scratch, overwritten before each use
-	// logicalZSup/logicalXSup cache the canonical logical operator
-	// supports (they depend only on the code distance).
-	logicalZSup []surface.Coord //xqlint:persistent derived from the code distance only
-	logicalXSup []surface.Coord //xqlint:persistent derived from the code distance only
-	// tabVirgin[lq] records that lq's tableau block has not been touched
-	// since it was last known to be |0...0> (fresh tableau or a completed
-	// PrepareZero). Resetting a virgin block is an exact no-op — every
-	// per-qubit Z measurement is deterministic-false and draws no
-	// randomness — so PrepareZero skips the O(d^2 * n) scan entirely.
-	// Nil in scaling mode (no tableau).
-	tabVirgin []bool
+	// lsOff[basis]/lsOps[basis] are the canonical physical strings of
+	// logical X, Y and Z as patch-local data offsets (row*d+col) and
+	// Pauli factors: Z down the left column, X along the top row, and Y
+	// as Y at (0,0), Z down the rest of the column, X along the rest of
+	// the row. Index pauli.I is empty.
+	lsOff [4][]int         //xqlint:persistent derived from the code distance only
+	lsOps [4][]pauli.Pauli //xqlint:persistent derived from the code distance only
 	// wdMatchesZ/wdMatchesX back the match slices of the WindowDecode
 	// FinishWindow returns; they are valid until the next FinishWindow.
 	wdMatchesZ []decoder.Match //xqlint:persistent result backing, overwritten by the next FinishWindow
@@ -170,22 +164,8 @@ func NewBackend(layout *surface.PPRLayout, p float64, seed int64, functional boo
 		condStabs: layout.Code.ConditionalStabilizers(),
 		siteBuf:   make([]int, 0, d*d),
 	}
-	b.logicalZSup = b.Code.LogicalZ()
-	b.logicalXSup = b.Code.LogicalX()
-	b.tabIdx = make([]int, d*d)
-	for i := range b.tabIdx {
-		b.tabIdx[i] = -1
-	}
-	for _, sup := range [2][]surface.Coord{b.logicalZSup, b.logicalXSup} {
-		for _, c := range sup {
-			if off := c.Row*d + c.Col; b.tabIdx[off] < 0 {
-				b.tabIdx[off] = len(b.tabOff)
-				b.tabOff = append(b.tabOff, off)
-			}
-		}
-	}
-	b.tabBlock = len(b.tabOff)
 	nPatches := layout.NumPatches()
+	b.buildLogicalStrings()
 	b.buildCheckTables()
 	w := b.synWords
 	b.synActive = make([]bool, nPatches)
@@ -203,13 +183,36 @@ func NewBackend(layout *surface.PPRLayout, p float64, seed int64, functional boo
 	b.eventCount = make([]int, nPatches)
 	b.synBM = decoder.NewSyndromeBitmap(layout.Code)
 	if functional {
-		b.tab = stab.New((layout.NLQ+2)*b.tabBlock, seed+2)
-		b.tabVirgin = make([]bool, layout.NLQ+2)
-		for i := range b.tabVirgin {
-			b.tabVirgin[i] = true
-		}
+		b.tab = stab.New(layout.NLQ+2, seed+2)
+		b.xGauge = make([]bool, layout.NLQ+2)
 	}
 	return b
+}
+
+// buildLogicalStrings derives lsOff/lsOps by walking the cross of the
+// logical supports (surface.Code.LogicalZ, then the rest of LogicalX):
+// (0,0), down the left column, then along the top row. A site carries
+// the Z part of the basis on the left column and the X part on the top
+// row, so (0,0) carries Y in the Y string.
+func (b *Backend) buildLogicalStrings() {
+	d := b.Code.D
+	n := 4*d - 1 // d sites each for Z and X, the whole 2d-1 cross for Y
+	offs, ops := make([]int, 0, n), make([]pauli.Pauli, 0, n)
+	for _, basis := range [3]pauli.Pauli{pauli.X, pauli.Z, pauli.Y} {
+		start := len(offs)
+		for k := 0; k < 2*d-1; k++ {
+			row, col := k, 0
+			if k >= d {
+				row, col = 0, k-d+1
+			}
+			if op := pauli.FromBits(basis.XBit() && row == 0, basis.ZBit() && col == 0); op != pauli.I {
+				offs = append(offs, row*d+col)
+				ops = append(ops, op)
+			}
+		}
+		b.lsOff[basis] = offs[start:len(offs):len(offs)]
+		b.lsOps[basis] = ops[start:len(ops):len(ops)]
+	}
 }
 
 // buildCheckTables derives the template bit layout, the regular-check
@@ -304,17 +307,6 @@ func (b *Backend) flipParity(diff []uint64, off int, op pauli.Pauli) {
 
 // NumLQ implements ftqc.Machine: data qubits plus the two resource slots.
 func (b *Backend) NumLQ() int { return b.Layout.NLQ + 2 }
-
-// blockIndex maps logical qubit lq's local data coordinate to its tableau
-// index. Only canonical logical-operator sites are tracked.
-func (b *Backend) blockIndex(lq int, q surface.Coord) int {
-	k := b.tabIdx[q.Row*b.Code.D+q.Col]
-	if k < 0 {
-		//xqlint:ignore nopanic unreachable guard: callers index with coords from the cached logical supports
-		panic("microarch: coordinate outside the tracked logical supports")
-	}
-	return lq*b.tabBlock + k
-}
 
 // frameIndex maps a patch-local data coordinate to the frame index.
 func (b *Backend) frameIndex(patch int, q surface.Coord) int {
@@ -451,9 +443,7 @@ func (b *Backend) Reset(seed int64) {
 	b.measNoise.Reseed(seed + 1)
 	if b.tab != nil {
 		b.tab.Reinit(seed + 2)
-		for i := range b.tabVirgin {
-			b.tabVirgin[i] = true
-		}
+		clearBools(b.xGauge)
 	}
 	clearBools(b.synActive)
 	for i := range b.chkSig {
@@ -475,29 +465,57 @@ func (b *Backend) SetPhysError(p float64) {
 // PrepareZero implements ftqc.Machine: initialize logical qubit lq to |0>.
 func (b *Backend) PrepareZero(lq int) {
 	patch := b.patchOf(lq)
-	if b.tab != nil && !b.tabVirgin[lq] {
-		for k := 0; k < b.tabBlock; k++ {
-			b.tab.Reset(lq*b.tabBlock + k)
-		}
-	}
 	if b.tab != nil {
-		// Either the block was already |0...0> or the resets above just put
-		// it there (and disentangled it from everything else).
-		b.tabVirgin[lq] = true
+		b.resetLogical(lq)
 	}
 	b.resetPatchFrames(patch)
 	b.Layout.EnableESM(patch)
 	b.activatePatch(patch)
 }
 
-// PreparePlus initializes logical qubit lq to |+>.
+// resetLogical replays on the logical tableau the physical reset of lq's
+// block: a Z measurement and X correction of each cross site in turn,
+// (0,0), down the left column, then along the top row. The block's
+// stabilizer group is its gauge group times the logical group, and only
+// this reset depends on the gauge.
+//
+// Under a Z gauge (PrepareZero, PrepareResource, never prepared) every
+// site's outcome follows from site (0,0)'s, which is logical Z: the
+// reset is a logical Reset. Under an X gauge (PreparePlus) the left
+// column holds the logical qubit as even (|0>) or odd (|1>) Z-parity
+// strings. Each of its first d-1 sites draws a uniform outcome; an
+// outcome of 1 flips the parity the unmeasured sites must carry, so its
+// X correction acts as logical X. The last column site then holds the
+// logical qubit itself and resets it, and the top row's d-1 sites, each
+// |+> and unentangled, draw without logical effect. These are the
+// physical reset's random draws, in the same order.
+func (b *Backend) resetLogical(lq int) {
+	d := b.Code.D
+	x := b.xGauge[lq]
+	if x {
+		for k := 0; k < d-1; k++ {
+			if b.tab.RandomBit() {
+				b.tab.X(lq)
+			}
+		}
+	}
+	b.tab.Reset(lq)
+	if x {
+		for k := 0; k < d-1; k++ {
+			b.tab.RandomBit()
+		}
+		b.xGauge[lq] = false
+	}
+}
+
+// PreparePlus initializes logical qubit lq to |+>. On the freshly reset
+// block, the Hadamard on every data qubit acts as a logical Hadamard and
+// leaves an X gauge.
 func (b *Backend) PreparePlus(lq int) {
 	b.PrepareZero(lq)
 	if b.tab != nil {
-		for k := 0; k < b.tabBlock; k++ {
-			b.tab.H(lq*b.tabBlock + k)
-		}
-		b.tabVirgin[lq] = false
+		b.tab.H(lq)
+		b.xGauge[lq] = true
 	}
 }
 
@@ -517,75 +535,10 @@ func (b *Backend) PrepareResource(lq int, a ftqc.Angle) {
 	}
 	// |+i> = +1 eigenstate of logical Y: measure Y_L on |0_L> and fix the
 	// sign with a logical Z when the -1 branch is drawn.
-	b.tabVirgin[lq] = false
-	qs, ops := b.appendLogicalOps(b.mTqs[:0], b.mTops[:0], lq, pauli.Y)
-	b.mTqs, b.mTops = qs, ops
-	out, _ := b.tab.MeasureProduct(qs, ops)
-	if out {
-		zqs, zops := b.appendLogicalOps(b.mTqs[:0], b.mTops[:0], lq, pauli.Z)
-		b.mTqs, b.mTops = zqs, zops
-		for i, q := range zqs {
-			b.tab.ApplyPauli(q, zops[i])
-		}
+	b.mTqs, b.mTops = append(b.mTqs[:0], lq), append(b.mTops[:0], pauli.Y)
+	if out, _ := b.tab.MeasureProduct(b.mTqs, b.mTops); out {
+		b.tab.Z(lq)
 	}
-}
-
-// logicalOps returns the canonical physical operator string of logical
-// X/Y/Z on qubit lq as tableau indices and Pauli factors.
-func (b *Backend) logicalOps(lq int, basis pauli.Pauli) ([]int, []pauli.Pauli) {
-	return b.appendLogicalOps(nil, nil, lq, basis)
-}
-
-// appendLogicalOps appends lq's logical operator string to (qs, ops) and
-// returns the extended slices, deduplicating only among the entries it
-// appends (overlapping Z/X supports of a Y string merge via Pauli
-// multiplication, exactly as logicalOps always did). Hot paths pass
-// reusable buffers so per-measurement string building is allocation-free.
-func (b *Backend) appendLogicalOps(qs []int, ops []pauli.Pauli, lq int, basis pauli.Pauli) ([]int, []pauli.Pauli) {
-	start := len(qs)
-	add := func(coords []surface.Coord, p pauli.Pauli) {
-		for _, c := range coords {
-			idx := b.blockIndex(lq, c)
-			found := false
-			for i := start; i < len(qs); i++ {
-				if qs[i] == idx {
-					ops[i] = ops[i].Mul(p)
-					found = true
-					break
-				}
-			}
-			if !found {
-				qs = append(qs, idx)
-				ops = append(ops, p)
-			}
-		}
-	}
-	switch basis {
-	case pauli.I:
-		// Identity basis: empty product, measured trivially below. No
-		// caller requests it; kept explicit for ISA exhaustiveness.
-	case pauli.Z:
-		add(b.logicalZSup, pauli.Z)
-	case pauli.X:
-		add(b.logicalXSup, pauli.X)
-	case pauli.Y:
-		add(b.logicalZSup, pauli.Z)
-		add(b.logicalXSup, pauli.X)
-	}
-	return qs, ops
-}
-
-// logicalFrameString returns the same operator string in frame (patch)
-// indexing, for error-flip computation.
-func (b *Backend) logicalFrameString(lq int, basis pauli.Pauli) ([]int, []pauli.Pauli) {
-	patch := b.patchOf(lq)
-	qs, ops := b.logicalOps(lq, basis)
-	d := b.Code.D
-	out := make([]int, len(qs))
-	for i, q := range qs {
-		out[i] = patch*d*d + b.tabOff[q%b.tabBlock]
-	}
-	return out, ops
 }
 
 // frameFlip computes whether a frame anticommutes with the operator
@@ -626,18 +579,14 @@ func (b *Backend) MeasureProductDetail(pr pauli.Product, extraFramePatches []int
 		if p == pauli.I {
 			continue
 		}
-		if b.tab != nil {
-			b.tabVirgin[lq] = false
+		tqs, tops = append(tqs, lq), append(tops, p)
+		// The frame sees the logical operator's physical string on lq's
+		// patch.
+		base := b.patchOf(lq) * d * d
+		for _, off := range b.lsOff[p] {
+			fqs = append(fqs, base+off)
 		}
-		start := len(tqs)
-		tqs, tops = b.appendLogicalOps(tqs, tops, lq, p)
-		// The frame string is the same operator string re-indexed onto
-		// lq's patch (logicalFrameString, inlined over the scratch).
-		patch := b.patchOf(lq)
-		for i := start; i < len(tqs); i++ {
-			fqs = append(fqs, patch*d*d+b.tabOff[tqs[i]%b.tabBlock])
-			fops = append(fops, tops[i])
-		}
+		fops = append(fops, b.lsOps[p]...)
 	}
 	// Pass-through sensitivity: a Z-type string through each intermediate
 	// routing patch of the merge (the correlation surface crossing it).
@@ -945,9 +894,8 @@ func (b *Backend) DiscardLogical(lq int) {
 // flips logical basis of qubit lq (for fault-injection tests): a full
 // logical operator string written into the truth frame.
 func (b *Backend) InjectLogicalError(lq int, basis pauli.Pauli) {
-	qs, ops := b.logicalFrameString(lq, basis)
-	dd := b.Code.D * b.Code.D
-	for i, q := range qs {
-		b.flipErr(q/dd, q%dd, ops[i])
+	patch := b.patchOf(lq)
+	for i, off := range b.lsOff[basis] {
+		b.flipErr(patch, off, b.lsOps[basis][i])
 	}
 }

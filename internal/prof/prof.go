@@ -1,44 +1,36 @@
 // Package prof wires standard runtime/pprof profiling flags into the
-// command-line tools. Importing it registers -cpuprofile and -memprofile
-// on the default flag set; main calls Start after flag.Parse and defers
-// the returned stop function.
+// command-line tools: RegisterFlags adds -cpuprofile and -memprofile to a
+// command's flag set, and after parsing the command passes the paths to
+// StartPaths and calls the returned stop function on exit.
 package prof
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 )
 
-var (
-	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-)
-
-// Start begins CPU profiling when -cpuprofile was given. The returned
-// stop function finishes the CPU profile and, when -memprofile was
-// given, snapshots the heap after a final GC; defer it in main.
-func Start() (stop func()) {
-	stopPaths, err := StartPaths(*cpuProfile, *memProfile)
-	if err != nil {
-		_, _ = fmt.Fprintln(os.Stderr, "prof:", err)
-		//xqlint:ignore nopanic documented main-wiring helper: Start is the os.Exit convenience; StartPaths is the error-returning core
-		os.Exit(1)
-	}
-	return func() {
-		if err := stopPaths(); err != nil {
-			_, _ = fmt.Fprintln(os.Stderr, "prof:", err)
-		}
-	}
+// Paths holds the profile destinations; an empty path disables that
+// profile.
+type Paths struct {
+	CPU string // -cpuprofile
+	Mem string // -memprofile
 }
 
-// StartPaths is the testable core of Start: it profiles to explicit
-// paths instead of the flag values and returns errors instead of
-// exiting. An empty path disables that profile. The returned stop
-// function finishes the CPU profile and writes the heap snapshot; it is
-// non-nil whenever err is nil.
+// RegisterFlags registers -cpuprofile and -memprofile on fs and returns
+// the paths they set.
+func RegisterFlags(fs *flag.FlagSet) *Paths {
+	p := &Paths{}
+	fs.StringVar(&p.CPU, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&p.Mem, "memprofile", "", "write a heap profile to this file on exit")
+	return p
+}
+
+// StartPaths starts the CPU profile when cpuPath is set. An empty path
+// disables that profile. The returned stop function finishes the CPU
+// profile and writes the heap snapshot; it is non-nil whenever err is
+// nil.
 func StartPaths(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {

@@ -342,7 +342,7 @@ func (t *Tableau) MeasureProduct(qubits []int, ops []pauli.Pauli) (bool, bool) {
 		copy(t.zrow(d), t.zrow(p))
 		t.r[d] = t.r[p]
 		// New stabilizer = +/- the measured product.
-		outcome := t.rng.Intn(2) == 1
+		outcome := t.RandomBit()
 		var sign uint8
 		if outcome {
 			sign = 1
@@ -399,7 +399,7 @@ func (t *Tableau) measureProductW1() (bool, bool) {
 		d := p - n
 		x[d], z[d] = x[p], z[p]
 		t.r[d] = t.r[p]
-		outcome := t.rng.Intn(2) == 1
+		outcome := t.RandomBit()
 		var sign uint8
 		if outcome {
 			sign = 1
@@ -446,7 +446,7 @@ func (t *Tableau) MeasureZ(q int) (bool, bool) {
 		copy(t.xrow(d), t.xrow(p))
 		copy(t.zrow(d), t.zrow(p))
 		t.r[d] = t.r[p]
-		outcome := t.rng.Intn(2) == 1
+		outcome := t.RandomBit()
 		var sign uint8
 		if outcome {
 			sign = 1
@@ -466,6 +466,13 @@ func (t *Tableau) MeasureZ(q int) (bool, bool) {
 	}
 	return t.r[s] == 1, true
 }
+
+// RandomBit draws the next bit of the tableau's random stream: exactly the
+// draw a random-outcome measurement makes for its outcome. Callers that
+// simulate a measurement known to be random and unentangled with the
+// tracked state (a gauge qubit outside the tableau) draw it here, keeping
+// the stream aligned with a tableau that tracks that qubit.
+func (t *Tableau) RandomBit() bool { return t.rng.Intn(2) == 1 }
 
 // Reset measures qubit q in the Z basis and flips it to |0> if needed.
 func (t *Tableau) Reset(q int) {

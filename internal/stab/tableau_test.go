@@ -189,6 +189,36 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestRandomBitMatchesRandomMeasurement pins RandomBit's premise: it draws
+// exactly the bit a random-outcome measurement draws, so a caller can
+// stand in for a measurement of an untracked |+> qubit without shifting
+// the stream. The twins take turns drawing with RandomBit while the other
+// measures a freshly Hadamard-ed qubit, then keep measuring in lockstep.
+func TestRandomBitMatchesRandomMeasurement(t *testing.T) {
+	twins := [2]*Tableau{New(3, 21), New(3, 21)}
+	for i := 0; i < 1000; i++ {
+		drawer, meter := twins[i%2], twins[1-i%2]
+		meter.H(i % 3)
+		out, det := meter.MeasureZ(i % 3)
+		if det {
+			t.Fatalf("draw %d: measurement after H was deterministic", i)
+		}
+		if got := drawer.RandomBit(); got != out {
+			t.Fatalf("draw %d: RandomBit %v, random measurement %v", i, got, out)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		var outs [2]bool
+		for k, tb := range twins {
+			tb.H(0)
+			outs[k], _ = tb.MeasureZ(0)
+		}
+		if outs[0] != outs[1] {
+			t.Fatalf("measurement %d after the draws: twins disagree", i)
+		}
+	}
+}
+
 func TestProductMeasurementJointParity(t *testing.T) {
 	// Measure ZZ on |++>: random, then XX still has definite parity
 	// history: after ZZ measurement, state is a Bell pair (up to sign).
