@@ -9,19 +9,15 @@ import (
 	"xqsim/internal/ftqc"
 )
 
-// TestShotRunnerMatchesRunOneShot pins the shot-reuse determinism
-// contract at the core layer: a ShotRunner replaying shots through one
-// reused pipeline must reproduce the fresh-pipeline interpreted path
-// bit-for-bit — same readout keys, same metrics, same fault totals —
-// including when shots are replayed out of order, so no state can leak
-// from one shot into the next.
-func TestShotRunnerMatchesRunOneShot(t *testing.T) {
+// TestShotRunnerMatchesFresh pins the shot-reuse determinism contract at
+// the core layer: a ShotRunner replaying shots through one reused
+// pipeline must reproduce a freshly built runner's shot bit-for-bit —
+// same readout keys, same metrics, same fault totals — including when
+// shots are replayed out of order, so no state can leak from one shot
+// into the next.
+func TestShotRunnerMatchesFresh(t *testing.T) {
 	circ := compiler.SinglePPR("ZZ", ftqc.AnglePi8).SubstituteStabilizer()
 	opts := RunOptions{Faults: testFaults()}
-	res, err := compileCircuit(circ)
-	if err != nil {
-		t.Fatal(err)
-	}
 	runner, err := NewShotRunner(circ, 3, 0.002, 17, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +25,11 @@ func TestShotRunnerMatchesRunOneShot(t *testing.T) {
 	ctx := context.Background()
 	// Deliberately non-monotonic shot order: reuse must not care.
 	for _, s := range []int{0, 3, 1, 3, 7, 2} {
-		wantM, wantKey, err := runOneShot(ctx, res, circ.NLQ, 3, 0.002, 17, s, opts)
+		fresh, err := NewShotRunner(circ, 3, 0.002, 17, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantM, wantKey, err := fresh.RunShot(ctx, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestShotRunnerMatchesRunOneShot(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gotKey != wantKey {
-			t.Fatalf("shot %d: key %d, fresh pipeline got %d", s, gotKey, wantKey)
+			t.Fatalf("shot %d: key %d, fresh runner got %d", s, gotKey, wantKey)
 		}
 		if *gotM != *wantM {
 			t.Fatalf("shot %d: reused-pipeline metrics diverge from fresh:\n%+v\nvs\n%+v", s, *gotM, *wantM)

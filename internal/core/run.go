@@ -71,40 +71,6 @@ func ShotSeed(seed int64, shot int) int64 { return seed + int64(shot)*shotSeedSt
 // tests can inject deliberate panics into worker goroutines.
 var shotHook func(shot int)
 
-// runOneShot executes a single shot end to end through the interpreted
-// path, building a fresh pipeline — the reference implementation the
-// reusable ShotRunner is tested against. A worker panic is converted
-// into an error that names the shot and its seed for replay.
-func runOneShot(ctx context.Context, res *compiler.Result, nLQ, d int, physError float64, seed int64, s int, opts RunOptions) (m *microarch.Metrics, key int, err error) {
-	shotSeed := ShotSeed(seed, s)
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: shot %d panicked: %v (replay with seed %d)", s, r, shotSeed)
-		}
-	}()
-	if shotHook != nil {
-		shotHook(s)
-	}
-	cfg := PipelineConfig(d, physError, decoder.SchemePriority, true, shotSeed)
-	cfg.Faults = opts.Faults
-	pl := microarch.NewPipeline(surface.NewPPRLayout(nLQ, d), cfg)
-	runCtx := ctx
-	if opts.ShotTimeout > 0 {
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(ctx, opts.ShotTimeout)
-		defer cancel()
-	}
-	if err := pl.RunCtx(runCtx, res.Program); err != nil {
-		return nil, 0, fmt.Errorf("core: shot %d (seed %d): %w", s, shotSeed, err)
-	}
-	for q, mreg := range res.FinalMreg {
-		if pl.M.MregFile.Get(uint16(mreg)) {
-			key |= 1 << uint(q)
-		}
-	}
-	return &pl.M, key, nil
-}
-
 // ShotRunner executes shots of one circuit through a reusable pipeline.
 // The circuit is compiled exactly once — QISA program plus the
 // pre-validated micro-op stream — and every RunShot resets the same

@@ -234,21 +234,7 @@ func measureRatesN(d int, physError float64, scheme decoder.Scheme, seed int64, 
 		//xqlint:ignore nopanic unreachable guard: the internal reference workload always compiles; MeasureRates' dozen call sites have no error path
 		panic("core: " + err.Error())
 	}
-	cfg := microarch.Config{
-		D:              d,
-		PhysError:      physError,
-		Seed:           seed,
-		Functional:     false,
-		Scheme:         scheme,
-		MaskGenerators: config.DefaultMaskGenerators,
-		MaskSharing:    1,
-		CwdBits:        config.CodewordBits,
-		StepsPerRound:  config.ESMStepsPerRound,
-		T1QNs:          config.T1QNs,
-		T2QNs:          config.T2QNs,
-		TMeasNs:        config.TMeasNs,
-	}
-	pl := microarch.NewPipeline(newLayout(nLQ, d), cfg)
+	pl := microarch.NewPipeline(newLayout(nLQ, d), PipelineConfig(d, physError, scheme, false, seed))
 	if err := pl.Run(res.Program); err != nil {
 		//xqlint:ignore nopanic unreachable guard: the compiled reference workload always executes; see note above
 		panic("core: " + err.Error())

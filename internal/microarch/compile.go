@@ -3,7 +3,6 @@ package microarch
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"xqsim/internal/ftqc"
@@ -12,16 +11,16 @@ import (
 	"xqsim/internal/surface"
 )
 
-// This file implements the QISA micro-op compiler: CompileProgram lowers
-// an isa.Program once into a flat, pre-validated stream of micro-ops, and
-// Pipeline.RunCompiled executes that stream with the exact backend-call
-// order (and therefore the exact RNG streams, metrics, and measurement
-// outcomes) of the interpreted Pipeline.RunCtx. Everything the
-// interpreter re-derives per shot — instruction grouping, Pauli-product
-// assembly, merge-region routing, pending-region unions, decode-window
-// parameters, PPM product matching — is resolved at compile time by
-// replaying the program's layout evolution on a scratch lattice, so the
-// per-shot execution touches only preallocated state.
+// This file implements the QISA executor in two halves: CompileProgram
+// lowers an isa.Program once into a flat, pre-validated stream of
+// micro-ops, and Pipeline.RunCompiled executes that stream, charging each
+// unit's accounting in one exec function per micro-op kind. Everything
+// that does not depend on the shot's random draws — instruction grouping,
+// Pauli-product assembly, merge-region routing, pending-region unions,
+// decode-window parameters, PPM product matching — is resolved at compile
+// time by replaying the program's layout evolution on a scratch lattice,
+// so the per-shot execution touches only preallocated state. The
+// executor golden (testdata/executor.golden) pins the accounting.
 
 // uopKind discriminates the lowered micro-ops.
 type uopKind uint8
@@ -92,9 +91,12 @@ func (cp *CompiledProgram) Len() int {
 
 // compileState replays the program's layout evolution at compile time.
 type compileState struct {
-	cp      *CompiledProgram
-	layout  *surface.PPRLayout
-	pending map[int]bool // pending merge region (MERGE_INFO .. SPLIT_INFO)
+	cp     *CompiledProgram
+	layout *surface.PPRLayout
+	// window is the region-table index of the pending merge region, or
+	// -1 when a MERGE_INFO or SPLIT_INFO changed it since it was last
+	// added (see pendingRegion).
+	window int
 	// pendingProds are compiled product indices awaiting their merge
 	// window; mergeQueue models the runtime FIFO of measured products so
 	// PPM_INTERPRET matching is validated at compile time.
@@ -121,23 +123,23 @@ func (s *compileState) resolvePatch(lq int) (int, error) {
 	return 0, fmt.Errorf("microarch: compile: logical qubit %d is not mapped", lq)
 }
 
-// pendingRegion returns the pending merge region, sorted. (The
-// interpreter walks its map in arbitrary order; every consumer is
-// per-patch independent, so the sorted order is behaviorally identical
-// and deterministic.)
-func (s *compileState) pendingRegion() []int {
-	out := make([]int, 0, len(s.pending))
-	for idx := range s.pending {
-		out = append(out, idx)
+// pendingRegion returns the region-table index of the pending merge
+// region (the union of the merge regions since the last SPLIT_INFO),
+// sorted by patch index. Only ApplyMerge and ApplySplit write the
+// layout's MergeOn flags, so the merged patches are exactly that union;
+// the region is added to the table once per merge window and shared by
+// its INIT_INTMD, MEAS_INTMD and SPLIT_INFO.
+func (s *compileState) pendingRegion() int {
+	if s.window < 0 {
+		s.window = s.addRegion(s.layout.MergedPatches())
 	}
-	sort.Ints(out)
-	return out
+	return s.window
 }
 
 // pendingIntermediates filters the pending region to routing patches.
 func (s *compileState) pendingIntermediates() []int {
 	var out []int
-	for _, idx := range s.pendingRegion() {
+	for _, idx := range s.cp.regions[s.pendingRegion()] {
 		if s.layout.Patch(idx).Static.Type == surface.Intermediate {
 			out = append(out, idx)
 		}
@@ -163,9 +165,25 @@ func (s *compileState) addTargets(in isa.Instr) (int, int) {
 	return t0, len(s.cp.targets)
 }
 
-// groupProductN merges the Pauli windows of a group into one product over
+// groupBy collects prog[i] plus following instructions while same(first,
+// next) holds and the offsets keep ascending (an offset repeat starts a
+// new group): the QID accumulates the 16-qubit windows of one Pauli
+// product, and the compiler emits ascending offsets per product.
+func groupBy(prog isa.Program, i int, same func(a, b isa.Instr) bool) ([]isa.Instr, int) {
+	group := []isa.Instr{prog[i]}
+	last := prog[i].Offset
+	j := i + 1
+	for j < len(prog) && same(prog[i], prog[j]) && prog[j].Offset > last {
+		group = append(group, prog[j])
+		last = prog[j].Offset
+		j++
+	}
+	return group, j
+}
+
+// groupProduct merges the Pauli windows of a group into one product over
 // nLQ qubits (the QID's window accumulation).
-func groupProductN(nLQ int, group []isa.Instr) pauli.Product {
+func groupProduct(nLQ int, group []isa.Instr) pauli.Product {
 	pr := pauli.NewProduct(nLQ)
 	for _, in := range group {
 		w := in.PauliProduct(nLQ)
@@ -179,18 +197,16 @@ func groupProductN(nLQ int, group []isa.Instr) pauli.Product {
 }
 
 // CompileProgram lowers prog for a machine of nLQ data logical qubits at
-// code distance d. It validates everything the interpreter would only
-// discover at runtime — unmapped logical qubits, unroutable merges,
-// PPM_INTERPRET products that do not match their recorded merge,
-// incomplete byproduct condition slots, unsupported opcodes — and returns
-// the first error with its source instruction index.
+// code distance d. It validates every program error up front — unmapped
+// logical qubits, unroutable merges, PPM_INTERPRET products that do not
+// match their recorded merge, incomplete byproduct condition slots,
+// unsupported opcodes — and returns the first error with its source
+// instruction index, so a stream that compiles runs to completion.
 func CompileProgram(prog isa.Program, nLQ, d int) (*CompiledProgram, error) {
-	cp := &CompiledProgram{NLQ: nLQ, D: d, nLQ: nLQ + 2}
-	s := &compileState{
-		cp:      cp,
-		layout:  surface.NewPPRLayout(nLQ, d),
-		pending: make(map[int]bool),
-	}
+	// A uop folds one or more source instructions, so len(prog) bounds
+	// the stream and the append never regrows it.
+	cp := &CompiledProgram{NLQ: nLQ, D: d, nLQ: nLQ + 2, uops: make([]uop, 0, len(prog))}
+	s := &compileState{cp: cp, layout: surface.NewPPRLayout(nLQ, d), window: -1}
 	for i := 0; i < len(prog); {
 		in := prog[i]
 		var err error
@@ -209,11 +225,11 @@ func CompileProgram(prog isa.Program, nLQ, d int) (*CompiledProgram, error) {
 			i++
 		case isa.InitIntmd:
 			cp.uops = append(cp.uops, uop{kind: uopInitIntmd, op: in.Op, pc: i, count: 1,
-				region: s.addRegion(s.pendingRegion())})
+				region: s.pendingRegion()})
 			i++
 		case isa.MeasIntmd:
 			cp.uops = append(cp.uops, uop{kind: uopMeasIntmd, op: in.Op, pc: i, count: 1,
-				region: s.addRegion(s.pendingRegion()), aux: len(s.pendingIntermediates())})
+				region: s.pendingRegion(), aux: len(s.pendingIntermediates())})
 			i++
 		case isa.RunESM:
 			s.compileRunESM(in, i)
@@ -253,7 +269,7 @@ func (s *compileState) compileLQI(in isa.Instr, pc int) error {
 }
 
 func (s *compileState) compileMerge(group []isa.Instr, pc int) error {
-	pr := groupProductN(s.cp.nLQ, group)
+	pr := groupProduct(s.cp.nLQ, group)
 	var targets []int
 	for lq, op := range pr.Ops {
 		if op == pauli.I {
@@ -270,9 +286,7 @@ func (s *compileState) compileMerge(group []isa.Instr, pc int) error {
 		return fmt.Errorf("microarch: %w", err)
 	}
 	s.layout.ApplyMerge(region)
-	for _, idx := range region {
-		s.pending[idx] = true
-	}
+	s.window = -1
 	prodIdx := s.addProduct(pr)
 	s.pendingProds = append(s.pendingProds, prodIdx)
 	s.cp.uops = append(s.cp.uops, uop{kind: uopMerge, op: isa.MergeInfo, pc: pc,
@@ -282,17 +296,17 @@ func (s *compileState) compileMerge(group []isa.Instr, pc int) error {
 
 func (s *compileState) compileSplit(pc int) {
 	region := s.pendingRegion()
-	s.layout.ApplySplit(region)
+	s.layout.ApplySplit(s.cp.regions[region])
+	s.window = -1
 	s.cp.uops = append(s.cp.uops, uop{kind: uopSplit, op: isa.SplitInfo, pc: pc,
-		count: 1, region: s.addRegion(region)})
-	s.pending = make(map[int]bool)
+		count: 1, region: region})
 }
 
 func (s *compileState) compileRunESM(in isa.Instr, pc int) {
 	u := uop{kind: uopRunESM, op: in.Op, pc: pc, count: 1,
 		active: len(s.layout.ActiveESMPatches())}
 	u.ps0 = len(s.cp.prodSeq)
-	if len(s.pendingProds) > 0 && len(s.pending) > 0 {
+	if len(s.pendingProds) > 0 && len(s.cp.regions[s.pendingRegion()]) > 0 {
 		u.intmd = s.addRegion(s.pendingIntermediates())
 		s.cp.prodSeq = append(s.cp.prodSeq, s.pendingProds...)
 		s.mergeQueue = append(s.mergeQueue, s.pendingProds...)
@@ -304,7 +318,7 @@ func (s *compileState) compileRunESM(in isa.Instr, pc int) {
 
 func (s *compileState) compileInterpret(group []isa.Instr, pc int) error {
 	in := group[0]
-	pr := groupProductN(s.cp.nLQ, group)
+	pr := groupProduct(s.cp.nLQ, group)
 	if len(s.mergeQueue) == 0 {
 		return fmt.Errorf("microarch: PPM_INTERPRET without a recorded merge outcome")
 	}
@@ -348,13 +362,12 @@ func (s *compileState) compileLQM(in isa.Instr, pc int) error {
 	return nil
 }
 
-// RunCompiled executes a compiled stream to completion. It is the
-// allocation-free counterpart of RunCtx: for the same seed the two paths
-// issue identical backend calls in identical order, so metrics,
-// measurement registers, and fault totals are bit-identical (pinned by
-// TestCompiledMatchesInterpreted). ctx is checked once per micro-op, the
-// same cadence at which RunCtx checks it per dispatched group; fault
-// totals are copied into Metrics on every exit path.
+// RunCompiled executes a compiled stream to completion, checking ctx once
+// per micro-op so a canceled run returns promptly with ctx's error. The
+// fault-injection totals accumulated so far are copied into Metrics on
+// every exit path (including errors), so partially-run programs still
+// report their degradation accounting. The steady-state shot is
+// allocation-free (TestCompiledSteadyStateAllocs).
 func (p *Pipeline) RunCompiled(ctx context.Context, cp *CompiledProgram) error {
 	if cp == nil {
 		return fmt.Errorf("microarch: nil compiled program")
@@ -376,23 +389,23 @@ func (p *Pipeline) RunCompiled(ctx context.Context, cp *CompiledProgram) error {
 		p.traceStep(u.pc, u.op.String())
 		switch u.kind {
 		case uopLQI:
-			p.execLQICompiled(cp, u)
+			p.execLQI(cp, u)
 		case uopMerge:
-			p.execMergeCompiled(cp, u)
+			p.execMerge(cp, u)
 		case uopSplit:
-			p.execSplitCompiled(cp, u)
+			p.execSplit(cp, u)
 		case uopInitIntmd:
-			p.execInitIntmdCompiled(cp, u)
+			p.execInitIntmd(cp, u)
 		case uopMeasIntmd:
-			p.execMeasIntmdCompiled(cp, u)
+			p.execMeasIntmd(cp, u)
 		case uopRunESM:
-			p.execRunESMCompiled(cp, u)
+			p.execRunESM(cp, u)
 		case uopInterpret:
-			if err := p.execInterpretCompiled(cp, u); err != nil {
+			if err := p.execInterpret(cp, u); err != nil {
 				return err
 			}
 		case uopLQM:
-			p.execLQMCompiled(cp, u)
+			p.execLQM(cp, u)
 		default:
 			return fmt.Errorf("microarch: corrupt compiled stream (kind %d)", u.kind)
 		}
@@ -400,7 +413,7 @@ func (p *Pipeline) RunCompiled(ctx context.Context, cp *CompiledProgram) error {
 	return nil
 }
 
-func (p *Pipeline) execLQICompiled(cp *CompiledProgram, u *uop) {
+func (p *Pipeline) execLQI(cp *CompiledProgram, u *uop) {
 	targets := cp.targets[u.tgt0:u.tgt1]
 	p.M.Unit[UnitPDU].Ops++
 	p.M.Unit[UnitPDU].ActiveCycles++
@@ -421,6 +434,7 @@ func (p *Pipeline) execLQICompiled(cp *CompiledProgram, u *uop) {
 		case isa.MarkMagic:
 			p.B.PrepareResource(t.LQ, angle)
 		}
+		// The LMU clears the byproduct record of re-initialized qubits.
 		p.byproduct.Ops[t.LQ] = pauli.I
 		nPhys += p.B.Code.PhysPerPatch()
 	}
@@ -428,7 +442,7 @@ func (p *Pipeline) execLQICompiled(cp *CompiledProgram, u *uop) {
 	p.M.VirtualNs += p.Cfg.T1QNs
 }
 
-func (p *Pipeline) execMergeCompiled(cp *CompiledProgram, u *uop) {
+func (p *Pipeline) execMerge(cp *CompiledProgram, u *uop) {
 	region := cp.regions[u.region]
 	p.B.Layout.ApplyMerge(region)
 	p.M.Unit[UnitPDU].Ops++
@@ -438,14 +452,14 @@ func (p *Pipeline) execMergeCompiled(cp *CompiledProgram, u *uop) {
 	p.M.Unit[UnitPIU].ActiveCycles += uint64(len(region)) // one patch per cycle
 }
 
-func (p *Pipeline) execSplitCompiled(cp *CompiledProgram, u *uop) {
+func (p *Pipeline) execSplit(cp *CompiledProgram, u *uop) {
 	region := cp.regions[u.region]
 	p.B.Layout.ApplySplit(region)
 	p.M.Unit[UnitPIU].Ops++
 	p.M.Unit[UnitPIU].ActiveCycles += uint64(len(region))
 }
 
-func (p *Pipeline) execInitIntmdCompiled(cp *CompiledProgram, u *uop) {
+func (p *Pipeline) execInitIntmd(cp *CompiledProgram, u *uop) {
 	n := p.B.InitIntermediates(cp.regions[u.region])
 	p.M.Unit[UnitPIU].Ops++
 	p.M.Unit[UnitPIU].ActiveCycles += uint64(n)
@@ -453,7 +467,7 @@ func (p *Pipeline) execInitIntmdCompiled(cp *CompiledProgram, u *uop) {
 	p.M.VirtualNs += p.Cfg.T1QNs
 }
 
-func (p *Pipeline) execMeasIntmdCompiled(cp *CompiledProgram, u *uop) {
+func (p *Pipeline) execMeasIntmd(cp *CompiledProgram, u *uop) {
 	n := p.B.MeasureIntermediates(cp.regions[u.region])
 	p.psuStep(n * p.B.Code.PhysPerPatch())
 	// Intermediate X-measurement results return to the LMU.
@@ -464,7 +478,7 @@ func (p *Pipeline) execMeasIntmdCompiled(cp *CompiledProgram, u *uop) {
 	p.M.VirtualNs += p.Cfg.TMeasNs
 }
 
-func (p *Pipeline) execRunESMCompiled(cp *CompiledProgram, u *uop) {
+func (p *Pipeline) execRunESM(cp *CompiledProgram, u *uop) {
 	d := p.Cfg.D
 	active := u.active
 	nPhys := active * p.B.Code.PhysPerPatch()
@@ -487,6 +501,10 @@ func (p *Pipeline) execRunESMCompiled(cp *CompiledProgram, u *uop) {
 			p.M.transfer(UnitTCU, UnitQCI, uint64(idle*p.Cfg.CwdBits*p.Cfg.StepsPerRound))
 		}
 		p.B.InjectRoundNoise()
+		// Fault injection: a corrupted cross-temperature transfer costs
+		// retransmissions (repeat syndrome payloads plus backoff cycles on
+		// the EDU's receive side); an unrecoverable round loses its
+		// detection events, as does a round scheduled for an overflow drop.
 		ro := p.inj.Round()
 		if ro.DropEvents {
 			p.B.DropNextRoundEvents()
@@ -515,8 +533,14 @@ func (p *Pipeline) execRunESMCompiled(cp *CompiledProgram, u *uop) {
 	}
 	cycles := DecodeWindowCycles(p.Cfg.Scheme, p.Cfg.D, wd)
 	if wd.DecoderCycles > cycles {
+		// A pluggable decode backend slower than the scheme's structural
+		// model stretches the EDU critical path.
 		cycles = wd.DecoderCycles
 	}
+	// Fault injection: a decoder stall spike multiplies the window's
+	// decode latency and backs syndromes up in the buffer; an overflow
+	// under backpressure idles the data qubits (extra decoherence rounds
+	// with no syndrome extraction) until the decoder catches up.
 	wo := p.inj.Window(cycles, d)
 	cycles += wo.StallCycles
 	for i := 0; i < wo.BackpressureRounds; i++ {
@@ -535,29 +559,28 @@ func (p *Pipeline) execRunESMCompiled(cp *CompiledProgram, u *uop) {
 	p.M.Unit[UnitPFU].Ops++
 	p.M.Unit[UnitPFU].ActiveCycles += 2
 
-	// Merge-window PPM outcomes, with the pass-through error sensitivity
-	// of the routing patches (resolved to a compiled span).
+	// If this window carried a merge, record the PPM outcomes now (the
+	// joint logical measurements the merged ESM performs), with the
+	// pass-through error sensitivity of the routing patches.
 	if u.ps1 > u.ps0 {
 		intmd := cp.regions[u.intmd]
 		for _, pi := range cp.prodSeq[u.ps0:u.ps1] {
-			pr := cp.products[pi]
-			corrected, _, _ := p.B.MeasureProductDetail(pr, intmd)
-			p.mergeResults = append(p.mergeResults, mergeResult{product: pr, corrected: corrected})
+			corrected, _, _ := p.B.MeasureProductDetail(cp.products[pi], intmd)
+			p.mergeResults = append(p.mergeResults, corrected)
 		}
 	}
 }
 
-func (p *Pipeline) execInterpretCompiled(cp *CompiledProgram, u *uop) error {
+func (p *Pipeline) execInterpret(cp *CompiledProgram, u *uop) error {
 	pr := cp.products[u.prod]
 	if p.mergeHead >= len(p.mergeResults) {
 		// Unreachable for CompileProgram output (the queue is validated at
 		// compile time); kept as a guard against hand-built streams.
 		return fmt.Errorf("microarch: PPM_INTERPRET without a recorded merge outcome")
 	}
-	res := p.mergeResults[p.mergeHead]
+	value := p.mergeResults[p.mergeHead]
 	p.mergeHead++
 
-	value := res.corrected
 	// Byproduct-register reinterpretation plus the invert flag.
 	if !p.byproduct.Commutes(pr) {
 		value = !value
@@ -582,7 +605,7 @@ func (p *Pipeline) execInterpretCompiled(cp *CompiledProgram, u *uop) error {
 	return nil
 }
 
-func (p *Pipeline) execLQMCompiled(cp *CompiledProgram, u *uop) {
+func (p *Pipeline) execLQM(cp *CompiledProgram, u *uop) {
 	d := p.B.Code.D
 	angle := angleOf(u.flags)
 	for _, t := range cp.targets[u.tgt0:u.tgt1] {

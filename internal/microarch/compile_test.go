@@ -8,6 +8,8 @@ import (
 
 	"xqsim/internal/compiler"
 	"xqsim/internal/ftqc"
+	"xqsim/internal/isa"
+	"xqsim/internal/pauli"
 	"xqsim/internal/surface"
 )
 
@@ -52,67 +54,6 @@ func TestCompiledGoldenStream(t *testing.T) {
 	}
 }
 
-// equivalenceCircuits is the program corpus for compiled-vs-interpreted
-// checks: plain stabilizer rotations, the magic-state protocols of both
-// angles, wide multi-window products, and seeded random PPR sequences.
-func equivalenceCircuits(t *testing.T) []compiler.Circuit {
-	t.Helper()
-	circs := []compiler.Circuit{
-		compiler.SinglePPR("Z", 0).SubstituteStabilizer(),
-		compiler.SinglePPR("ZZ", 0).SubstituteStabilizer(),
-		compiler.SinglePPR("XZ", 0).SubstituteStabilizer(),
-		compiler.SinglePPR("ZZ", ftqc.AnglePi4),
-		compiler.SinglePPR("XX", ftqc.AnglePi8).SubstituteStabilizer(),
-	}
-	for seed := int64(1); seed <= 4; seed++ {
-		circs = append(circs, compiler.RandomPPR(2, 3, seed).SubstituteStabilizer())
-		circs = append(circs, compiler.RandomPPR(3, 4, seed+100).SubstituteStabilizer())
-	}
-	return circs
-}
-
-// TestCompiledMatchesInterpreted is the equivalence pin the compiled
-// path's correctness rests on: for every corpus circuit, across seeds,
-// noiseless and noisy, with and without fault injection, RunCompiled
-// must reproduce RunCtx's Metrics (registers, unit stats, transfer
-// matrix, fault totals, virtual time) bit for bit.
-func TestCompiledMatchesInterpreted(t *testing.T) {
-	configs := []struct {
-		name string
-		cfg  func(seed int64) Config
-	}{
-		{"noiseless", func(seed int64) Config { return testConfig(3, 0, seed) }},
-		{"noisy", func(seed int64) Config { return testConfig(3, 0.001, seed) }},
-		{"faulty", func(seed int64) Config { return faultyConfig(3, seed) }},
-	}
-	for _, circ := range equivalenceCircuits(t) {
-		res, err := compiler.Compile(circ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp, err := CompileProgram(res.Program, circ.NLQ, 3)
-		if err != nil {
-			t.Fatalf("%s: %v", circ.Name, err)
-		}
-		for _, tc := range configs {
-			for seed := int64(0); seed < 6; seed++ {
-				ref := NewPipeline(surface.NewPPRLayout(circ.NLQ, 3), tc.cfg(seed))
-				if err := ref.Run(res.Program); err != nil {
-					t.Fatalf("%s/%s seed %d: interpreted: %v", circ.Name, tc.name, seed, err)
-				}
-				got := NewPipeline(surface.NewPPRLayout(circ.NLQ, 3), tc.cfg(seed))
-				if err := got.RunCompiled(context.Background(), cp); err != nil {
-					t.Fatalf("%s/%s seed %d: compiled: %v", circ.Name, tc.name, seed, err)
-				}
-				if !reflect.DeepEqual(ref.M, got.M) {
-					t.Fatalf("%s/%s seed %d: compiled metrics diverge from interpreted:\ninterpreted: %+v\ncompiled:    %+v",
-						circ.Name, tc.name, seed, ref.M, got.M)
-				}
-			}
-		}
-	}
-}
-
 // TestPipelineResetMatchesFresh pins the shot-reuse determinism
 // contract: Reset(seed) followed by a run must equal a freshly
 // constructed pipeline run with the same seed — including after a prior
@@ -148,6 +89,29 @@ func TestPipelineResetMatchesFresh(t *testing.T) {
 				t.Fatalf("%s seed %d: reset pipeline diverges from fresh:\nfresh:  %+v\nreused: %+v",
 					mk.name, seed, fresh.M, reused.M)
 			}
+		}
+	}
+}
+
+// TestCompilePendingRegionTracksMerges pins the pending region on a
+// hand-built stream the compiler never emits: a MERGE_INFO after an
+// INIT_INTMD of the same window must widen the region SPLIT_INFO
+// restores to the union of both merges.
+func TestCompilePendingRegionTracksMerges(t *testing.T) {
+	mergeZ := func(lq int) isa.Instr {
+		in := isa.Instr{Op: isa.MergeInfo}
+		in.SetPauliAt(lq, pauli.Z)
+		return in
+	}
+	prog := isa.Program{mergeZ(0), {Op: isa.InitIntmd}, mergeZ(1), {Op: isa.SplitInfo}}
+	cp, err := CompileProgram(prog, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump := cp.Dump()
+	for _, want := range []string{"INIT_INTMD     pc=1   n=1 region=[0]\n", "SPLIT_INFO     pc=3   n=1 region=[0 2]\n"} {
+		if !strings.Contains(dump, want) {
+			t.Errorf("stream lacks %q:\n%s", want, dump)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package microarch
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"xqsim/internal/decoder"
 	"xqsim/internal/faults"
@@ -107,8 +106,13 @@ type Config struct {
 	// DecoderBackend, when non-nil, is the pluggable EDU decode
 	// implementation (decoder.NewBackendByName); each pipeline installs
 	// its own Clone so parallel shot runners never share scratch. nil
-	// keeps the historical direct matcher path, cycle-for-cycle
-	// unchanged.
+	// keeps the direct matcher path, priced by the scheme's structural
+	// model alone (DecodeWindowCycles), and stays the default: a backend
+	// reports the sum of both bases' decode costs, while Opt #1 decodes X
+	// and Z in parallel. Even MatchingBackend, whose corrections are
+	// bit-identical, therefore charges more under priority and
+	// patch-sliding (46,492 instead of 25,659 cycles on the d=15
+	// MeasureRates workload, seed 1) and the same under round-robin.
 	DecoderBackend decoder.Backend
 	// MaskGenerators is the PSU mask-generator count; MaskSharing is
 	// Optimization #2's per-generator qubit multiplier.
@@ -133,20 +137,16 @@ type Pipeline struct {
 	B   *Backend
 	M   Metrics
 
-	nLQ int //xqlint:persistent machine width (data + 2 resource qubits), fixed at construction
-
 	// LMU architectural state.
 	byproduct    pauli.Product // byproduct register (phase-free)
 	condSlots    []bool        // per-PPR condition slots (a, b, c, ...)
 	pauliListReg pauli.Product // Pauli_list_reg: the PPR's product
 
-	// Merge bookkeeping between MERGE_INFO and PPM_INTERPRET.
-	// mergeResults is consumed FIFO via mergeHead so the backing array
+	// Merge-window PPM outcomes (after PFU correction) awaiting
+	// PPM_INTERPRET, consumed FIFO via mergeHead so the backing array
 	// survives shot-to-shot reuse.
-	pendingProducts []pauli.Product
-	pendingRegion   map[int]bool
-	mergeResults    []mergeResult
-	mergeHead       int
+	mergeResults []bool
+	mergeHead    int
 
 	// lqmScratch is the reusable single-op product of logical
 	// measurements (execLQM builds one per target; reusing it keeps the
@@ -162,11 +162,6 @@ type Pipeline struct {
 	inj *faults.Injector
 }
 
-type mergeResult struct {
-	product   pauli.Product
-	corrected bool // physical outcome after PFU correction
-}
-
 // NewPipeline builds a pipeline over a fresh layout and backend.
 func NewPipeline(layout *surface.PPRLayout, cfg Config) *Pipeline {
 	if cfg.MaskGenerators <= 0 {
@@ -177,14 +172,12 @@ func NewPipeline(layout *surface.PPRLayout, cfg Config) *Pipeline {
 		cfg.MaskSharing = 1
 	}
 	p := &Pipeline{
-		Cfg:           cfg,
-		B:             NewBackend(layout, cfg.PhysError, cfg.Seed, cfg.Functional),
-		nLQ:           layout.NLQ + 2,
-		byproduct:     pauli.NewProduct(layout.NLQ + 2),
-		pauliListReg:  pauli.NewProduct(layout.NLQ + 2),
-		lqmScratch:    pauli.NewProduct(layout.NLQ + 2),
-		pendingRegion: make(map[int]bool),
-		inj:           faults.NewInjector(cfg.Faults, cfg.Seed),
+		Cfg:          cfg,
+		B:            NewBackend(layout, cfg.PhysError, cfg.Seed, cfg.Functional),
+		byproduct:    pauli.NewProduct(layout.NLQ + 2),
+		pauliListReg: pauli.NewProduct(layout.NLQ + 2),
+		lqmScratch:   pauli.NewProduct(layout.NLQ + 2),
+		inj:          faults.NewInjector(cfg.Faults, cfg.Seed),
 	}
 	if cfg.DecoderBackend != nil {
 		p.B.SetDecoder(cfg.DecoderBackend.Clone())
@@ -196,7 +189,7 @@ func NewPipeline(layout *surface.PPRLayout, cfg Config) *Pipeline {
 // a config whose Seed is seed, reusing every allocation: metrics zeroed,
 // architectural registers cleared, the backend's layout/frames/streams
 // re-homed, and the fault injector reseeded. This is the shot-reuse
-// determinism contract — Reset(s) followed by RunCompiled/RunCtx
+// determinism contract — Reset(s) followed by Run or RunCompiled
 // reproduces a fresh pipeline's run for seed s bit-for-bit (pinned by
 // TestPipelineResetMatchesFresh).
 func (p *Pipeline) Reset(seed int64) {
@@ -211,8 +204,6 @@ func (p *Pipeline) Reset(seed int64) {
 	p.pauliListReg.Phase = 0
 	p.lqmScratch.Phase = 0
 	p.condSlots = p.condSlots[:0]
-	p.pendingProducts = p.pendingProducts[:0]
-	clear(p.pendingRegion)
 	p.mergeResults = p.mergeResults[:0]
 	p.mergeHead = 0
 	p.trace = p.trace[:0]
@@ -223,12 +214,6 @@ func (p *Pipeline) Reset(seed int64) {
 // roundNs is the wall-clock duration of one ESM round.
 func (p *Pipeline) roundNs() float64 {
 	return 2*p.Cfg.T1QNs + 4*p.Cfg.T2QNs + p.Cfg.TMeasNs
-}
-
-// activePhys counts the physical qubits in ESM-active patches (the
-// paper's 2*(d+1)^2 accounting).
-func (p *Pipeline) activePhys() int {
-	return len(p.B.Layout.ActiveESMPatches()) * p.B.Code.PhysPerPatch()
 }
 
 // psuStep accounts one physical schedule step over nPhys qubits: the PSU
@@ -249,325 +234,16 @@ func (p *Pipeline) psuStep(nPhys int) {
 	p.M.transfer(UnitTCU, UnitQCI, bits+32) // plus the cycle_time word
 }
 
-// Run executes the program to completion.
+// Run compiles prog for the pipeline's machine shape and executes it with
+// RunCompiled. CompileProgram replays the layout from its initial state,
+// so the pipeline must be fresh or Reset; program errors are reported
+// before any unit runs.
 func (p *Pipeline) Run(prog isa.Program) error {
-	return p.RunCtx(context.Background(), prog)
-}
-
-// RunCtx executes the program to completion, checking ctx between
-// instructions so a canceled run returns promptly with ctx's error. The
-// fault-injection totals accumulated so far are copied into Metrics on
-// every exit path (including errors), so partially-run programs still
-// report their degradation accounting.
-func (p *Pipeline) RunCtx(ctx context.Context, prog isa.Program) error {
-	defer func() { p.M.Faults = p.inj.Totals() }()
-	for i := 0; i < len(prog); {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		in := prog[i]
-		p.M.Instructions++
-		p.M.Unit[UnitQID].Ops++
-		p.M.Unit[UnitQID].ActiveCycles++
-		p.M.transfer(UnitQID, UnitPDU, 64)
-
-		p.traceStep(i, in.Op.String())
-		switch in.Op {
-		case isa.LQI:
-			p.execLQI(in)
-			i++
-		case isa.MergeInfo:
-			// QID accumulates the windows of one Pauli product: a group
-			// ends when an offset repeats (the compiler emits ascending
-			// offsets per product).
-			group, next := groupBy(prog, i, func(a, b isa.Instr) bool {
-				return b.Op == isa.MergeInfo
-			})
-			for range group[1:] {
-				p.M.Instructions++
-				p.M.Unit[UnitQID].Ops++
-				p.M.Unit[UnitQID].ActiveCycles++
-				p.M.transfer(UnitQID, UnitPDU, 64)
-			}
-			if err := p.execMergeInfo(group); err != nil {
-				return err
-			}
-			i = next
-		case isa.SplitInfo:
-			p.execSplitInfo()
-			i++
-		case isa.InitIntmd:
-			p.execInitIntmd()
-			i++
-		case isa.MeasIntmd:
-			p.execMeasIntmd()
-			i++
-		case isa.RunESM:
-			p.execRunESM()
-			i++
-		case isa.PPMInterpret:
-			group, next := groupBy(prog, i, func(a, b isa.Instr) bool {
-				return b.Op == isa.PPMInterpret && b.MregDst == a.MregDst
-			})
-			for range group[1:] {
-				p.M.Instructions++
-				p.M.Unit[UnitQID].Ops++
-				p.M.Unit[UnitQID].ActiveCycles++
-				p.M.transfer(UnitQID, UnitPDU, 64)
-			}
-			if err := p.execInterpret(group); err != nil {
-				return err
-			}
-			i = next
-		case isa.LQMX, isa.LQMZ, isa.LQMFM:
-			if err := p.execLQM(in); err != nil {
-				return err
-			}
-			i++
-		default:
-			return fmt.Errorf("microarch: unsupported opcode %v", in.Op)
-		}
-	}
-	return nil
-}
-
-// groupBy collects prog[i] plus following instructions while same(first,
-// next) holds and the offsets keep ascending (an offset repeat starts a
-// new group).
-func groupBy(prog isa.Program, i int, same func(a, b isa.Instr) bool) ([]isa.Instr, int) {
-	group := []isa.Instr{prog[i]}
-	last := prog[i].Offset
-	j := i + 1
-	for j < len(prog) && same(prog[i], prog[j]) && prog[j].Offset > last {
-		group = append(group, prog[j])
-		last = prog[j].Offset
-		j++
-	}
-	return group, j
-}
-
-// groupProduct merges the Pauli windows of a group into one product over
-// the machine width.
-func (p *Pipeline) groupProduct(group []isa.Instr) pauli.Product {
-	pr := pauli.NewProduct(p.nLQ)
-	for _, in := range group {
-		w := in.PauliProduct(p.nLQ)
-		for q, op := range w.Ops {
-			if op != pauli.I {
-				pr.Ops[q] = op
-			}
-		}
-	}
-	return pr
-}
-
-func (p *Pipeline) execLQI(in isa.Instr) {
-	targets := in.TargetLQs()
-	p.M.Unit[UnitPDU].Ops++
-	p.M.Unit[UnitPDU].ActiveCycles++
-	p.M.transfer(UnitPDU, UnitPIU, uint64(len(targets)*16))
-	p.M.Unit[UnitPIU].Ops++
-	p.M.Unit[UnitPIU].ActiveCycles += uint64(len(targets))
-
-	angle := angleOf(in.Flags)
-	nPhys := 0
-	for _, t := range targets {
-		switch t.Mark {
-		case isa.MarkNone:
-			// TargetLQs never yields untargeted qubits.
-		case isa.MarkZero:
-			p.B.PrepareZero(t.LQ)
-		case isa.MarkPlus:
-			p.B.PreparePlus(t.LQ)
-		case isa.MarkMagic:
-			p.B.PrepareResource(t.LQ, angle)
-		}
-		// The LMU clears the byproduct record of re-initialized qubits.
-		p.byproduct.Ops[t.LQ] = pauli.I
-		nPhys += p.B.Code.PhysPerPatch()
-	}
-	p.psuStep(nPhys)
-	p.M.VirtualNs += p.Cfg.T1QNs
-}
-
-func (p *Pipeline) execMergeInfo(group []isa.Instr) error {
-	pr := p.groupProduct(group)
-	var targets []int
-	for lq, op := range pr.Ops {
-		if op == pauli.I {
-			continue
-		}
-		patch, ok := p.B.Layout.PatchOfLQ(lq)
-		if !ok {
-			return fmt.Errorf("microarch: MERGE_INFO targets unmapped LQ %d", lq)
-		}
-		targets = append(targets, patch)
-	}
-	region, err := p.B.Layout.MergeRegion(targets)
+	cp, err := CompileProgram(prog, p.B.Layout.NLQ, p.Cfg.D)
 	if err != nil {
-		return fmt.Errorf("microarch: %w", err)
+		return err
 	}
-	p.B.Layout.ApplyMerge(region)
-	for _, idx := range region {
-		p.pendingRegion[idx] = true
-	}
-	p.pendingProducts = append(p.pendingProducts, pr)
-
-	p.M.Unit[UnitPDU].Ops++
-	p.M.Unit[UnitPDU].ActiveCycles += uint64(len(group))
-	p.M.transfer(UnitPDU, UnitPIU, uint64(len(targets)*16))
-	p.M.Unit[UnitPIU].Ops++
-	p.M.Unit[UnitPIU].ActiveCycles += uint64(len(region)) // one patch per cycle
-	return nil
-}
-
-func (p *Pipeline) execSplitInfo() {
-	region := p.regionSlice()
-	p.B.Layout.ApplySplit(region)
-	p.M.Unit[UnitPIU].Ops++
-	p.M.Unit[UnitPIU].ActiveCycles += uint64(len(region))
-	p.pendingRegion = make(map[int]bool)
-}
-
-// regionSlice returns the pending region's patch indices in ascending
-// order: the region comes out of a map, and downstream consumers
-// (ApplySplit, InitIntermediates) walk it while touching backend state,
-// so the order must be a function of the seed, not the run.
-func (p *Pipeline) regionSlice() []int {
-	out := make([]int, 0, len(p.pendingRegion))
-	for idx := range p.pendingRegion {
-		out = append(out, idx)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// intermediates lists the routing patches of the pending region, in
-// ascending order for the same reason as regionSlice.
-func (p *Pipeline) intermediates() []int {
-	var out []int
-	for idx := range p.pendingRegion {
-		if p.B.Layout.Patch(idx).Static.Type == surface.Intermediate {
-			out = append(out, idx)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-func (p *Pipeline) execInitIntmd() {
-	region := p.regionSlice()
-	n := p.B.InitIntermediates(region)
-	p.M.Unit[UnitPIU].Ops++
-	p.M.Unit[UnitPIU].ActiveCycles += uint64(n)
-	p.psuStep(n * p.B.Code.PhysPerPatch())
-	p.M.VirtualNs += p.Cfg.T1QNs
-}
-
-func (p *Pipeline) execMeasIntmd() {
-	intmd := p.intermediates()
-	n := p.B.MeasureIntermediates(p.regionSlice())
-	p.psuStep(n * p.B.Code.PhysPerPatch())
-	// Intermediate X-measurement results return to the LMU.
-	d := p.B.Code.D
-	p.M.transfer(UnitQCI, UnitLMU, uint64(len(intmd)*d*d))
-	p.M.Unit[UnitLMU].Ops++
-	p.M.Unit[UnitLMU].ActiveCycles += uint64(len(intmd))
-	p.M.VirtualNs += p.Cfg.TMeasNs
-}
-
-func (p *Pipeline) execRunESM() {
-	d := p.Cfg.D
-	active := len(p.B.Layout.ActiveESMPatches())
-	nPhys := p.activePhys()
-
-	// PIU forwards the active patches' information into the PSU's
-	// double-buffered shift register once per window.
-	p.M.Unit[UnitPIU].Ops++
-	p.M.Unit[UnitPIU].ActiveCycles += uint64(active)
-	p.M.transfer(UnitPIU, UnitPSU, uint64(active*64))
-	p.M.transfer(UnitPIU, UnitEDU, uint64(active*32))
-
-	totalPhys := p.B.Layout.PhysicalQubits()
-	for r := 0; r < d; r++ {
-		for s := 0; s < p.Cfg.StepsPerRound; s++ {
-			p.psuStep(nPhys)
-		}
-		// The QC interface is synchronous: idle qubit lines receive
-		// keep-alive timing frames of the same width every step.
-		if idle := totalPhys - nPhys; idle > 0 {
-			p.M.transfer(UnitTCU, UnitQCI, uint64(idle*p.Cfg.CwdBits*p.Cfg.StepsPerRound))
-		}
-		p.B.InjectRoundNoise()
-		// Fault injection: a corrupted cross-temperature transfer costs
-		// retransmissions (repeat syndrome payloads plus backoff cycles on
-		// the EDU's receive side); an unrecoverable round loses its
-		// detection events, as does a round scheduled for an overflow drop.
-		ro := p.inj.Round()
-		if ro.DropEvents {
-			p.B.DropNextRoundEvents()
-		}
-		anc := p.B.MeasureSyndromesRound(r == d-1)
-		p.M.transfer(UnitQCI, UnitEDU, uint64(anc)*uint64(1+ro.Retransmits))
-		p.M.Unit[UnitEDU].ActiveCycles += ro.BackoffCycles
-		p.M.ESMRounds++
-		p.M.ESMTimeNs += p.roundNs()
-		p.M.VirtualNs += p.roundNs()
-	}
-
-	if nPhys > p.M.MaxActivePhys {
-		p.M.MaxActivePhys = nPhys
-	}
-
-	// Window decode: EDU cells match, PFU folds in the corrections.
-	wd := p.B.FinishWindow()
-	for _, m := range wd.MatchesZ {
-		p.M.MatchesSum++
-		p.M.MatchStepsSum += m.Steps
-	}
-	for _, m := range wd.MatchesX {
-		p.M.MatchesSum++
-		p.M.MatchStepsSum += m.Steps
-	}
-	cycles := DecodeWindowCycles(p.Cfg.Scheme, p.Cfg.D, wd)
-	if wd.DecoderCycles > cycles {
-		// A pluggable decode backend slower than the scheme's structural
-		// model stretches the EDU critical path.
-		cycles = wd.DecoderCycles
-	}
-	// Fault injection: a decoder stall spike multiplies the window's
-	// decode latency and backs syndromes up in the buffer; an overflow
-	// under backpressure idles the data qubits (extra decoherence rounds
-	// with no syndrome extraction) until the decoder catches up.
-	wo := p.inj.Window(cycles, d)
-	cycles += wo.StallCycles
-	for i := 0; i < wo.BackpressureRounds; i++ {
-		p.B.InjectRoundNoise()
-		p.M.VirtualNs += p.roundNs()
-	}
-	p.M.DecodeWindows++
-	p.M.DecodeCyclesSum += cycles
-	if cycles > p.M.DecodeCyclesMax {
-		p.M.DecodeCyclesMax = cycles
-	}
-	p.M.SyndromesSum += wd.Syndromes
-	p.M.Unit[UnitEDU].Ops++
-	p.M.Unit[UnitEDU].ActiveCycles += cycles
-	p.M.transfer(UnitEDU, UnitPFU, uint64(wd.Flips*16))
-	p.M.Unit[UnitPFU].Ops++
-	p.M.Unit[UnitPFU].ActiveCycles += 2
-
-	// If this window carried a merge, record the PPM outcomes now (the
-	// joint logical measurements the merged ESM performs), with the
-	// pass-through error sensitivity of the routing patches.
-	if len(p.pendingProducts) > 0 && len(p.pendingRegion) > 0 {
-		intmd := p.intermediates()
-		for _, pr := range p.pendingProducts {
-			corrected, _, _ := p.B.MeasureProductDetail(pr, intmd)
-			p.mergeResults = append(p.mergeResults, mergeResult{product: pr, corrected: corrected})
-		}
-		p.pendingProducts = p.pendingProducts[:0]
-	}
+	return p.RunCompiled(context.Background(), cp)
 }
 
 // SpikeWaitCycles is the per-token spike-propagation window: the token
@@ -628,120 +304,4 @@ func angleOf(f isa.MeasFlag) ftqc.Angle {
 		return ftqc.AnglePi4
 	}
 	return ftqc.AnglePi8
-}
-
-func (p *Pipeline) execInterpret(group []isa.Instr) error {
-	in := group[0]
-	pr := p.groupProduct(group)
-	if p.mergeHead >= len(p.mergeResults) {
-		return fmt.Errorf("microarch: PPM_INTERPRET without a recorded merge outcome")
-	}
-	res := p.mergeResults[p.mergeHead]
-	p.mergeHead++
-	if res.product.String() != pr.String() {
-		return fmt.Errorf("microarch: PPM_INTERPRET product %v does not match recorded merge %v", pr, res.product)
-	}
-
-	value := res.corrected
-	// Byproduct-register reinterpretation plus the invert flag.
-	if !p.byproduct.Commutes(pr) {
-		value = !value
-	}
-	if in.Flags&isa.FlagInvert != 0 {
-		value = !value
-	}
-	p.M.MregFile.Set(in.MregDst, value)
-	if in.Flags&isa.FlagCondStore != 0 {
-		if len(p.condSlots) == 0 {
-			copy(p.pauliListReg.Ops, pr.Ops)
-			p.pauliListReg.Phase = pr.Phase
-		}
-		p.condSlots = append(p.condSlots, value)
-	}
-
-	p.M.Unit[UnitPDU].Ops++
-	p.M.Unit[UnitPDU].ActiveCycles += uint64(len(group))
-	p.M.Unit[UnitLMU].Ops++
-	p.M.Unit[UnitLMU].ActiveCycles += uint64(pr.Weight() + 1)
-	p.M.transfer(UnitPIU, UnitLMU, uint64(pr.Weight()*32))
-	return nil
-}
-
-func (p *Pipeline) execLQM(in isa.Instr) error {
-	d := p.B.Code.D
-	angle := angleOf(in.Flags)
-	for _, t := range in.TargetLQs() {
-		var basis pauli.Pauli
-		switch in.Op {
-		case isa.LQMX:
-			basis = pauli.X
-		case isa.LQMZ:
-			basis = pauli.Z
-		case isa.LQMFM:
-			// Condition checker: the pi/8 protocol flips to the X basis
-			// when the interpreted PPM result (slot a) is -1.
-			if angle == ftqc.AnglePi8 && len(p.condSlots) > 0 && p.condSlots[0] {
-				basis = pauli.X
-			} else {
-				basis = pauli.Z
-			}
-			p.M.transfer(UnitLMU, UnitQID, 1) // fm_basis feedback
-		default:
-			// The opcode dispatcher routes only the LQM family here.
-		}
-
-		pr := p.lqmScratch
-		pr.Ops[t.LQ] = basis
-		corrected, _, _ := p.B.MeasureProductDetail(pr, nil)
-		value := corrected
-		if !p.byproduct.Commutes(pr) {
-			value = !value
-		}
-		pr.Ops[t.LQ] = pauli.I
-		if in.Flags&isa.FlagInvert != 0 {
-			value = !value
-		}
-		p.M.MregFile.Set(in.MregDst, value)
-		if in.Flags&isa.FlagCondStore != 0 {
-			p.condSlots = append(p.condSlots, value)
-		}
-
-		// Byproduct generation check: the machine-verified parity rules
-		// of internal/ftqc, evaluated over the condition slots
-		// (a, b, c) and this measurement's value.
-		if in.Flags&isa.FlagBPCheck != 0 {
-			if len(p.condSlots) < 4 {
-				return fmt.Errorf("microarch: BPCheck with incomplete condition slots")
-			}
-			a, b, c := p.condSlots[0], p.condSlots[1], p.condSlots[2]
-			var bp bool
-			if angle == ftqc.AnglePi4 {
-				bp = a != c != value
-			} else if basis == pauli.X {
-				bp = b != c != value
-			} else {
-				bp = c != value
-			}
-			if bp {
-				for q, op := range p.pauliListReg.Ops {
-					p.byproduct.Ops[q] ^= op
-				}
-			}
-			p.condSlots = p.condSlots[:0]
-		}
-		if in.Flags&isa.FlagDiscard != 0 {
-			p.B.DiscardLogical(t.LQ)
-		}
-
-		// Data-qubit measurement traffic and LMU work.
-		p.psuStep(p.B.Code.PhysPerPatch())
-		p.M.transfer(UnitQCI, UnitLMU, uint64(d*d))
-		p.M.transfer(UnitPFU, UnitLMU, uint64(2*d*d))
-		p.M.Unit[UnitLMU].Ops++
-		p.M.Unit[UnitLMU].ActiveCycles += uint64(d + 2)
-		p.M.Unit[UnitPFU].Ops++
-		p.M.Unit[UnitPFU].ActiveCycles++
-	}
-	p.M.VirtualNs += p.Cfg.TMeasNs
-	return nil
 }

@@ -49,6 +49,36 @@ func TestPipelineMatchingBackendFunctionallyIdentical(t *testing.T) {
 			t.Fatalf("seed %d: matching backend lowered decode cycles %d -> %d", seed, base.DecodeCyclesSum, withB.DecodeCyclesSum)
 		}
 	}
+
+	// Why the nil path stays the default: a backend reports the sum of
+	// both bases' decode costs, while the priority EDU (Opt #1) decodes X
+	// and Z in parallel. Round-robin serializes the bases, so there the
+	// two paths charge the same; on the d=15 MeasureRates workload under
+	// priority the backend charges strictly more.
+	scaling := compiler.RandomPPR(4, 6, 1).SubstituteStabilizer()
+	res, err := compiler.Compile(scaling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles := func(scheme decoder.Scheme, dec decoder.Backend) uint64 {
+		cfg := testConfig(15, 0.001, 1)
+		cfg.Functional = false
+		cfg.Scheme = scheme
+		cfg.DecoderBackend = dec
+		pl := NewPipeline(surface.NewPPRLayout(scaling.NLQ, 15), cfg)
+		if err := pl.Run(res.Program); err != nil {
+			t.Fatal(err)
+		}
+		return pl.M.DecodeCyclesSum
+	}
+	rr := decoder.SchemeRoundRobin
+	if base, withB := cycles(rr, nil), cycles(rr, decoder.NewMatchingBackend()); withB != base {
+		t.Errorf("round-robin: matching backend charges %d decode cycles, nil path %d", withB, base)
+	}
+	pr := decoder.SchemePriority
+	if base, withB := cycles(pr, nil), cycles(pr, decoder.NewMatchingBackend()); withB <= base {
+		t.Errorf("priority: matching backend charges %d decode cycles, want more than the nil path's %d", withB, base)
+	}
 }
 
 // TestPipelineUnionFindDeterministic pins seed-determinism of the

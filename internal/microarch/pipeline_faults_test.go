@@ -135,11 +135,15 @@ func TestPipelineLinkFaultsRetransmit(t *testing.T) {
 
 func TestRunCtxCanceledStopsBetweenInstructions(t *testing.T) {
 	circ, prog := compileTestProgram(t)
+	cp, err := CompileProgram(prog, circ.NLQ, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pl := NewPipeline(surface.NewPPRLayout(circ.NLQ, 3), testConfig(3, 0, 7))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := pl.RunCtx(ctx, prog); err != context.Canceled {
-		t.Fatalf("RunCtx on canceled ctx = %v, want context.Canceled", err)
+	if err := pl.RunCompiled(ctx, cp); err != context.Canceled {
+		t.Fatalf("RunCompiled on canceled ctx = %v, want context.Canceled", err)
 	}
 	if pl.M.Instructions != 0 {
 		t.Fatalf("canceled run executed %d instructions", pl.M.Instructions)

@@ -200,11 +200,10 @@ func noiselessReference(c *Circuit, seed int64) []bool {
 // sharing no gate code with the batch path, so the equivalence tests
 // compare two independent implementations.
 type FrameSampler struct {
-	c     *Circuit
-	ref   []bool
-	seed  int64
-	shot  int                // next shot index
-	batch *BatchFrameSampler // bit-sliced path behind SampleBatch
+	c    *Circuit
+	ref  []bool
+	seed int64
+	shot int // next shot index
 }
 
 // NewFrameSampler builds the sampler (runs the reference simulation).
@@ -280,38 +279,4 @@ func (fs *FrameSampler) SampleShot(shot int) []bool {
 		}
 	}
 	return rec
-}
-
-// SampleBatch draws the next n shots through the bit-sliced batch path
-// (falling back to the scalar loop only for circuits CompileFrame
-// rejects). The cursor advances by n, so Sample and SampleBatch calls
-// interleave without changing any shot's record.
-//
-// Deprecated: the [][]bool return allocates one slice per shot. New
-// consumers should use BatchFrameSampler.SampleColumns (word-level
-// access, allocation-free) or SampleInto (per-shot records in a reused
-// buffer).
-func (fs *FrameSampler) SampleBatch(n int) [][]bool {
-	out := make([][]bool, n)
-	if n <= 0 {
-		return out
-	}
-	if fs.batch == nil {
-		if prog, err := fs.c.CompileFrame(); err == nil {
-			fs.batch = newBatchSampler(prog, fs.seed, fs.ref)
-		} else {
-			for i := range out {
-				out[i] = fs.Sample()
-			}
-			return out
-		}
-	}
-	fs.batch.Seek(fs.shot)
-	i := 0
-	fs.batch.SampleInto(n, func(shot int, rec []bool) {
-		out[i] = append([]bool(nil), rec...)
-		i++
-	})
-	fs.shot += n
-	return out
 }

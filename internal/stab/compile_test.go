@@ -86,33 +86,6 @@ func TestBatchMatchesScalarESMCircuit(t *testing.T) {
 	}
 }
 
-// TestSampleBatchMatchesSequential: SampleBatch shares the scalar
-// cursor, so any interleaving of Sample and SampleBatch calls yields
-// the same per-shot records as sequential Sample calls.
-func TestSampleBatchMatchesSequential(t *testing.T) {
-	c := verify.RandomCircuit(11, verify.CircuitShape{MaxQubits: 5, MaxGates: 30, MaxMeasure: 5, MaxNoise: 4})
-	const total = 3 + 67 + 1 + 70
-	ref := stab.NewFrameSampler(c, 5)
-	var want [][]bool
-	for i := 0; i < total; i++ {
-		want = append(want, ref.Sample())
-	}
-
-	fs := stab.NewFrameSampler(c, 5)
-	var got [][]bool
-	for i := 0; i < 3; i++ {
-		got = append(got, fs.Sample())
-	}
-	got = append(got, fs.SampleBatch(67)...)
-	got = append(got, fs.Sample())
-	got = append(got, fs.SampleBatch(70)...)
-	for i := range want {
-		if recordString(got[i]) != recordString(want[i]) {
-			t.Fatalf("shot %d: interleaved %s, sequential %s", i, recordString(got[i]), recordString(want[i]))
-		}
-	}
-}
-
 // TestBatchPartialBlockSizes covers every partial-block shape around
 // the 64-shot word: records must not depend on how shots are grouped
 // into calls.
@@ -275,8 +248,7 @@ func TestBatchReferenceAccessors(t *testing.T) {
 
 // TestCompileFrameRejects: malformed circuits (impossible through the
 // builder API, reachable through literal construction) are rejected at
-// compile time rather than compiled into diverging programs — and
-// SampleBatch falls back to the scalar loop for them.
+// compile time rather than compiled into diverging programs.
 func TestCompileFrameRejects(t *testing.T) {
 	cases := []struct {
 		name string
@@ -292,16 +264,6 @@ func TestCompileFrameRejects(t *testing.T) {
 		if _, err := tc.c.CompileFrame(); err == nil {
 			t.Errorf("%s: CompileFrame accepted a malformed circuit", tc.name)
 		}
-	}
-	// The scalar fallback still serves records for a circuit the
-	// compiler rejects but the frame walk tolerates (self-target CZ).
-	bad := &stab.Circuit{N: 2, Ops: []stab.Op{
-		{Kind: stab.OpH, A: 0}, {Kind: stab.OpCZ, A: 1, B: 1},
-		{Kind: stab.OpMeasureZ, A: 0}, {Kind: stab.OpMeasureZ, A: 1},
-	}}
-	fs := stab.NewFrameSampler(bad, 2)
-	if got := fs.SampleBatch(3); len(got) != 3 || len(got[0]) != 2 {
-		t.Fatalf("scalar fallback returned %d records of len %d, want 3 of len 2", len(got), len(got[0]))
 	}
 }
 

@@ -228,16 +228,10 @@ func (l *Lattice) MappedLQs() []int {
 	return out
 }
 
-// neighbors returns the in-range 4-neighbor patch indices of idx, paired
-// with the side of idx facing each neighbor.
-func (l *Lattice) neighbors(idx int) [][2]int {
-	buf, n := l.neighbors4(idx)
-	return buf[:n]
-}
-
-// neighbors4 is the allocation-free form of neighbors: it returns a
-// fixed-size buffer plus the valid count, for per-shot hot paths
-// (ApplyMerge runs once per merge per shot).
+// neighbors4 returns the in-range 4-neighbor patch indices of idx, paired
+// with the side of idx facing each neighbor, in a fixed-size buffer plus
+// the valid count so per-shot hot paths stay allocation-free (ApplyMerge
+// runs once per merge per shot).
 func (l *Lattice) neighbors4(idx int) ([4][2]int, int) {
 	p := l.Patches[idx]
 	var out [4][2]int
@@ -271,35 +265,37 @@ func (l *Lattice) MergeRegion(targets []int) ([]int, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("surface: merge with no targets")
 	}
-	inRegion := map[int]bool{targets[0]: true}
+	inRegion := make([]bool, l.NumPatches())
+	inRegion[targets[0]] = true
 	// Connect each subsequent target to the growing region with BFS that
-	// may pass through Intermediate patches only.
+	// may pass through Intermediate patches only. prev holds each visited
+	// patch's BFS parent (-1 for the root, -2 while unvisited).
+	prev := make([]int, l.NumPatches())
+	var queue []int
 	for _, tgt := range targets[1:] {
 		if inRegion[tgt] {
 			continue
 		}
-		prev := make(map[int]int, l.NumPatches())
-		for i := range l.Patches {
-			prev[i] = -2 // unvisited
+		for i := range prev {
+			prev[i] = -2
 		}
-		queue := []int{tgt}
+		queue = append(queue[:0], tgt)
 		prev[tgt] = -1
 		found := -1
-		for len(queue) > 0 && found < 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, nb := range l.neighbors(cur) {
-				n := nb[0]
-				if prev[n] != -2 {
+		for head := 0; head < len(queue) && found < 0; head++ {
+			nbs, n := l.neighbors4(queue[head])
+			for _, nb := range nbs[:n] {
+				next := nb[0]
+				if prev[next] != -2 {
 					continue
 				}
-				prev[n] = cur
-				if inRegion[n] {
-					found = n
+				prev[next] = queue[head]
+				if inRegion[next] {
+					found = next
 					break
 				}
-				if l.Patches[n].Static.Type == Intermediate {
-					queue = append(queue, n)
+				if l.Patches[next].Static.Type == Intermediate {
+					queue = append(queue, next)
 				}
 			}
 		}
@@ -310,11 +306,12 @@ func (l *Lattice) MergeRegion(targets []int) ([]int, error) {
 			inRegion[cur] = true
 		}
 	}
-	out := make([]int, 0, len(inRegion))
-	for idx := range inRegion {
-		out = append(out, idx)
+	var out []int
+	for idx, in := range inRegion {
+		if in {
+			out = append(out, idx)
+		}
 	}
-	sort.Ints(out)
 	return out, nil
 }
 

@@ -230,7 +230,8 @@ func TestMergeRegionMultiTarget(t *testing.T) {
 	// (single-target degenerate case aside).
 	for _, idx := range region {
 		ok := false
-		for _, nb := range lay.neighbors(idx) {
+		nbs, n := lay.neighbors4(idx)
+		for _, nb := range nbs[:n] {
 			if has(nb[0]) {
 				ok = true
 			}
