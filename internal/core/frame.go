@@ -4,15 +4,76 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"xqsim/internal/decoder"
 	"xqsim/internal/pauli"
 	"xqsim/internal/stab"
 	"xqsim/internal/surface"
 )
+
+// memoryTables are the immutable decode-index tables of one compiled
+// memory-experiment circuit (surface.MemoryCircuit: `rounds` syndrome
+// rounds, then a data readout), shared by every worker's frame or
+// stream cell.
+type memoryTables struct {
+	code   surface.Code
+	rounds int
+	// roundLen is one syndrome round's measurement count; zOff[k] is the
+	// k-th Z-stabilizer's index within a round's block (round r measures
+	// it at r*roundLen+zOff[k]), zAnc[k] its plaquette cell.
+	roundLen int
+	zOff     []int
+	zAnc     []surface.Coord
+	// logicalMis are the data-readout measurement indices on the
+	// logical-Z support.
+	logicalMis []int
+	// refMask broadcasts each reference bit across all 64 lanes, so
+	// flip column = record column XOR refMask.
+	refMask []uint64
+}
+
+// newMemoryTables validates the distance and round count, compiles the
+// memory circuit at physical error rate p into a batch frame sampler for
+// the given seed, and builds its decode tables. Errors carry the prefix
+// "core: <what>: ".
+func newMemoryTables(what string, d int, p float64, rounds int, seed int64) (*memoryTables, *stab.BatchFrameSampler, error) {
+	if d < 3 || d%2 == 0 {
+		return nil, nil, fmt.Errorf("core: %s: invalid code distance %d", what, d)
+	}
+	if rounds < 1 {
+		return nil, nil, fmt.Errorf("core: %s: rounds must be >= 1, got %d", what, rounds)
+	}
+	code := surface.NewCode(d)
+	bs, err := stab.NewBatchFrameSampler(code.MemoryCircuit(rounds, p, p), seed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: %s: %w", what, err)
+	}
+	stabs := code.Stabilizers()
+	half := len(stabs) / 2 // capacity: half the plaquettes are Z-type
+	t := &memoryTables{
+		code: code, rounds: rounds, roundLen: len(stabs),
+		zOff: make([]int, 0, half), zAnc: make([]surface.Coord, 0, half),
+	}
+	for i, st := range stabs {
+		if st.Basis == pauli.Z {
+			t.zOff = append(t.zOff, i)
+			t.zAnc = append(t.zAnc, st.Anc)
+		}
+	}
+	dataBase := rounds * len(stabs)
+	lz := code.LogicalZ()
+	t.logicalMis = make([]int, len(lz))
+	for i, q := range lz {
+		t.logicalMis[i] = dataBase + code.DataIndex(q)
+	}
+	t.refMask = make([]uint64, bs.Measurements())
+	for i := range t.refMask {
+		if bs.RefBit(i) {
+			t.refMask[i] = ^uint64(0)
+		}
+	}
+	return t, bs, nil
+}
 
 // FrameMemoryCell is one compiled circuit-level memory-experiment cell:
 // the gate-level memory circuit (surface.MemoryCircuit with depolarizing
@@ -26,22 +87,15 @@ import (
 // A cell is single-goroutine; Clone gives each worker its own sampler
 // position and scratch over the shared compiled op-stream.
 type FrameMemoryCell struct {
-	code surface.Code
-	bs   *stab.BatchFrameSampler
+	tab *memoryTables //xqlint:shared immutable decode tables built at construction
+	bs  *stab.BatchFrameSampler
 
-	// zMis/zAnc are the final-round Z-plaquette measurement indices and
-	// their plaquette cells — the decode syndrome. (The final ESM round
-	// is noise-free, so its flips are the accumulated data-error
-	// parities, the same telescoped detection-event sum the
-	// window-parity decode uses.)
-	zMis []int           //xqlint:shared immutable decode indices built at construction
-	zAnc []surface.Coord //xqlint:shared immutable decode indices built at construction
-	// logicalMis are the data-readout measurement indices on the
-	// logical-Z support.
-	logicalMis []int //xqlint:shared immutable decode indices built at construction
-	// refMask broadcasts each reference bit across all 64 lanes, so
-	// flip column = record column XOR refMask.
-	refMask []uint64 //xqlint:shared write-once reference mask shared by every worker
+	// zMis are the final-round Z-plaquette measurement indices, whose
+	// flips at tab.zAnc are the decode syndrome. (The final ESM round is
+	// noise-free, so its flips are the accumulated data-error parities,
+	// the same telescoped detection-event sum the window-parity decode
+	// uses.)
+	zMis []int //xqlint:shared immutable decode indices built at construction
 
 	syn   *decoder.SyndromeBitmap
 	sc    decoder.Scratch
@@ -56,36 +110,15 @@ type FrameMemoryCell struct {
 // `rounds` syndrome rounds at physical error rate p. Shot k is fixed by
 // the frame sampler's determinism contract for the given seed.
 func NewFrameMemoryCell(d int, p float64, rounds int, seed int64) (*FrameMemoryCell, error) {
-	if d < 3 || d%2 == 0 {
-		return nil, fmt.Errorf("core: frame memory cell: invalid code distance %d", d)
-	}
-	if rounds < 1 {
-		return nil, fmt.Errorf("core: frame memory cell: rounds must be >= 1, got %d", rounds)
-	}
-	code := surface.NewCode(d)
-	circ := code.MemoryCircuit(rounds, p, p)
-	bs, err := stab.NewBatchFrameSampler(circ, seed)
+	tab, bs, err := newMemoryTables("frame memory cell", d, p, rounds, seed)
 	if err != nil {
-		return nil, fmt.Errorf("core: frame memory cell: %w", err)
+		return nil, err
 	}
-	c := &FrameMemoryCell{code: code, bs: bs, syn: decoder.NewSyndromeBitmap(code)}
-	stabs := code.Stabilizers()
-	finalBase := (rounds - 1) * len(stabs)
-	for i, st := range stabs {
-		if st.Basis == pauli.Z {
-			c.zMis = append(c.zMis, finalBase+i)
-			c.zAnc = append(c.zAnc, st.Anc)
-		}
-	}
-	dataBase := rounds * len(stabs)
-	for _, q := range code.LogicalZ() {
-		c.logicalMis = append(c.logicalMis, dataBase+code.DataIndex(q))
-	}
-	c.refMask = make([]uint64, bs.Measurements())
-	for i := range c.refMask {
-		if bs.RefBit(i) {
-			c.refMask[i] = ^uint64(0)
-		}
+	c := &FrameMemoryCell{tab: tab, bs: bs, syn: decoder.NewSyndromeBitmap(tab.code)}
+	finalBase := (rounds - 1) * tab.roundLen
+	c.zMis = make([]int, len(tab.zOff))
+	for k, off := range tab.zOff {
+		c.zMis[k] = finalBase + off
 	}
 	c.fn = c.decodeColumns
 	return c, nil
@@ -96,7 +129,7 @@ func NewFrameMemoryCell(d int, p float64, rounds int, seed int64) (*FrameMemoryC
 func (c *FrameMemoryCell) Clone() *FrameMemoryCell {
 	n := *c
 	n.bs = c.bs.Clone()
-	n.syn = decoder.NewSyndromeBitmap(c.code)
+	n.syn = decoder.NewSyndromeBitmap(c.tab.code)
 	n.sc = decoder.Scratch{}
 	n.res = decoder.Result{}
 	n.fn = n.decodeColumns
@@ -110,33 +143,34 @@ func (c *FrameMemoryCell) Clone() *FrameMemoryCell {
 // pass — at sub-threshold error rates most blocks cost three XOR sweeps
 // and no decode at all.
 func (c *FrameMemoryCell) decodeColumns(_, lanes int, cols []uint64) {
+	ref, zAnc := c.tab.refMask, c.tab.zAnc
 	laneMask := ^uint64(0)
 	if lanes < 64 {
 		laneMask = uint64(1)<<uint(lanes) - 1
 	}
 	// Logical-Z flip parity of all 64 lanes at once.
 	var parity uint64
-	for _, mi := range c.logicalMis {
-		parity ^= cols[mi] ^ c.refMask[mi]
+	for _, mi := range c.tab.logicalMis {
+		parity ^= cols[mi] ^ ref[mi]
 	}
 	parity &= laneMask
 	any := parity
 	for _, mi := range c.zMis {
-		any |= (cols[mi] ^ c.refMask[mi]) & laneMask
+		any |= (cols[mi] ^ ref[mi]) & laneMask
 	}
 	for m := any; m != 0; m &= m - 1 {
 		j := uint(bits.TrailingZeros64(m))
 		c.syn.Reset()
 		hot := 0
 		for k, mi := range c.zMis {
-			if (cols[mi]^c.refMask[mi])>>j&1 == 1 {
-				c.syn.Set(c.zAnc[k])
+			if (cols[mi]^ref[mi])>>j&1 == 1 {
+				c.syn.Set(zAnc[k])
 				hot++
 			}
 		}
 		corr := false
 		if hot > 0 {
-			decoder.DecodePatchInto(c.code, pauli.Z, c.syn, &c.sc, &c.res)
+			decoder.DecodePatchInto(c.tab.code, pauli.Z, c.syn, &c.sc, &c.res)
 			for _, q := range c.res.Flips {
 				if q.Col == 0 {
 					corr = !corr
@@ -190,49 +224,19 @@ func FrameLogicalErrorRate(ctx context.Context, d int, p float64, rounds, shots 
 		return 0, nil
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if blocks := (shots + 63) / 64; workers > blocks {
-		workers = blocks
+	blocks := (shots + 63) / 64
+	workers := Workers(blocks)
+	cells := perWorker(base, workers)
+	fails := make([]int, workers)
+	if err := ParallelFor(ctx, blocks, workers, func(w, b int) error {
+		fails[w] += cells[w].failsIn(b*64, min(64, shots-b*64))
+		return nil
+	}); err != nil {
+		return 0, err
 	}
-	var (
-		fails, nextBlock atomic.Int64
-		ctxErr           atomic.Bool
-		wg               sync.WaitGroup
-	)
-	// Clone every worker's cell before any worker starts: Clone copies
-	// the base cell, whose scratch its worker overwrites.
-	cells := make([]*FrameMemoryCell, workers)
-	cells[0] = base
-	for w := 1; w < workers; w++ {
-		cells[w] = base.Clone()
+	total := 0
+	for _, f := range fails {
+		total += f
 	}
-	for _, cell := range cells {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			localFails := 0
-			for {
-				b := int(nextBlock.Add(1)) - 1
-				start := b * 64
-				if start >= shots {
-					break
-				}
-				if ctx.Err() != nil {
-					ctxErr.Store(true)
-					break
-				}
-				n := shots - start
-				if n > 64 {
-					n = 64
-				}
-				localFails += cell.failsIn(start, n)
-			}
-			fails.Add(int64(localFails))
-		}()
-	}
-	wg.Wait()
-	if ctxErr.Load() {
-		return 0, ctx.Err()
-	}
-	return float64(fails.Load()) / float64(shots), nil
+	return float64(total) / float64(shots), nil
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"xqsim/internal/core"
@@ -30,7 +31,8 @@ func TestFrameLogicalErrorRateCanceled(t *testing.T) {
 
 // TestFrameLogicalErrorRateDeterministic: the rate is a pure count of
 // failing shot indices under the frame sampler's determinism contract,
-// so it must not depend on worker scheduling (or anything else).
+// so it must not depend on worker scheduling (or anything else). The
+// second run is single-worker (GOMAXPROCS(1) runs the pool inline).
 func TestFrameLogicalErrorRateDeterministic(t *testing.T) {
 	ctx := context.Background()
 	first, err := core.FrameLogicalErrorRate(ctx, 3, 0.02, 3, 1_000, 7)
@@ -38,7 +40,13 @@ func TestFrameLogicalErrorRateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
+		procs := 0 // GOMAXPROCS(0) leaves the setting as it is
+		if i == 0 {
+			procs = 1
+		}
+		prev := runtime.GOMAXPROCS(procs)
 		again, err := core.FrameLogicalErrorRate(ctx, 3, 0.02, 3, 1_000, 7)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,23 @@ import (
 // Keys here use otherwise-unused seeds so the miss accounting is not
 // perturbed by other tests sharing the process-wide cache.
 
+// forgetRates drops the in-process cache entries of every key measured
+// at seed when the test ends, so a repeated run of the test in the same
+// process (go test -count=N) starts from cold keys again.
+func forgetRates(t *testing.T, seed int64) {
+	t.Cleanup(func() {
+		rateCache.Range(func(k, _ any) bool {
+			if k.(rateKey).seed == seed {
+				rateCache.Delete(k)
+			}
+			return true
+		})
+	})
+}
+
 func TestMeasureRatesMemoized(t *testing.T) {
 	const seed = 900001
+	forgetRates(t, seed)
 	before := rateMisses.Load()
 	a := MeasureRates(3, 0.001, decoder.SchemePriority, seed)
 	b := MeasureRates(3, 0.001, decoder.SchemePriority, seed)
@@ -32,6 +47,7 @@ func TestMeasureRatesMemoized(t *testing.T) {
 
 func TestMeasureRatesUncachedBypasses(t *testing.T) {
 	const seed = 900002
+	forgetRates(t, seed)
 	u := MeasureRatesUncached(3, 0.001, decoder.SchemePriority, seed)
 	key := rateKey{d: 3, physError: 0.001, scheme: decoder.SchemePriority, seed: seed}
 	if _, ok := rateCache.Load(key); ok {
@@ -47,6 +63,7 @@ func TestMeasureRatesUncachedBypasses(t *testing.T) {
 // caller must observe the same settled value. Run with -race.
 func TestMeasureRatesConcurrent(t *testing.T) {
 	const seed = 900003
+	forgetRates(t, seed)
 	before := rateMisses.Load()
 	const callers = 16
 	out := make([]Rates, callers)
@@ -103,6 +120,7 @@ func (f *fakeRateStore) StoreRates(key string, r Rates) {
 
 func TestMeasureRatesPersistenceMissThenStore(t *testing.T) {
 	const seed = 900005
+	forgetRates(t, seed)
 	fs := &fakeRateStore{}
 	EnableRatePersistence(fs)
 	defer EnableRatePersistence(nil)
@@ -123,6 +141,7 @@ func TestMeasureRatesPersistenceMissThenStore(t *testing.T) {
 
 func TestMeasureRatesPersistenceServesWithoutPipeline(t *testing.T) {
 	const seed = 900006
+	forgetRates(t, seed)
 	// Pre-populate the durable level with a sentinel: a hit must be
 	// served verbatim with no pipeline execution (no miss counted).
 	key := RateCacheKey(3, 0.001, decoder.SchemePriority, seed)
@@ -144,6 +163,7 @@ func TestMeasureRatesPersistenceServesWithoutPipeline(t *testing.T) {
 	}
 }
 
+// TestLogicalErrorRateSchedulingInvariant: the parallel trial pool
 // returns exactly the serial loop's answer: per-trial seeds make each
 // trial independent of scheduling, and the rate is a pure count.
 func TestLogicalErrorRateSchedulingInvariant(t *testing.T) {

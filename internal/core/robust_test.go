@@ -114,15 +114,19 @@ func TestRunShotsWatchdogTimeout(t *testing.T) {
 }
 
 func TestRunShotsFaultDeterminism(t *testing.T) {
-	// Same seed, same fault config: bit-identical distributions and fault
-	// totals across runs, despite parallel shot scheduling.
+	// Same seed, same fault config: bit-identical distributions, final-shot
+	// metrics and fault totals across runs, despite parallel shot
+	// scheduling. The second run is single-worker (GOMAXPROCS(1) runs the
+	// pool inline), so this also pins the per-worker tally merge.
 	circ := compiler.SinglePPR("ZZ", ftqc.AnglePi8).SubstituteStabilizer()
 	opts := RunOptions{Faults: testFaults()}
 	distA, mA, err := RunShotsOpt(context.Background(), circ, 3, 0.001, 48, 17, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prev := runtime.GOMAXPROCS(1)
 	distB, mB, err := RunShotsOpt(context.Background(), circ, 3, 0.001, 48, 17, opts)
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +137,23 @@ func TestRunShotsFaultDeterminism(t *testing.T) {
 	}
 	if mA.Faults != mB.Faults {
 		t.Fatalf("fault totals differ: %+v vs %+v", mA.Faults, mB.Faults)
+	}
+	if *mA != *mB {
+		t.Fatalf("final-shot metrics differ:\n%+v\n%+v", *mA, *mB)
+	}
+	// The metrics are the final shot's, except Faults (summed over shots).
+	r, err := NewShotRunner(circ, 3, 0.001, 17, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := r.RunShot(context.Background(), 47)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *m
+	want.Faults = mA.Faults
+	if *mA != want {
+		t.Fatalf("returned metrics are not shot 47's:\n%+v\n%+v", *mA, want)
 	}
 	if mA.Faults.StallWindows == 0 || mA.Faults.DroppedRounds == 0 || mA.Faults.Retransmits == 0 {
 		t.Fatalf("harsh fault config fired nothing: %+v", mA.Faults)

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"xqsim/internal/compiler"
@@ -183,99 +180,50 @@ func RunShotsOpt(ctx context.Context, circ compiler.Circuit, d int, physError fl
 		return nil, nil, err
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > shots {
-		workers = shots
+	// One tally per worker, merged after the pool returns.
+	type tally struct {
+		counts []float64
+		faults faults.Totals
 	}
-	if workers < 1 {
-		workers = 1
+	workers := Workers(shots)
+	runners := perWorker(base, workers)
+	tallies := make([]tally, workers)
+	for w := range tallies {
+		tallies[w].counts = make([]float64, 1<<uint(circ.NLQ))
 	}
-
-	counts := make([]float64, 1<<uint(circ.NLQ))
-	var (
-		mu           sync.Mutex
-		last         *microarch.Metrics
-		lastShot     = -1
-		firstErr     error
-		firstErrShot = shots
-		faultSum     faults.Totals
-	)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	// Clone every worker's runner before any worker starts: Clone reads
-	// the base runner's pipeline, which its worker's shots overwrite.
-	runners := make([]*ShotRunner, workers)
-	runners[0] = base
-	for w := 1; w < workers; w++ {
-		runners[w] = base.Clone()
-	}
-	for _, runner := range runners {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker tallies; merged under the mutex once at the end
-			// so the hot loop stays contention-free. The metrics buffer is
-			// a value copy: RunShot's result lives inside the reused
+	var last microarch.Metrics // written only by the worker that runs the final shot
+	if err := ParallelFor(ctx, shots, workers, func(w, s int) error {
+		m, key, err := runners[w].RunShot(ctx, s)
+		if err != nil {
+			return err
+		}
+		tallies[w].counts[key]++
+		tallies[w].faults.Add(m.Faults)
+		if s == shots-1 {
+			// A value copy: RunShot's result lives inside the reused
 			// pipeline and is overwritten by the worker's next shot.
-			local := make([]float64, len(counts))
-			var localFaults faults.Totals
-			localLast := -1
-			var localM microarch.Metrics
-			var localErr error
-			localErrShot := shots
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= shots {
-					break
-				}
-				if err := ctx.Err(); err != nil {
-					if s < localErrShot {
-						localErr, localErrShot = err, s
-					}
-					break
-				}
-				m, key, err := runner.RunShot(ctx, s)
-				if err != nil {
-					if s < localErrShot {
-						localErr, localErrShot = err, s
-					}
-					continue
-				}
-				local[key]++
-				localFaults.Add(m.Faults)
-				if s > localLast {
-					localLast, localM = s, *m
-				}
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for i, c := range local {
-				counts[i] += c
-			}
-			faultSum.Add(localFaults)
-			if localLast > lastShot {
-				m := localM
-				lastShot, last = localLast, &m
-			}
-			// Deterministic error selection: the lowest-indexed failing
-			// shot wins, regardless of which worker saw it first.
-			if localErr != nil && localErrShot < firstErrShot {
-				firstErr, firstErrShot = localErr, localErrShot
-			}
-		}()
+			last = *m
+		}
+		return nil
+	}); err != nil {
+		return nil, nil, err
 	}
-	wg.Wait()
 
-	if firstErr != nil {
-		return nil, nil, firstErr
+	sum := tallies[0]
+	for _, t := range tallies[1:] {
+		for i, c := range t.counts {
+			sum.counts[i] += c
+		}
+		sum.faults.Add(t.faults)
 	}
-	for i := range counts {
-		counts[i] /= float64(shots)
+	for i := range sum.counts {
+		sum.counts[i] /= float64(shots)
 	}
-	if last != nil {
-		last.Faults = faultSum
+	if shots <= 0 {
+		return sum.counts, nil, nil
 	}
-	return counts, last, nil
+	last.Faults = sum.faults
+	return sum.counts, &last, nil
 }
 
 // ValidateCircuit computes the Table-3 total variation distance between
@@ -490,10 +438,7 @@ func (e *MemoryExperiment) ErrorRate(ctx context.Context, p float64, windows, tr
 	if trials <= 0 {
 		return 0, faults.Totals{}, nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > trials {
-		workers = trials
-	}
+	workers := Workers(trials)
 	for len(e.runners) < workers {
 		e.runners = append(e.runners, NewMemoryRunner(e.d, p, fcfg))
 	}
@@ -501,58 +446,30 @@ func (e *MemoryExperiment) ErrorRate(ctx context.Context, p float64, windows, tr
 		r.SetPhysError(p)
 		r.SetFaults(fcfg)
 	}
-	var (
-		mu          sync.Mutex
-		firstErr    error
-		firstErrIdx = trials
-		faultSum    faults.Totals
-		fails, next atomic.Int64
-		wg          sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		runner := e.runners[w]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var localFaults faults.Totals
-			var localErr error
-			localErrIdx := trials
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= trials {
-					break
-				}
-				if err := ctx.Err(); err != nil {
-					if t < localErrIdx {
-						localErr, localErrIdx = err, t
-					}
-					break
-				}
-				fail, tot, err := runner.Trial(windows, seed+int64(t)*trialSeedStride)
-				if err != nil {
-					if t < localErrIdx {
-						localErr, localErrIdx = err, t
-					}
-					continue
-				}
-				if fail {
-					fails.Add(1)
-				}
-				localFaults.Add(tot)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			faultSum.Add(localFaults)
-			if localErr != nil && localErrIdx < firstErrIdx {
-				firstErr, firstErrIdx = localErr, localErrIdx
-			}
-		}()
+	type tally struct {
+		fails  int
+		faults faults.Totals
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, faults.Totals{}, firstErr
+	tallies := make([]tally, workers)
+	if err := ParallelFor(ctx, trials, workers, func(w, t int) error {
+		fail, tot, err := e.runners[w].Trial(windows, seed+int64(t)*trialSeedStride)
+		if err != nil {
+			return err
+		}
+		if fail {
+			tallies[w].fails++
+		}
+		tallies[w].faults.Add(tot)
+		return nil
+	}); err != nil {
+		return 0, faults.Totals{}, err
 	}
-	return float64(fails.Load()) / float64(trials), faultSum, nil
+	sum := tallies[0]
+	for _, t := range tallies[1:] {
+		sum.fails += t.fails
+		sum.faults.Add(t.faults)
+	}
+	return float64(sum.fails) / float64(trials), sum.faults, nil
 }
 
 // LogicalErrorRate measures the per-window logical X-error rate of a

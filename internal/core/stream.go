@@ -4,14 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"xqsim/internal/decoder"
 	"xqsim/internal/faults"
 	"xqsim/internal/pauli"
 	"xqsim/internal/stab"
-	"xqsim/internal/surface"
 )
 
 // StreamMemoryConfig configures a real-time streaming memory experiment:
@@ -60,19 +57,9 @@ type StreamMemoryResult struct {
 // A cell is single-goroutine; Clone gives each worker its own sampler
 // position, stream decoder, and backend scratch.
 type StreamMemoryCell struct {
-	cfg  StreamMemoryConfig
-	code surface.Code
-	bs   *stab.BatchFrameSampler
-
-	// zOff[k] is the k-th Z-stabilizer's index within one round's
-	// measurement block (round r measures it at r*roundLen+zOff[k]);
-	// zAnc[k] its plaquette cell.
-	zOff     []int           //xqlint:shared immutable decode indices built at construction
-	zAnc     []surface.Coord //xqlint:shared immutable decode indices built at construction
-	roundLen int
-	// logicalMis and refMask are as in FrameMemoryCell.
-	logicalMis []int    //xqlint:shared immutable decode indices built at construction
-	refMask    []uint64 //xqlint:shared write-once reference mask shared by every worker
+	cfg StreamMemoryConfig
+	tab *memoryTables //xqlint:shared immutable decode tables built at construction
+	bs  *stab.BatchFrameSampler
 
 	sd     *decoder.StreamDecoder
 	events *decoder.SyndromeBitmap
@@ -86,24 +73,16 @@ type StreamMemoryCell struct {
 // stream decoder. Shot k is fixed by the frame sampler's determinism
 // contract for the given seed.
 func NewStreamMemoryCell(cfg StreamMemoryConfig, seed int64) (*StreamMemoryCell, error) {
-	if cfg.D < 3 || cfg.D%2 == 0 {
-		return nil, fmt.Errorf("core: stream memory cell: invalid code distance %d", cfg.D)
-	}
-	if cfg.Rounds < 1 {
-		return nil, fmt.Errorf("core: stream memory cell: rounds must be >= 1, got %d", cfg.Rounds)
-	}
-	code := surface.NewCode(cfg.D)
-	circ := code.MemoryCircuit(cfg.Rounds, cfg.PhysError, cfg.PhysError)
-	bs, err := stab.NewBatchFrameSampler(circ, seed)
+	tab, bs, err := newMemoryTables("stream memory cell", cfg.D, cfg.PhysError, cfg.Rounds, seed)
 	if err != nil {
-		return nil, fmt.Errorf("core: stream memory cell: %w", err)
+		return nil, err
 	}
 	backend := cfg.Backend
 	if backend == nil {
 		backend = decoder.NewMatchingBackend()
 	}
 	sd, err := decoder.NewStreamDecoder(decoder.StreamConfig{
-		Code: code, Basis: pauli.Z, Backend: backend.Clone(),
+		Code: tab.code, Basis: pauli.Z, Backend: backend.Clone(),
 		WindowRounds: cfg.WindowRounds, BudgetCycles: cfg.BudgetCycles,
 		BufferRounds: cfg.BufferRounds, Policy: cfg.Policy,
 	})
@@ -111,28 +90,10 @@ func NewStreamMemoryCell(cfg StreamMemoryConfig, seed int64) (*StreamMemoryCell,
 		return nil, fmt.Errorf("core: stream memory cell: %w", err)
 	}
 	c := &StreamMemoryCell{
-		cfg: cfg, code: code, bs: bs, sd: sd,
-		events: decoder.NewSyndromeBitmap(code),
+		cfg: cfg, tab: tab, bs: bs, sd: sd,
+		events: decoder.NewSyndromeBitmap(tab.code),
+		prev:   make([]uint8, len(tab.zOff)),
 	}
-	stabs := code.Stabilizers()
-	c.roundLen = len(stabs)
-	for i, st := range stabs {
-		if st.Basis == pauli.Z {
-			c.zOff = append(c.zOff, i)
-			c.zAnc = append(c.zAnc, st.Anc)
-		}
-	}
-	dataBase := cfg.Rounds * len(stabs)
-	for _, q := range code.LogicalZ() {
-		c.logicalMis = append(c.logicalMis, dataBase+code.DataIndex(q))
-	}
-	c.refMask = make([]uint64, bs.Measurements())
-	for i := range c.refMask {
-		if bs.RefBit(i) {
-			c.refMask[i] = ^uint64(0)
-		}
-	}
-	c.prev = make([]uint8, len(c.zOff))
 	c.fn = c.decodeColumns
 	return c, nil
 }
@@ -144,7 +105,7 @@ func (c *StreamMemoryCell) Clone() *StreamMemoryCell {
 	n := *c
 	n.bs = c.bs.Clone()
 	sd, err := decoder.NewStreamDecoder(decoder.StreamConfig{
-		Code: c.code, Basis: pauli.Z, Backend: c.sd.Backend().Clone(),
+		Code: c.tab.code, Basis: pauli.Z, Backend: c.sd.Backend().Clone(),
 		WindowRounds: c.cfg.WindowRounds, BudgetCycles: c.cfg.BudgetCycles,
 		BufferRounds: c.cfg.BufferRounds, Policy: c.cfg.Policy,
 	})
@@ -153,8 +114,8 @@ func (c *StreamMemoryCell) Clone() *StreamMemoryCell {
 		panic(err)
 	}
 	n.sd = sd
-	n.events = decoder.NewSyndromeBitmap(c.code)
-	n.prev = make([]uint8, len(c.zOff))
+	n.events = decoder.NewSyndromeBitmap(c.tab.code)
+	n.prev = make([]uint8, len(c.prev))
 	n.fn = n.decodeColumns
 	return &n
 }
@@ -164,21 +125,23 @@ func (c *StreamMemoryCell) Clone() *StreamMemoryCell {
 // logical readout lights up; all-quiet lanes are guaranteed passes whose
 // streamed windows would all decode empty at zero cycles.
 func (c *StreamMemoryCell) decodeColumns(_, lanes int, cols []uint64) {
+	t := c.tab
+	ref := t.refMask
 	laneMask := ^uint64(0)
 	if lanes < 64 {
 		laneMask = uint64(1)<<uint(lanes) - 1
 	}
 	var parity uint64
-	for _, mi := range c.logicalMis {
-		parity ^= cols[mi] ^ c.refMask[mi]
+	for _, mi := range t.logicalMis {
+		parity ^= cols[mi] ^ ref[mi]
 	}
 	parity &= laneMask
 	any := parity
-	for r := 0; r < c.cfg.Rounds; r++ {
-		base := r * c.roundLen
-		for _, off := range c.zOff {
+	for r := 0; r < t.rounds; r++ {
+		base := r * t.roundLen
+		for _, off := range t.zOff {
 			mi := base + off
-			any |= (cols[mi] ^ c.refMask[mi]) & laneMask
+			any |= (cols[mi] ^ ref[mi]) & laneMask
 		}
 	}
 	for m := any; m != 0; m &= m - 1 {
@@ -187,15 +150,15 @@ func (c *StreamMemoryCell) decodeColumns(_, lanes int, cols []uint64) {
 		for k := range c.prev {
 			c.prev[k] = 0
 		}
-		for r := 0; r < c.cfg.Rounds; r++ {
-			base := r * c.roundLen
+		for r := 0; r < t.rounds; r++ {
+			base := r * t.roundLen
 			c.events.Reset()
 			hot := false
-			for k, off := range c.zOff {
+			for k, off := range t.zOff {
 				mi := base + off
-				flip := uint8((cols[mi] ^ c.refMask[mi]) >> j & 1)
+				flip := uint8((cols[mi] ^ ref[mi]) >> j & 1)
 				if flip != c.prev[k] {
-					c.events.Set(c.zAnc[k])
+					c.events.Set(t.zAnc[k])
 					hot = true
 				}
 				c.prev[k] = flip
@@ -218,24 +181,8 @@ func (c *StreamMemoryCell) decodeColumns(_, lanes int, cols []uint64) {
 		if (parity>>j&1 == 1) != corr {
 			c.fails++
 		}
-		c.addStats(c.sd.Stats())
+		c.stats.Add(c.sd.Stats())
 	}
-}
-
-// addStats folds one shot's stream accounting into the cell totals.
-func (c *StreamMemoryCell) addStats(st decoder.StreamStats) {
-	c.stats.Rounds += st.Rounds
-	c.stats.Windows += st.Windows
-	c.stats.DecodeCycles += st.DecodeCycles
-	if st.MaxWindowCycles > c.stats.MaxWindowCycles {
-		c.stats.MaxWindowCycles = st.MaxWindowCycles
-	}
-	c.stats.OverBudgetWindows += st.OverBudgetWindows
-	if st.PeakBacklog > c.stats.PeakBacklog {
-		c.stats.PeakBacklog = st.PeakBacklog
-	}
-	c.stats.DroppedRounds += st.DroppedRounds
-	c.stats.BackpressureRounds += st.BackpressureRounds
 }
 
 // failsIn streams shots [start, start+n) and returns the failure count.
@@ -283,74 +230,23 @@ func StreamLogicalErrorRate(ctx context.Context, cfg StreamMemoryConfig, shots i
 		return StreamMemoryResult{}, nil
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if blocks := (shots + 63) / 64; workers > blocks {
-		workers = blocks
+	// base is fresh, so every worker's cell starts with zero stats and
+	// serves as that worker's stats tally.
+	blocks := (shots + 63) / 64
+	workers := Workers(blocks)
+	cells := perWorker(base, workers)
+	fails := make([]int, workers)
+	if err := ParallelFor(ctx, blocks, workers, func(w, b int) error {
+		fails[w] += cells[w].failsIn(b*64, min(64, shots-b*64))
+		return nil
+	}); err != nil {
+		return StreamMemoryResult{}, err
 	}
-	var (
-		mu     sync.Mutex
-		out    StreamMemoryResult
-		ctxErr bool
-		next   int
-		wg     sync.WaitGroup
-	)
-	// Clone every worker's cell before any worker starts: Clone copies
-	// the base cell, whose state its worker overwrites.
-	cells := make([]*StreamMemoryCell, workers)
-	cells[0] = base
-	for w := 1; w < workers; w++ {
-		cells[w] = base.Clone()
+	out := StreamMemoryResult{Shots: shots}
+	for w, c := range cells {
+		out.Fails += fails[w]
+		out.Stats.Add(c.stats)
 	}
-	for _, cell := range cells {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			localFails := 0
-			cell.stats = decoder.StreamStats{}
-			for {
-				mu.Lock()
-				start := next
-				next += 64
-				mu.Unlock()
-				if start >= shots {
-					break
-				}
-				if ctx.Err() != nil {
-					mu.Lock()
-					ctxErr = true
-					mu.Unlock()
-					break
-				}
-				n := shots - start
-				if n > 64 {
-					n = 64
-				}
-				localFails += cell.failsIn(start, n)
-			}
-			mu.Lock()
-			out.Fails += localFails
-			cellStats := cell.stats
-			st := &out.Stats
-			st.Rounds += cellStats.Rounds
-			st.Windows += cellStats.Windows
-			st.DecodeCycles += cellStats.DecodeCycles
-			if cellStats.MaxWindowCycles > st.MaxWindowCycles {
-				st.MaxWindowCycles = cellStats.MaxWindowCycles
-			}
-			st.OverBudgetWindows += cellStats.OverBudgetWindows
-			if cellStats.PeakBacklog > st.PeakBacklog {
-				st.PeakBacklog = cellStats.PeakBacklog
-			}
-			st.DroppedRounds += cellStats.DroppedRounds
-			st.BackpressureRounds += cellStats.BackpressureRounds
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	if ctxErr {
-		return StreamMemoryResult{}, ctx.Err()
-	}
-	out.Shots = shots
 	out.Rate = float64(out.Fails) / float64(shots)
 	return out, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"xqsim/internal/decoder"
@@ -47,7 +48,9 @@ func TestStreamMemoryMatchesFrame(t *testing.T) {
 }
 
 // TestStreamMemoryDeterministicAcrossWorkers pins that the parallel
-// reduction is order-independent: repeated runs return identical results.
+// reduction is order-independent: a multi-worker run returns exactly the
+// single-worker result (GOMAXPROCS(1) runs the pool inline), counts and
+// the Stats maxima included.
 func TestStreamMemoryDeterministicAcrossWorkers(t *testing.T) {
 	ctx := context.Background()
 	cfg := StreamMemoryConfig{
@@ -59,7 +62,9 @@ func TestStreamMemoryDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	prev := runtime.GOMAXPROCS(1)
 	b, err := StreamLogicalErrorRate(ctx, cfg, 1280, 17)
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -330,7 +330,7 @@ func (s *System) Evaluate(nPhys int, r Rates) Report {
 	// (2) Decode latency per window under the system's token scheme
 	// (mirrors the pipeline's decodeCycles model).
 	tokens := r.SyndromesPerQubitPerWindow * float64(nPhys) * r.MatchesPerSyndrome
-	spikePerMatch := 2*r.AvgMatchSteps + float64(microarch.SpikeWaitCycles(s.D)) + 4
+	spikePerMatch := 2*r.AvgMatchSteps + float64(decoder.SpikeWaitCycles(s.D)) + decoder.SpikeOverheadCycles
 	cells := float64(nPhys) / 2
 	var cycles float64
 	switch s.Scheme {
@@ -381,30 +381,13 @@ func (s *System) Evaluate(nPhys int, r Rates) Report {
 	return rep
 }
 
-// MaxQubits finds the largest sustainable physical-qubit count (all
-// constraints satisfied) by exponential probing plus binary search.
-func (s *System) MaxQubits(r Rates) int {
-	if !s.Evaluate(64, r).OK() {
-		return 0
-	}
-	lo, hi := 64, 128
-	for s.Evaluate(hi, r).OK() && hi < 1<<27 {
-		lo = hi
-		hi *= 2
-	}
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if s.Evaluate(mid, r).OK() {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
+// MaxQubits finds the largest sustainable physical-qubit count: the
+// scaling limit with every constraint satisfied.
+func (s *System) MaxQubits(r Rates) int { return s.ConstraintLimit(r, Report.OK) }
 
 // ConstraintLimit finds the scaling limit imposed by a single constraint,
-// ignoring the others (the per-line limits of Figs. 14, 17, 19).
+// ignoring the others (the per-line limits of Figs. 14, 17, 19), by
+// exponential probing plus binary search.
 func (s *System) ConstraintLimit(r Rates, pass func(Report) bool) int {
 	if !pass(s.Evaluate(64, r)) {
 		return 0

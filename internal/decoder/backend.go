@@ -66,12 +66,6 @@ func NewBackendByName(name string) (Backend, error) {
 	return nil, fmt.Errorf("decoder: unknown backend %q (have %v)", name, BackendNames())
 }
 
-// spikeWaitBackend mirrors microarch.SpikeWaitCycles: the token cell
-// waits for the racing spikes to cross the patch-sized cell window and
-// reflect before committing a match (4*(d+1) cell hops). Duplicated here
-// because microarch imports this package.
-func spikeWaitBackend(d int) int { return 4 * (d + 1) }
-
 // matchingCycleCost is the priority-encoder EDU latency model for a list
 // of committed matches: one token-allocation cycle per match plus the
 // spike round trip (2 steps per chain hop, the patch-crossing wait, and
@@ -79,9 +73,9 @@ func spikeWaitBackend(d int) int { return 4 * (d + 1) }
 // microarch.DecodeWindowCycles charges under SchemePriority.
 func matchingCycleCost(d int, matches []Match) uint64 {
 	total := len(matches)
-	wait := spikeWaitBackend(d)
+	wait := SpikeWaitCycles(d)
 	for _, m := range matches {
-		total += 2*m.Steps + wait + spikeOverheadCycles
+		total += 2*m.Steps + wait + SpikeOverheadCycles
 	}
 	return uint64(total)
 }

@@ -202,7 +202,7 @@ func TestMatchingCycleCostMatchesPipelineModel(t *testing.T) {
 	matches := []Match{{Steps: 2}, {Steps: 5, ToBoundary: true}}
 	want := uint64(0)
 	for _, m := range matches {
-		want += uint64(2*m.Steps + 4*(d+1) + spikeOverheadCycles)
+		want += uint64(2*m.Steps + 4*(d+1) + SpikeOverheadCycles)
 	}
 	want += uint64(len(matches))
 	if got := matchingCycleCost(d, matches); got != want {

@@ -617,6 +617,19 @@ func residualLogicalError(c surface.Code, basis pauli.Pauli, errors, correction 
 	return par%2 == 1
 }
 
+// SpikeOverheadCycles covers token grant, state-machine transition, and
+// match removal per token.
+const SpikeOverheadCycles = 4
+
+// SpikeWaitCycles is the per-token spike-propagation window: the token
+// cell waits for the racing spikes to cross the patch-sized cell window
+// and reflect before committing a match (4*(d+1) cell hops). Two cycles
+// per chain step, this wait and SpikeOverheadCycles are the per-match
+// spike cost that the window decode (microarch.DecodeWindowCycles), the
+// matching backend and the scalability evaluation (core.System.Evaluate)
+// charge.
+func SpikeWaitCycles(d int) int { return 4 * (d + 1) }
+
 // SchemeCycles models the EDU cycle count for one decode window under a
 // token-setup scheme.
 //
@@ -628,17 +641,13 @@ func residualLogicalError(c surface.Code, basis pauli.Pauli, errors, correction 
 //     pipeline-fill cycle per window slide (the double-buffered global
 //     ESM_srmem hides the reload itself).
 //
-// spikeOverheadCycles covers token grant, state-machine transition, and
-// match removal per token.
-const spikeOverheadCycles = 4
-
-// SchemeCycles returns the modeled cycles. totalCells is the number of
-// cells in the scanned array (all active ancillas of the basis);
-// numWindows is the number of window slides (patch-sliding only).
+// It returns the modeled cycles. totalCells is the number of cells in the
+// scanned array (all active ancillas of the basis); numWindows is the
+// number of window slides (patch-sliding only).
 func SchemeCycles(s Scheme, matches []Match, totalCells, numWindows int) int {
 	cycles := 0
 	for _, m := range matches {
-		cycles += 2*m.Steps + spikeOverheadCycles
+		cycles += 2*m.Steps + SpikeOverheadCycles
 	}
 	switch s {
 	case SchemeRoundRobin:

@@ -55,6 +55,20 @@ type StreamStats struct {
 	BackpressureRounds int
 }
 
+// Add folds other into s: the counts sum, and MaxWindowCycles and
+// PeakBacklog take the maximum. Both are order-independent, so per-shot
+// or per-worker stats merge to the same totals in any order.
+func (s *StreamStats) Add(other StreamStats) {
+	s.Rounds += other.Rounds
+	s.Windows += other.Windows
+	s.DecodeCycles += other.DecodeCycles
+	s.MaxWindowCycles = max(s.MaxWindowCycles, other.MaxWindowCycles)
+	s.OverBudgetWindows += other.OverBudgetWindows
+	s.PeakBacklog = max(s.PeakBacklog, other.PeakBacklog)
+	s.DroppedRounds += other.DroppedRounds
+	s.BackpressureRounds += other.BackpressureRounds
+}
+
 // StreamDecoder consumes a stream of per-round detection events and
 // maintains the decode of the accumulated syndrome. Because detection
 // events XOR-telescope (round r's events are flip_r ^ flip_{r-1}), the

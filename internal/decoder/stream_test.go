@@ -320,3 +320,17 @@ func TestStreamSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamStatsAdd pins the merge rule the parallel stream experiments
+// rely on: counts sum, MaxWindowCycles and PeakBacklog take the maximum.
+func TestStreamStatsAdd(t *testing.T) {
+	a := StreamStats{Rounds: 1, Windows: 2, DecodeCycles: 3, MaxWindowCycles: 9, OverBudgetWindows: 4, PeakBacklog: 2, DroppedRounds: 5, BackpressureRounds: 6}
+	b := StreamStats{Rounds: 10, Windows: 20, DecodeCycles: 30, MaxWindowCycles: 7, OverBudgetWindows: 40, PeakBacklog: 8, DroppedRounds: 50, BackpressureRounds: 60}
+	want := StreamStats{Rounds: 11, Windows: 22, DecodeCycles: 33, MaxWindowCycles: 9, OverBudgetWindows: 44, PeakBacklog: 8, DroppedRounds: 55, BackpressureRounds: 66}
+	ab, ba := a, b
+	ab.Add(b)
+	ba.Add(a)
+	if ab != want || ba != want {
+		t.Fatalf("Add: a+b = %+v, b+a = %+v, want %+v", ab, ba, want)
+	}
+}

@@ -181,7 +181,7 @@ func (u *UnionFindBackend) Decode(c surface.Code, basis pauli.Pauli, syn *Syndro
 		u.peelCluster(c, basis, res)
 	}
 	for _, m := range res.Matches {
-		cycles += uint64(2*m.Steps + spikeOverheadCycles + 1)
+		cycles += uint64(2*m.Steps + SpikeOverheadCycles + 1)
 	}
 	return cycles
 }

@@ -246,11 +246,6 @@ func (p *Pipeline) Run(prog isa.Program) error {
 	return p.RunCompiled(context.Background(), cp)
 }
 
-// SpikeWaitCycles is the per-token spike-propagation window: the token
-// cell waits for the racing spikes to cross the patch-sized cell window
-// and reflect before committing a match (4*(d+1) cell hops).
-func SpikeWaitCycles(d int) int { return 4 * (d + 1) }
-
 // DecodeWindowCycles costs one window decode under the given scheme:
 //
 //   - round-robin (baseline, Fig. 15a): the shared token circulates
@@ -266,11 +261,11 @@ func SpikeWaitCycles(d int) int { return 4 * (d + 1) }
 // can feed the same fault-free decode cost into a faults.Injector that
 // the full pipeline would.
 func DecodeWindowCycles(scheme decoder.Scheme, d int, wd WindowDecode) uint64 {
-	wait := SpikeWaitCycles(d)
+	wait := decoder.SpikeWaitCycles(d)
 	spikes := func(ms []decoder.Match) int {
 		total := 0
 		for _, m := range ms {
-			total += 2*m.Steps + wait + 4
+			total += 2*m.Steps + wait + decoder.SpikeOverheadCycles
 		}
 		return total
 	}

@@ -100,7 +100,7 @@ func Fig5(ctx context.Context, seed int64) (Result, error) {
 	bw := gridSeries("inst-bandwidth-gbps", len(grid))
 	lat := gridSeries("decode-latency-ns", len(grid))
 	heat := gridSeries("cross-heat-w", len(grid))
-	if err := parallelFor(ctx, len(grid), func(i int) {
+	if err := core.ParallelFor(ctx, len(grid), core.Workers(len(grid)), func(_, i int) error {
 		n := grid[i]
 		rep := sys.Evaluate(n, r)
 		x := float64(n)
@@ -108,6 +108,7 @@ func Fig5(ctx context.Context, seed int64) (Result, error) {
 		bw.X[i], bw.Y[i] = x, rep.InstBandwidthGbps
 		lat.X[i], lat.Y[i] = x, rep.DecodeLatencyNs
 		heat.X[i], heat.Y[i] = x, rep.CrossHeatW
+		return nil
 	}); err != nil {
 		return Result{}, err
 	}
@@ -177,13 +178,14 @@ func Fig14(ctx context.Context, seed int64) (Result, error) {
 	latB := gridSeries("decode-ns-baseline", len(grid))
 	latO := gridSeries("decode-ns-opt1", len(grid))
 	heat := gridSeries("cross-heat-w", len(grid))
-	if err := parallelFor(ctx, len(grid), func(i int) {
+	if err := core.ParallelFor(ctx, len(grid), core.Workers(len(grid)), func(_, i int) error {
 		n := grid[i]
 		x := float64(n)
 		repB := base.Evaluate(n, rRR)
 		latB.X[i], latB.Y[i] = x, repB.DecodeLatencyNs
 		latO.X[i], latO.Y[i] = x, opt.Evaluate(n, rPr).DecodeLatencyNs
 		heat.X[i], heat.Y[i] = x, repB.CrossHeatW
+		return nil
 	}); err != nil {
 		return Result{}, err
 	}
@@ -258,13 +260,14 @@ func Fig17(ctx context.Context, seed int64) (Result, error) {
 	po := gridSeries("rsfq-opt-4k-power-w", len(grid))
 	cr := gridSeries("cmos-4k-power-w", len(grid))
 	co := gridSeries("cmos-vs-4k-power-w", len(grid))
-	if err := parallelFor(ctx, len(grid), func(i int) {
+	if err := core.ParallelFor(ctx, len(grid), core.Workers(len(grid)), func(_, i int) error {
 		n := grid[i]
 		x := float64(n)
 		pr.X[i], pr.Y[i] = x, rsfqB.Evaluate(n, r).Power4KW
 		po.X[i], po.Y[i] = x, rsfqO.Evaluate(n, r).Power4KW
 		cr.X[i], cr.Y[i] = x, cmosB.Evaluate(n, r).Power4KW
 		co.X[i], co.Y[i] = x, cmosO.Evaluate(n, r).Power4KW
+		return nil
 	}); err != nil {
 		return Result{}, err
 	}
@@ -324,12 +327,13 @@ func Fig19(ctx context.Context, seed int64) (Result, error) {
 	pw := gridSeries("power-w-base", len(grid))
 	pe := gridSeries("power-w-edu4k", len(grid))
 	pf := gridSeries("power-w-final", len(grid))
-	if err := parallelFor(ctx, len(grid), func(i int) {
+	if err := core.ParallelFor(ctx, len(grid), core.Workers(len(grid)), func(_, i int) error {
 		n := grid[i]
 		x := float64(n)
 		pw.X[i], pw.Y[i] = x, base.Evaluate(n, rPr).Power4KW
 		pe.X[i], pe.Y[i] = x, edu4k.Evaluate(n, rPr).Power4KW
 		pf.X[i], pf.Y[i] = x, final.Evaluate(n, rPS).Power4KW
+		return nil
 	}); err != nil {
 		return Result{}, err
 	}
@@ -536,13 +540,14 @@ func AblationCodeDistance(ctx context.Context, seed int64) (Result, error) {
 	logical := gridSeries("logical-qubit-capacity", len(ds))
 	// Each distance needs its own full-pipeline rate measurement — the
 	// dominant cost of this sweep — so the points run concurrently.
-	if err := parallelFor(ctx, len(ds), func(i int) {
+	if err := core.ParallelFor(ctx, len(ds), core.Workers(len(ds)), func(_, i int) error {
 		d := ds[i]
 		r := core.MeasureRates(d, config.PhysErrorRate, decoder.SchemePatchSliding, seed)
 		sys := core.FutureSystem(d, true, true)
 		n := sys.MaxQubits(r)
 		phys.X[i], phys.Y[i] = float64(d), float64(n)
 		logical.X[i], logical.Y[i] = float64(d), float64(estimator.ScaleFor(n, d).NLQ)
+		return nil
 	}); err != nil {
 		return Result{}, err
 	}

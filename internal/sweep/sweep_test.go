@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -285,6 +286,36 @@ func TestThresholdStudy(t *testing.T) {
 	for d := 0; d < 3; d++ {
 		if r.Series[d].Y[0] > r.Series[d].Y[5] {
 			t.Errorf("d-series %d not increasing with p", d)
+		}
+	}
+}
+
+// TestParallelSweepDeterministic is the regression for the parallel
+// sweep grids: identically-seeded runs must produce byte-identical
+// Results (series values, ordering, anchors) regardless of how the
+// worker pool schedules the grid points. Run with -race.
+func TestParallelSweepDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs full sweeps twice")
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() (Result, error)
+	}{
+		{"fig5", func() (Result, error) { return Fig5(context.Background(), 71) }},
+		{"fig14", func() (Result, error) { return Fig14(context.Background(), 71) }},
+		{"fig17", func() (Result, error) { return Fig17(context.Background(), 71) }},
+		{"fig19", func() (Result, error) { return Fig19(context.Background(), 71) }},
+		{"threshold", func() (Result, error) { return ThresholdStudy(context.Background(), 60, 71) }},
+		{"circuit-threshold", func() (Result, error) { return CircuitThresholdStudy(context.Background(), 320, 71) }},
+	} {
+		a, errA := tc.run()
+		b, errB := tc.run()
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: %v / %v", tc.name, errA, errB)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: identically-seeded parallel runs differ:\n%v\nvs\n%v", tc.name, a, b)
 		}
 	}
 }
