@@ -10,7 +10,7 @@
 // the baseline and the baseline plus 8 (see checkBaseline; the
 // SteadyStateAllocs tests pin the 0-alloc paths exactly):
 //
-//	go run ./cmd/xqbench -check BENCH_11.json -tolerance 2.0
+//	go run ./cmd/xqbench -check BENCH_12.json -tolerance 2.0
 //
 // With -compare it renders a benchstat-style old-vs-new table from two
 // committed summaries instead of running anything:
@@ -392,6 +392,16 @@ func benchmarks(ctx context.Context) []struct {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = xqsim.MeasureRates(15, 0.001, xqsim.SchemePriority, 424243)
+			}
+		}},
+		{"measure-rates-d15", func(b *testing.B) {
+			// One uncached rate measurement: the d=15 priority reference
+			// run (compile, scaling-mode pipeline, decode) over a fixed
+			// cycle of 16 seeds. Its decode windows are real ones, whose
+			// clusters include the dominated pairs the exact matcher
+			// prunes; decode-patch-d15's fixed cluster has none.
+			for i := 0; i < b.N; i++ {
+				_ = xqsim.MeasureRatesUncached(15, 0.001, xqsim.SchemePriority, int64(1+i%16))
 			}
 		}},
 		{"threshold-study", func(b *testing.B) {

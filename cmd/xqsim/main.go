@@ -67,6 +67,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if *functional && *shots < 1 {
+		_, _ = fmt.Fprintf(stderr, "xqsim: -shots must be at least 1 with -functional, got %d\n", *shots)
+		return 2
+	}
 	stopProf, err := prof.StartPaths(profiles.CPU, profiles.Mem)
 	if err != nil {
 		_, _ = fmt.Fprintln(stderr, "prof:", err)

@@ -75,17 +75,19 @@ func TestRunExitCodes(t *testing.T) {
 		ctx  context.Context
 		args []string
 		code int
+		msg  string // expected in stderr
 	}{
-		{"help", nil, []string{"-h"}, 0},
-		{"unknown flag", nil, []string{"-bogus"}, 2},
-		{"bad flag value", nil, []string{"-d", "five"}, 2},
-		{"unknown workload", nil, []string{"-workload", "shor"}, 1},
-		{"unknown system", nil, []string{"-system", "quantum-toaster"}, 1},
-		{"bad fault policy", nil, []string{"-faults", "-fault-policy", "drop-newest"}, 1},
-		{"invalid fault config", nil, []string{"-faults", "-fault-stall", "2"}, 1},
-		{"unwritable profile", nil, []string{"-cpuprofile", filepath.Join(dir, "absent", "cpu.prof")}, 1},
-		{"unwritable trace", nil, []string{"-d", "3", "-trace", filepath.Join(dir, "absent", "trace.json")}, 1},
-		{"interrupted", canceled, []string{"-d", "3"}, 1},
+		{"help", nil, []string{"-h"}, 0, ""},
+		{"unknown flag", nil, []string{"-bogus"}, 2, ""},
+		{"bad flag value", nil, []string{"-d", "five"}, 2, ""},
+		{"unknown workload", nil, []string{"-workload", "shor"}, 1, ""},
+		{"unknown system", nil, []string{"-system", "quantum-toaster"}, 1, ""},
+		{"bad fault policy", nil, []string{"-faults", "-fault-policy", "drop-newest"}, 1, ""},
+		{"invalid fault config", nil, []string{"-faults", "-fault-stall", "2"}, 1, ""},
+		{"unwritable profile", nil, []string{"-cpuprofile", filepath.Join(dir, "absent", "cpu.prof")}, 1, ""},
+		{"unwritable trace", nil, []string{"-d", "3", "-trace", filepath.Join(dir, "absent", "trace.json")}, 1, ""},
+		{"interrupted", canceled, []string{"-d", "3"}, 1, ""},
+		{"zero shots", nil, []string{"-workload", "ppr", "-product", "ZZ", "-d", "3", "-shots", "0", "-functional"}, 2, "-shots must be at least 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,6 +98,9 @@ func TestRunExitCodes(t *testing.T) {
 			var out, errb bytes.Buffer
 			if code := run(ctx, tc.args, &out, &errb); code != tc.code {
 				t.Fatalf("exit %d, want %d; stderr:\n%s", code, tc.code, errb.String())
+			}
+			if !strings.Contains(errb.String(), tc.msg) {
+				t.Fatalf("stderr %q does not say %q", errb.String(), tc.msg)
 			}
 		})
 	}

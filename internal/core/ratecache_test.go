@@ -163,6 +163,75 @@ func TestMeasureRatesPersistenceServesWithoutPipeline(t *testing.T) {
 	}
 }
 
+// TestScalingWorkloadSharesRateRun: RunScalingWorkload reads through
+// the rate memo, so asking for a key's metrics and then its rates runs
+// the pipeline once, and the metrics equal a fresh reference run's.
+func TestScalingWorkloadSharesRateRun(t *testing.T) {
+	const seed = 900007
+	forgetRates(t, seed)
+	fresh, _, err := referenceRun(3, 0.001, decoder.SchemePriority, seed, refLQ, refPPRs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := rateMisses.Load()
+	m, err := RunScalingWorkload(3, 0.001, decoder.SchemePriority, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rateMisses.Load() - before; got != 1 {
+		t.Fatalf("cold RunScalingWorkload ran the pipeline %d times, want 1", got)
+	}
+	if *m != fresh {
+		t.Fatal("RunScalingWorkload metrics differ from a fresh reference run")
+	}
+	m.ESMRounds = -1 // the caller's own copy: the memo must not see this
+	if r := MeasureRates(3, 0.001, decoder.SchemePriority, seed); r != MeasureRatesUncached(3, 0.001, decoder.SchemePriority, seed) {
+		t.Fatalf("rates after RunScalingWorkload %+v differ from an uncached run", r)
+	}
+	if got := rateMisses.Load() - before; got != 1 {
+		t.Fatalf("MeasureRates after RunScalingWorkload ran the pipeline again (misses = %d)", got)
+	}
+	again, err := RunScalingWorkload(3, 0.001, decoder.SchemePriority, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *again != fresh {
+		t.Fatal("a caller's edit leaked into the memoized metrics")
+	}
+}
+
+// TestScalingWorkloadRunsWhenStoreServes: rates served by the durable
+// RateStore come without a reference run, so RunScalingWorkload runs the
+// pipeline itself and still returns the fresh-run metrics.
+func TestScalingWorkloadRunsWhenStoreServes(t *testing.T) {
+	const seed = 900008
+	forgetRates(t, seed)
+	fresh, _, err := referenceRun(3, 0.001, decoder.SchemePriority, seed, refLQ, refPPRs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := RateCacheKey(3, 0.001, decoder.SchemePriority, seed)
+	sentinel := Rates{BitsPerQubitPerRound: 123.5}
+	fs := &fakeRateStore{m: map[string]Rates{key: sentinel}}
+	EnableRatePersistence(fs)
+	defer EnableRatePersistence(nil)
+
+	before := rateMisses.Load()
+	m, err := RunScalingWorkload(3, 0.001, decoder.SchemePriority, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *m != fresh {
+		t.Fatal("store-served key: RunScalingWorkload metrics differ from a fresh reference run")
+	}
+	if got := MeasureRates(3, 0.001, decoder.SchemePriority, seed); got != sentinel {
+		t.Fatalf("MeasureRates returned %+v, want the stored sentinel", got)
+	}
+	if n := rateMisses.Load() - before; n != 0 {
+		t.Fatalf("store-served key counted %d memo misses, want 0", n)
+	}
+}
+
 // TestLogicalErrorRateSchedulingInvariant: the parallel trial pool
 // returns exactly the serial loop's answer: per-trial seeds make each
 // trial independent of scheduling, and the rate is a pure count.

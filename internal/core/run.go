@@ -174,7 +174,11 @@ func RunShots(ctx context.Context, circ compiler.Circuit, d int, physError float
 // which is summed across all shots (an integer reduction, so it is
 // identical regardless of worker scheduling). A panicking shot is
 // recovered and reported as an error naming the shot index and seed.
+// A shot count below 1 is an error: there is no distribution to report.
 func RunShotsOpt(ctx context.Context, circ compiler.Circuit, d int, physError float64, shots int, seed int64, opts RunOptions) ([]float64, *microarch.Metrics, error) {
+	if shots < 1 {
+		return nil, nil, fmt.Errorf("core: shots must be at least 1, got %d", shots)
+	}
 	base, err := NewShotRunner(circ, d, physError, seed, opts)
 	if err != nil {
 		return nil, nil, err
@@ -218,9 +222,6 @@ func RunShotsOpt(ctx context.Context, circ compiler.Circuit, d int, physError fl
 	}
 	for i := range sum.counts {
 		sum.counts[i] /= float64(shots)
-	}
-	if shots <= 0 {
-		return sum.counts, nil, nil
 	}
 	last.Faults = sum.faults
 	return sum.counts, &last, nil
@@ -275,23 +276,6 @@ func (s *System) SuccessRate(nPhys, windows int, r Rates) float64 {
 	}
 	patches := float64(estimator.ScaleFor(nPhys, s.D).NPatches)
 	return math.Exp(-pl * patches * float64(windows))
-}
-
-// RunScalingWorkload executes a reference random-PPR workload through the
-// pipeline in scaling mode (no tableau) and returns the metrics — the
-// traffic and activity breakdowns behind Fig. 16.
-func RunScalingWorkload(d int, physError float64, scheme decoder.Scheme, seed int64) (*microarch.Metrics, error) {
-	circ := workloadCircuit(4, 6, seed)
-	res, err := compiler.Compile(circ)
-	if err != nil {
-		return nil, fmt.Errorf("core: compile scaling workload: %w", err)
-	}
-	cfg := PipelineConfig(d, physError, scheme, false, seed)
-	pl := microarch.NewPipeline(newLayout(circ.NLQ, d), cfg)
-	if err := pl.Run(res.Program); err != nil {
-		return nil, fmt.Errorf("core: run scaling workload: %w", err)
-	}
-	return &pl.M, nil
 }
 
 // trialSeedStride separates per-trial seed streams of the memory

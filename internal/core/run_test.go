@@ -36,6 +36,22 @@ func TestRunShotsCompileError(t *testing.T) {
 	}
 }
 
+// TestRunShotsRejectsNoShots: below one shot there is no distribution,
+// so RunShots and ValidateCircuit return an error instead of 0/0 counts
+// and nil metrics.
+func TestRunShotsRejectsNoShots(t *testing.T) {
+	circ := compiler.SinglePPR("ZZ", ftqc.AnglePi4)
+	for _, shots := range []int{0, -3} {
+		dist, m, err := RunShots(context.Background(), circ, 3, 0, shots, 1)
+		if err == nil || dist != nil || m != nil {
+			t.Fatalf("shots=%d: dist %v, metrics %v, err %v; want only an error", shots, dist, m, err)
+		}
+		if _, _, _, err := ValidateCircuit(context.Background(), circ, 3, 0, shots, 1); err == nil {
+			t.Fatalf("shots=%d: ValidateCircuit accepted it", shots)
+		}
+	}
+}
+
 func TestValidateCircuitTableThreeRegime(t *testing.T) {
 	// A single-PPR benchmark at d=3, p=0.1% must validate with small dTV
 	// (the Table-3 regime).

@@ -227,28 +227,44 @@ type Rates struct {
 	SmallFlowBitsPerQubitPerRound float64
 }
 
-func measureRatesN(d int, physError float64, scheme decoder.Scheme, seed int64, nLQ, pprs int) Rates {
+// referenceRun compiles the random-PPR workload of nLQ logical qubits and
+// pprs rotations and runs it through the pipeline in scaling mode (no
+// tableau). It returns the run's metrics by value, so no caller keeps
+// the pipeline alive, and the layout's physical-qubit count.
+func referenceRun(d int, physError float64, scheme decoder.Scheme, seed int64, nLQ, pprs int) (microarch.Metrics, int, error) {
 	circ := workloadCircuit(nLQ, pprs, seed)
 	res, err := compileCircuit(circ)
 	if err != nil {
-		//xqlint:ignore nopanic unreachable guard: the internal reference workload always compiles; MeasureRates' dozen call sites have no error path
-		panic("core: " + err.Error())
+		return microarch.Metrics{}, 0, fmt.Errorf("core: compile reference workload: %w", err)
 	}
 	pl := microarch.NewPipeline(newLayout(nLQ, d), PipelineConfig(d, physError, scheme, false, seed))
 	if err := pl.Run(res.Program); err != nil {
-		//xqlint:ignore nopanic unreachable guard: the compiled reference workload always executes; see note above
-		panic("core: " + err.Error())
+		return microarch.Metrics{}, 0, fmt.Errorf("core: run reference workload: %w", err)
 	}
-	m := &pl.M
+	return pl.M, pl.B.Layout.PhysicalQubits(), nil
+}
 
-	nPhys := float64(pl.B.Layout.PhysicalQubits())
+// measureRatesN runs the reference workload and extracts its rates.
+func measureRatesN(d int, physError float64, scheme decoder.Scheme, seed int64, nLQ, pprs int) Rates {
+	m, nPhys, err := referenceRun(d, physError, scheme, seed, nLQ, pprs)
+	if err != nil {
+		//xqlint:ignore nopanic unreachable guard: the internal reference workload always compiles and runs; MeasureRates' dozen call sites have no error path
+		panic(err.Error())
+	}
+	return ratesOf(&m, nPhys)
+}
+
+// ratesOf divides a reference run's counters by its nPhys physical
+// qubits and its rounds, windows, syndromes and matches.
+func ratesOf(m *microarch.Metrics, nPhys int) Rates {
+	n := float64(nPhys)
 	rounds := float64(m.ESMRounds)
 	windows := float64(m.DecodeWindows)
 	r := Rates{}
 	if rounds > 0 {
-		r.BitsPerQubitPerRound = float64(m.TransferBits[microarch.UnitTCU][microarch.UnitQCI]) / nPhys / rounds
+		r.BitsPerQubitPerRound = float64(m.TransferBits[microarch.UnitTCU][microarch.UnitQCI]) / n / rounds
 		r.UpBitsPerQubitPerRound = float64(m.TransferBits[microarch.UnitQCI][microarch.UnitEDU]+
-			m.TransferBits[microarch.UnitQCI][microarch.UnitLMU]) / nPhys / rounds
+			m.TransferBits[microarch.UnitQCI][microarch.UnitLMU]) / n / rounds
 		small := m.TransferBits[microarch.UnitQID][microarch.UnitPDU] +
 			m.TransferBits[microarch.UnitPDU][microarch.UnitPIU] +
 			m.TransferBits[microarch.UnitPIU][microarch.UnitPSU] +
@@ -256,10 +272,10 @@ func measureRatesN(d int, physError float64, scheme decoder.Scheme, seed int64, 
 			m.TransferBits[microarch.UnitPIU][microarch.UnitLMU] +
 			m.TransferBits[microarch.UnitEDU][microarch.UnitPFU] +
 			m.TransferBits[microarch.UnitPFU][microarch.UnitLMU]
-		r.SmallFlowBitsPerQubitPerRound = float64(small) / nPhys / rounds
+		r.SmallFlowBitsPerQubitPerRound = float64(small) / n / rounds
 	}
 	if windows > 0 {
-		r.SyndromesPerQubitPerWindow = float64(m.SyndromesSum) / nPhys / windows
+		r.SyndromesPerQubitPerWindow = float64(m.SyndromesSum) / n / windows
 	}
 	if m.SyndromesSum > 0 {
 		r.MatchesPerSyndrome = float64(m.MatchesSum) / float64(m.SyndromesSum)

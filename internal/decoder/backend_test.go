@@ -1,6 +1,7 @@
 package decoder
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -278,7 +279,9 @@ func TestMatchingSteadyStateAllocs(t *testing.T) {
 // subsets its recurrence reaches: solving a k-member cluster fills
 // exactly F(k+2)-1 memo entries (every reached subset but the empty one)
 // in a table under 3*F(k+2) slots, never the 2^k a full subset table
-// takes.
+// takes. The count is exact because heavyWindow's clusters hold no
+// dominated pair, so no partner is pruned (TestMemoSkipsDominatedPairs
+// covers clusters that do).
 func TestMemoFollowsReachableSubsets(t *testing.T) {
 	c := surface.NewCode(15)
 	var sc Scratch
@@ -290,6 +293,9 @@ func TestMemoFollowsReachableSubsets(t *testing.T) {
 		DecodePatchInto(c, pauli.Z, bm, &sc, &res)
 		if got := clusterSizes(&sc); !reflect.DeepEqual(got, []int{k}) {
 			t.Fatalf("k=%d: window clusters = %v", k, got)
+		}
+		if n := dominatedPairs(c, sc.cells); n != 0 {
+			t.Fatalf("k=%d: window holds %d dominated pairs", k, n)
 		}
 		filled := 0
 		for _, e := range sc.memo {
@@ -306,5 +312,85 @@ func TestMemoFollowsReachableSubsets(t *testing.T) {
 		if want := ReferenceDecodePatch(c, pauli.Z, synFromBitmap(bm)); !resultsEqual(want, res) {
 			t.Fatalf("k=%d: diverged from the reference", k)
 		}
+	}
+}
+
+// dominatedPairs counts the pairs of cells whose distance is at least
+// the sum of their boundary distances, the pairings the exact matcher
+// never tries.
+func dominatedPairs(c surface.Code, cells []surface.Coord) int {
+	n := 0
+	for i, a := range cells {
+		for _, b := range cells[i+1:] {
+			if plaquetteDist(a, b) >= boundaryDist(c, pauli.Z, a)+boundaryDist(c, pauli.Z, b) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestMemoSkipsDominatedPairs decodes a d=15 window whose 18 syndromes
+// (the first Z plaquettes in columns 2-5, 2-5 steps from the boundary)
+// form one cluster holding dominated pairs. The matcher pairs each
+// subset's lowest member only with profitable partners, so the memo
+// fills exactly the subsets that walk reaches, counted here by brute
+// force, which is fewer than the F(k+2)-1 of the full recurrence; the
+// Result still equals the reference matcher's.
+func TestMemoSkipsDominatedPairs(t *testing.T) {
+	const k = 18
+	c := surface.NewCode(15)
+	bm := NewSyndromeBitmap(c)
+	n := 0
+	for _, st := range c.Stabilizers() {
+		if n < k && st.Basis == pauli.Z && st.Anc.Col >= 2 && st.Anc.Col <= 5 {
+			bm.Set(st.Anc)
+			n++
+		}
+	}
+	var sc Scratch
+	var res Result
+	DecodePatchInto(c, pauli.Z, bm, &sc, &res)
+	if got := clusterSizes(&sc); !reflect.DeepEqual(got, []int{k}) {
+		t.Fatalf("window clusters = %v, want one %d-member cluster", got, k)
+	}
+	cells := bm.AppendCells(nil)
+	if dominatedPairs(c, cells) == 0 {
+		t.Fatal("window holds no dominated pair")
+	}
+
+	reached := map[uint32]bool{}
+	var walk func(s uint32)
+	walk = func(s uint32) {
+		if s == 0 || reached[s] {
+			return
+		}
+		reached[s] = true
+		i := bits.TrailingZeros32(s)
+		rest := s &^ (1 << uint(i))
+		walk(rest)
+		for j := i + 1; j < k; j++ {
+			a, b := cells[i], cells[j]
+			if rest&(1<<uint(j)) != 0 && plaquetteDist(a, b) < boundaryDist(c, pauli.Z, a)+boundaryDist(c, pauli.Z, b) {
+				walk(rest &^ (1 << uint(j)))
+			}
+		}
+	}
+	walk(1<<k - 1)
+
+	filled := 0
+	for _, e := range sc.memo {
+		if e.set != 0 {
+			filled++
+		}
+	}
+	if filled != len(reached) {
+		t.Fatalf("%d memo entries filled, want the %d subsets the pruned walk reaches", filled, len(reached))
+	}
+	if full := reachableSubsets[k] - 1; len(reached) >= full {
+		t.Fatalf("pruned walk reaches %d subsets, not below the full recurrence's %d", len(reached), full)
+	}
+	if want := ReferenceDecodePatch(c, pauli.Z, synFromBitmap(bm)); !resultsEqual(want, res) {
+		t.Fatal("diverged from the reference")
 	}
 }

@@ -20,8 +20,9 @@
 // The hot path is allocation-free: syndromes travel as bit-packed
 // SyndromeBitmaps, per-distance boundary tables are precomputed once, and
 // DecodePatchInto threads a reusable Scratch through clustering, the
-// exact matcher (a memoized recurrence over the F(k+2) member subsets a
-// k-syndrome cluster reaches), and path reconstruction. The map-based
+// exact matcher (a memoized recurrence over the at most F(k+2) member
+// subsets a k-syndrome cluster reaches, fewer once dominated pairings
+// are pruned), and path reconstruction. The map-based
 // DecodePatch remains as a convenience wrapper producing identical
 // results (see TestBitmapEquivalence).
 package decoder
@@ -276,6 +277,10 @@ type Scratch struct {
 	group  []int32         // per-cell group id
 	member []int32         // member gather buffer for one cluster
 	open   []bool          // greedy-fallback token state
+	// nbr[i] is the set of higher members j (bit j) that member i of the
+	// exact-matched cluster can profitably pair with:
+	// dist(i,j) < bdist(i)+bdist(j).
+	nbr [maxExactCluster]uint32
 	// memo is the exact matcher's open-addressed table of solved
 	// subsets, sized per cluster to the reachable-subset count (never
 	// 2^k) and keyed by a multiplicative hash of the subset.
@@ -401,7 +406,8 @@ func FitsExactMatcher(c surface.Code, basis pauli.Pauli, syn *SyndromeBitmap) bo
 // j, so cost(S) = min(bdist + cost(S−lowest), dist(lowest, j) +
 // cost(S−lowest−j)), ties going to the boundary and then to the lowest j.
 // The recurrence is evaluated top-down from the full cluster and
-// memoized, so only the F(k+2) subsets it reaches are ever solved.
+// memoized, so only the subsets it reaches are ever solved: at most
+// F(k+2), fewer when the cluster holds dominated pairs (see solve).
 // ReferenceDecodePatch fills the same recurrence bottom-up over all 2^k
 // subsets, and every reached subset gets the same cost and choice there.
 func decodeClusterInto(c surface.Code, basis pauli.Pauli, sc *Scratch, res *Result) {
@@ -425,9 +431,20 @@ func decodeClusterInto(c surface.Code, basis pauli.Pauli, sc *Scratch, res *Resu
 	clear(sc.memo)
 	sc.memoShift = uint32(32 - logSize)
 
+	n := len(sc.cells)
+	for a := 0; a < k; a++ {
+		ma := int(sc.member[a])
+		sc.nbr[a] = 0
+		for b := a + 1; b < k; b++ {
+			mb := int(sc.member[b])
+			if sc.dist[ma*n+mb] < sc.bdist[ma]+sc.bdist[mb] {
+				sc.nbr[a] |= 1 << uint(b)
+			}
+		}
+	}
+
 	full := uint32(1)<<uint(k) - 1
 	sc.cost(full)
-	n := len(sc.cells)
 	for s := full; s != 0; {
 		i := bits.TrailingZeros32(s)
 		mi := int(sc.member[i])
@@ -472,6 +489,13 @@ func (sc *Scratch) cost(s uint32) int32 {
 // The slot is claimed before the recursion so later inserts cannot take
 // it; the recursion only descends to strictly smaller subsets, so no
 // claimed entry is read before it is filled.
+//
+// Only the profitable partners sc.nbr[i] are tried. A dominated pair,
+// dist(i,j) >= bdist(i)+bdist(j), can never strictly beat sending i to
+// the boundary, because cost(s−i) <= bdist(j)+cost(s−i−j) (j on the
+// boundary is one way to resolve s−i). Under the strict-< rule the
+// skipped candidates never win, so every subset still reached keeps the
+// cost and choice of the full recurrence; fewer subsets are reached.
 func (sc *Scratch) solve(s uint32, h int) int32 {
 	sc.memo[h].set = s
 	i := bits.TrailingZeros32(s)
@@ -480,7 +504,7 @@ func (sc *Scratch) solve(s uint32, h int) int32 {
 	best := sc.bdist[mi] + sc.cost(rest)
 	bestJ := int32(-1)
 	n := len(sc.cells)
-	for r := rest; r != 0; r &= r - 1 {
+	for r := rest & sc.nbr[i]; r != 0; r &= r - 1 {
 		j := bits.TrailingZeros32(r)
 		pair := sc.dist[mi*n+int(sc.member[j])] + sc.cost(rest&^(1<<uint(j)))
 		if pair < best {

@@ -16,7 +16,10 @@
 // gain — emerges from the models.
 package tech
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Kind identifies a temperature/device candidate.
 type Kind int
@@ -193,15 +196,37 @@ func delayModel(vdd, vth, mobility float64) float64 {
 // PowerOrientedVddV returns the minimum supply voltage at which the 4 K
 // device matches the 300 K design point's gate delay (i.e. no performance
 // loss), found by bisection. At 300 K it returns the nominal Vdd.
+//
+// The bisection depends only on VddV, VthV and MobilityFactor, and every
+// voltage-scaled unit estimate asks for it, so each parameter set is
+// solved once per process (vddMemo).
 func (m CMOSModel) PowerOrientedVddV() float64 {
 	if m.TempK > 77 {
 		return m.VddV
 	}
+	k := vddKey{math.Float64bits(m.VddV), math.Float64bits(m.VthV), math.Float64bits(m.MobilityFactor)}
+	if v, ok := vddMemo.Load(k); ok {
+		return v.(float64)
+	}
+	v := bisectVddV(m.VddV, m.VthV, m.MobilityFactor)
+	vddMemo.Store(k, v)
+	return v
+}
+
+// vddKey is the bit pattern of PowerOrientedVddV's three inputs, so that
+// equal inputs always hit, NaN included.
+type vddKey struct{ vdd, vth, mobility uint64 }
+
+var vddMemo sync.Map // vddKey -> float64
+
+// bisectVddV finds the lowest Vdd in (vth+0.01, vdd] whose gate delay at
+// the given mobility is no worse than the 300 K design point's.
+func bisectVddV(vdd, vth, mobility float64) float64 {
 	ref := delayModel(1.1, 0.46, 1.0)
-	lo, hi := m.VthV+0.01, m.VddV
+	lo, hi := vth+0.01, vdd
 	for i := 0; i < 60; i++ {
 		mid := (lo + hi) / 2
-		if delayModel(mid, m.VthV, m.MobilityFactor) <= ref {
+		if delayModel(mid, vth, mobility) <= ref {
 			hi = mid
 		} else {
 			lo = mid

@@ -61,6 +61,29 @@ func TestMemVsLogicActivity(t *testing.T) {
 	}
 }
 
+// TestPowerOrientedVddMemo pins the memoized supply voltage to a direct
+// bisection, bit for bit, on the 4 K design point and on a second
+// parameter set, and checks a memo hit allocates nothing.
+func TestPowerOrientedVddMemo(t *testing.T) {
+	other := FreePDK45(4)
+	other.VddV, other.VthV, other.MobilityFactor = 0.9, 0.25, 1.7
+	for _, m := range []CMOSModel{FreePDK45(4), other} {
+		want := bisectVddV(m.VddV, m.VthV, m.MobilityFactor)
+		for i := 0; i < 2; i++ { // the first call fills the memo, the second reads it
+			if got := m.PowerOrientedVddV(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Vdd=%g Vth=%g mobility=%g: call %d = %v, direct bisection %v",
+					m.VddV, m.VthV, m.MobilityFactor, i, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = m.PowerOrientedVddV() }); allocs != 0 {
+			t.Fatalf("memo hit allocates %.1f/op, want 0", allocs)
+		}
+	}
+	if FreePDK45(4).PowerOrientedVddV() == other.PowerOrientedVddV() {
+		t.Fatal("distinct parameter sets share a memo entry")
+	}
+}
+
 func TestVoltageScalingFactor(t *testing.T) {
 	m := FreePDK45(4)
 	f := m.VoltageScalingPowerFactor()
