@@ -20,6 +20,7 @@ import (
 	"xqsim"
 	"xqsim/internal/cli"
 	"xqsim/internal/config"
+	"xqsim/internal/core"
 	"xqsim/internal/prof"
 )
 
@@ -71,6 +72,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		_, _ = fmt.Fprintf(stderr, "xqsim: -shots must be at least 1 with -functional, got %d\n", *shots)
 		return 2
 	}
+	if err := core.CheckCode(*d, *p); err != nil {
+		_, _ = fmt.Fprintln(stderr, "xqsim:", err)
+		return 2
+	}
 	stopProf, err := prof.StartPaths(profiles.CPU, profiles.Mem)
 	if err != nil {
 		_, _ = fmt.Fprintln(stderr, "prof:", err)
@@ -89,6 +94,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	circ, err := buildWorkload(*workload, *lq, *pprs, *product, *seed)
 	if err != nil {
 		return fail(err)
+	}
+	if *functional {
+		if err := core.CheckRun(circ.NLQ, *d, *p); err != nil {
+			_, _ = fmt.Fprintln(stderr, "xqsim:", err)
+			return 2
+		}
 	}
 
 	sys, scheme, err := buildSystem(*system, *d)

@@ -88,6 +88,10 @@ func TestRunExitCodes(t *testing.T) {
 		{"unwritable trace", nil, []string{"-d", "3", "-trace", filepath.Join(dir, "absent", "trace.json")}, 1, ""},
 		{"interrupted", canceled, []string{"-d", "3"}, 1, ""},
 		{"zero shots", nil, []string{"-workload", "ppr", "-product", "ZZ", "-d", "3", "-shots", "0", "-functional"}, 2, "-shots must be at least 1"},
+		{"even distance", nil, []string{"-d", "4"}, 2, "code distance must be odd"},
+		{"huge distance", nil, []string{"-d", "100001"}, 2, "code distance must be odd"},
+		{"error rate out of range", nil, []string{"-p", "7"}, 2, "physical error rate must be in [0, 1)"},
+		{"too many functional qubits", nil, []string{"-lq", "40", "-functional"}, 2, "logical qubits, got 40"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -80,19 +80,20 @@ func run(w *strings.Builder) error {
 		}
 	}
 
-	// Cycle cost of each token-setup scheme over a large cell array
-	// (the matching is identical across schemes; only latency differs).
+	// Cycle cost of the same window under each token-setup scheme over a
+	// large cell array (the matching is identical across schemes; only
+	// latency differs). The priority price is the matching backend's.
 	res := decoder.DecodePatch(code, pauli.Z, syn)
 	totalCells := 30000 // e.g. ancillas of a 60K-qubit machine
 	fmt.Fprintf(w, "\nEDU cycles over a %d-cell array:\n", totalCells)
 	for _, s := range []decoder.Scheme{
 		decoder.SchemeRoundRobin, decoder.SchemePriority, decoder.SchemePatchSliding,
 	} {
-		cycles := decoder.SchemeCycles(s, res.Matches, totalCells, 12)
+		cycles := decoder.WindowCycles(s, d, res.Matches, nil, totalCells, 12)
 		fmt.Fprintf(w, "  %-14s %8d cycles", s, cycles)
 		switch s {
 		case decoder.SchemeRoundRobin:
-			fmt.Fprint(w, "   (token shifts once per cell: the Fig. 15a bottleneck)")
+			fmt.Fprint(w, "   (token shifts once per cell per round: the Fig. 15a bottleneck)")
 		case decoder.SchemePriority:
 			fmt.Fprint(w, "   (Optimization #1: direct token allocation)")
 		case decoder.SchemePatchSliding:

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -29,5 +30,15 @@ func TestRun(t *testing.T) {
 	}
 	if strings.Contains(out, "!! correction does not annihilate") {
 		t.Errorf("a backend failed to annihilate the syndrome:\n%s", out)
+	}
+	// The matching backend and the priority scheme price the same
+	// window with the same function, so the two counts agree.
+	backend := regexp.MustCompile(`backend matching: \d+ matches, (\d+) cycles`).FindStringSubmatch(out)
+	priority := regexp.MustCompile(`\n  priority +(\d+) cycles`).FindStringSubmatch(out)
+	if backend == nil || priority == nil {
+		t.Fatalf("cycle counts missing from the report:\n%s", out)
+	}
+	if backend[1] != priority[1] {
+		t.Errorf("priority window costs %s cycles, matching backend %s", priority[1], backend[1])
 	}
 }

@@ -35,8 +35,42 @@ type rateEntry struct {
 	err error
 }
 
+// rateMemoCap bounds the rate memo. Each key holds about 3.3 KB (its
+// entry keeps the reference run's metrics), so a full memo is about
+// 3.4 MB; xqsweep -all needs four keys per seed and the code-distance
+// ablation five, far below the cap.
+const rateMemoCap = 1024
+
+// rateMemo is the process-wide MeasureRates memo. It holds at most
+// rateMemoCap keys and evicts the oldest first. An evicted key is
+// measured again, bit-identically, on its next use; callers already
+// holding its entry still share that entry's one run.
+type rateMemo struct {
+	mu      sync.Mutex
+	entries map[rateKey]*rateEntry
+	order   []rateKey // the keys of entries, oldest first
+}
+
+// entry returns key's memo entry, inserting an unfilled one on first
+// sight.
+func (m *rateMemo) entry(key rateKey) *rateEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.entries[key]; ok {
+		return e
+	}
+	if len(m.order) == rateMemoCap {
+		delete(m.entries, m.order[0])
+		m.order = m.order[1:]
+	}
+	e := &rateEntry{}
+	m.entries[key] = e
+	m.order = append(m.order, key)
+	return e
+}
+
 var (
-	rateCache sync.Map // rateKey -> *rateEntry
+	rateCache = rateMemo{entries: make(map[rateKey]*rateEntry)}
 	// rateMisses counts actual pipeline executions (cache fills), for
 	// tests and for judging sweep-level reuse.
 	rateMisses atomic.Int64
@@ -80,10 +114,11 @@ func RateCacheKey(d int, physError float64, scheme decoder.Scheme, seed int64) s
 // Results are memoized per (d, physError, scheme, seed): the sweep grids
 // re-measure the same operating point many times (every figure starts
 // from the same d=15 reference run), and a rate measurement is by far the
-// most expensive step of a sweep. The memoization is concurrency-safe
-// and single-flight — parallel callers asking for the same key run one
-// pipeline, not N. Use MeasureRatesUncached to force a fresh run (e.g.
-// when profiling the pipeline itself).
+// most expensive step of a sweep. The memoization is concurrency-safe,
+// single-flight — parallel callers asking for the same key run one
+// pipeline, not N — and bounded to rateMemoCap keys. Use
+// MeasureRatesUncached to force a fresh run (e.g. when profiling the
+// pipeline itself).
 func MeasureRates(d int, physError float64, scheme decoder.Scheme, seed int64) Rates {
 	e := settledRates(rateKey{d: d, physError: physError, scheme: scheme, seed: seed})
 	if e.err != nil {
@@ -125,11 +160,7 @@ func RunScalingWorkload(d int, physError float64, scheme decoder.Scheme, seed in
 // durable RateStore when that holds the key, otherwise by one reference
 // run, whose rates are then persisted.
 func settledRates(key rateKey) *rateEntry {
-	e, ok := rateCache.Load(key)
-	if !ok {
-		e, _ = rateCache.LoadOrStore(key, &rateEntry{})
-	}
-	entry := e.(*rateEntry)
+	entry := rateCache.entry(key)
 	entry.once.Do(func() {
 		storeKey := RateCacheKey(key.d, key.physError, key.scheme, key.seed)
 		if p := ratePersist.Load(); p != nil {

@@ -17,13 +17,62 @@ import (
 // process (go test -count=N) starts from cold keys again.
 func forgetRates(t *testing.T, seed int64) {
 	t.Cleanup(func() {
-		rateCache.Range(func(k, _ any) bool {
-			if k.(rateKey).seed == seed {
-				rateCache.Delete(k)
+		rateCache.mu.Lock()
+		defer rateCache.mu.Unlock()
+		kept := rateCache.order[:0]
+		for _, k := range rateCache.order {
+			if k.seed == seed {
+				delete(rateCache.entries, k)
+			} else {
+				kept = append(kept, k)
 			}
-			return true
-		})
+		}
+		rateCache.order = kept
 	})
+}
+
+// memoHas reports whether key is in the rate memo.
+func memoHas(key rateKey) bool {
+	rateCache.mu.Lock()
+	defer rateCache.mu.Unlock()
+	_, ok := rateCache.entries[key]
+	return ok
+}
+
+// TestMeasureRatesMemoBounded fills the memo with rateMemoCap+1 distinct
+// d=3 keys: it never holds more than the cap, the oldest key is the one
+// evicted, and measuring it again runs the pipeline exactly once and
+// reproduces its first rates bit for bit.
+func TestMeasureRatesMemoBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures rateMemoCap+1 reference runs")
+	}
+	const base = 910000
+	for s := int64(base); s <= base+rateMemoCap; s++ {
+		forgetRates(t, s)
+	}
+	first := rateKey{d: 3, physError: 0.001, scheme: decoder.SchemePriority, seed: base}
+	want := MeasureRates(3, 0.001, decoder.SchemePriority, base)
+	for s := int64(base + 1); s <= base+rateMemoCap; s++ {
+		MeasureRates(3, 0.001, decoder.SchemePriority, s)
+		rateCache.mu.Lock()
+		n, m := len(rateCache.entries), len(rateCache.order)
+		rateCache.mu.Unlock()
+		if n > rateMemoCap || m != n {
+			t.Fatalf("memo holds %d entries (%d ordered), cap %d", n, m, rateMemoCap)
+		}
+	}
+	if memoHas(first) {
+		t.Fatal("the oldest key survived rateMemoCap newer inserts")
+	}
+	before := rateMisses.Load()
+	if got := MeasureRates(3, 0.001, decoder.SchemePriority, base); got != want {
+		t.Fatalf("re-measured rates %+v, first measurement %+v", got, want)
+	}
+	MeasureRates(3, 0.001, decoder.SchemePriority, base)
+	if got := rateMisses.Load() - before; got != 1 {
+		t.Fatalf("the evicted key ran the pipeline %d times, want 1", got)
+	}
 }
 
 func TestMeasureRatesMemoized(t *testing.T) {
@@ -50,7 +99,7 @@ func TestMeasureRatesUncachedBypasses(t *testing.T) {
 	forgetRates(t, seed)
 	u := MeasureRatesUncached(3, 0.001, decoder.SchemePriority, seed)
 	key := rateKey{d: 3, physError: 0.001, scheme: decoder.SchemePriority, seed: seed}
-	if _, ok := rateCache.Load(key); ok {
+	if memoHas(key) {
 		t.Fatal("MeasureRatesUncached populated the cache")
 	}
 	if c := MeasureRates(3, 0.001, decoder.SchemePriority, seed); c != u {

@@ -44,6 +44,49 @@ func PipelineConfig(d int, physError float64, scheme decoder.Scheme, functional 
 	}
 }
 
+// Bounds on a run's inputs, which CheckCode and CheckRun enforce before
+// any simulator state is allocated.
+const (
+	// MaxDistance bounds the code distance. A run's work grows as d^3 (d
+	// rounds over d^2 sites per patch and window): one xqsim run at d=101,
+	// a shot plus its rate measurement, takes about 3.5 s on a 2-vCPU
+	// machine, and no experiment here goes past d=21 (the decoder
+	// tournament's grid).
+	MaxDistance = 101
+	// MaxRunLQ bounds a functional run's logical qubits. RunShotsOpt
+	// tallies 2^nLQ outcomes per worker and the exact reference holds a
+	// 2^nLQ-amplitude state vector: 8 MiB and 16 MiB at 20, inside
+	// statevec's limit of 24 qubits.
+	MaxRunLQ = 20
+)
+
+// CheckCode reports whether d and physError describe a code the
+// simulator runs: d odd (surface.NewCode's rotated layout) and in
+// [3, MaxDistance], and physError a per-site probability in [0, 1)
+// (noise.NewModel's domain).
+func CheckCode(d int, physError float64) error {
+	if d < 3 || d%2 == 0 || d > MaxDistance {
+		return fmt.Errorf("core: code distance must be odd and in [3, %d], got %d", MaxDistance, d)
+	}
+	if !(physError >= 0 && physError < 1) {
+		return fmt.Errorf("core: physical error rate must be in [0, 1), got %g", physError)
+	}
+	return nil
+}
+
+// CheckRun is CheckCode plus a functional run's bound on the circuit's
+// logical qubits, 1 <= nLQ <= MaxRunLQ. NewShotRunner applies it, so
+// RunShotsOpt and ValidateCircuit return its error.
+func CheckRun(nLQ, d int, physError float64) error {
+	if err := CheckCode(d, physError); err != nil {
+		return err
+	}
+	if nLQ < 1 || nLQ > MaxRunLQ {
+		return fmt.Errorf("core: a functional run takes 1 to %d logical qubits, got %d", MaxRunLQ, nLQ)
+	}
+	return nil
+}
+
 // RunOptions tunes RunShotsOpt beyond the standard happy path.
 type RunOptions struct {
 	// Faults configures deterministic fault injection in every shot's
@@ -91,6 +134,9 @@ type ShotRunner struct {
 // NewShotRunner validates and compiles circ once and builds the reusable
 // pipeline. Shot s of RunShot draws its stream from ShotSeed(seed, s).
 func NewShotRunner(circ compiler.Circuit, d int, physError float64, seed int64, opts RunOptions) (*ShotRunner, error) {
+	if err := CheckRun(circ.NLQ, d, physError); err != nil {
+		return nil, err
+	}
 	if err := opts.Faults.Validate(); err != nil {
 		return nil, err
 	}
@@ -234,12 +280,14 @@ func ValidateCircuit(ctx context.Context, circ compiler.Circuit, d int, physErro
 	if err := circ.Validate(); err != nil {
 		return 0, nil, nil, err
 	}
+	// The shots run first: NewShotRunner's input check then guards the
+	// reference's state vector too.
 	sub := circ.SubstituteStabilizer()
-	ref = compiler.ReferenceDistribution(sub)
 	phys, _, err = RunShots(ctx, sub, d, physError, shots, seed)
 	if err != nil {
 		return 0, nil, nil, err
 	}
+	ref = compiler.ReferenceDistribution(sub)
 	return statevec.TotalVariation(ref, phys), phys, ref, nil
 }
 
@@ -311,7 +359,7 @@ func memoryTrial(d int, p float64, windows int, trialSeed int64, fcfg faults.Con
 		// The injector prices the window at the same decode cost the full
 		// pipeline would; under backpressure overflow the data qubits
 		// idle (and decohere) for the excess rounds.
-		wo := inj.Window(microarch.DecodeWindowCycles(decoder.SchemePriority, d, wd), d)
+		wo := inj.Window(decoder.WindowCycles(decoder.SchemePriority, d, wd.MatchesZ, wd.MatchesX, wd.ActiveCells, wd.Windows), d)
 		for i := 0; i < wo.BackpressureRounds; i++ {
 			b.InjectRoundNoise()
 		}
@@ -384,7 +432,7 @@ func (r *MemoryRunner) Trial(windows int, trialSeed int64) (fail bool, tot fault
 			b.MeasureSyndromesRound(rd == r.d-1)
 		}
 		wd := b.FinishWindow()
-		wo := r.inj.Window(microarch.DecodeWindowCycles(decoder.SchemePriority, r.d, wd), r.d)
+		wo := r.inj.Window(decoder.WindowCycles(decoder.SchemePriority, r.d, wd.MatchesZ, wd.MatchesX, wd.ActiveCells, wd.Windows), r.d)
 		for i := 0; i < wo.BackpressureRounds; i++ {
 			b.InjectRoundNoise()
 		}

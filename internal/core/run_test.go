@@ -52,6 +52,45 @@ func TestRunShotsRejectsNoShots(t *testing.T) {
 	}
 }
 
+// TestRunShotsRejectsUnrunnableInputs: an even or oversized distance, an
+// error rate outside [0, 1) and a circuit too wide to tally are errors
+// from NewShotRunner, before any tally, layout or state vector exists.
+func TestRunShotsRejectsUnrunnableInputs(t *testing.T) {
+	ctx := context.Background()
+	small := compiler.SinglePPR("ZZ", ftqc.AnglePi4)
+	cases := []struct {
+		name string
+		circ compiler.Circuit
+		d    int
+		p    float64
+	}{
+		{"even d", small, 4, 0.001},
+		{"d below 3", small, 1, 0.001},
+		{"d above MaxDistance", small, MaxDistance + 2, 0.001},
+		{"p = 1", small, 3, 1},
+		{"p = 7", small, 3, 7},
+		{"negative p", small, 3, -0.1},
+		{"40 logical qubits", compiler.RandomPPR(40, 1, 1), 3, 0.001},
+		{"past statevec's 24", compiler.RandomPPR(25, 1, 1), 3, 0.001},
+	}
+	for _, tc := range cases {
+		if _, _, err := RunShots(ctx, tc.circ, tc.d, tc.p, 4, 1); err == nil {
+			t.Errorf("%s: RunShots accepted it", tc.name)
+		}
+		if _, _, _, err := ValidateCircuit(ctx, tc.circ, tc.d, tc.p, 4, 1); err == nil {
+			t.Errorf("%s: ValidateCircuit accepted it", tc.name)
+		}
+	}
+	for _, ok := range []struct {
+		nLQ, d int
+		p      float64
+	}{{1, 3, 0}, {MaxRunLQ, MaxDistance, 0.999}} {
+		if err := CheckRun(ok.nLQ, ok.d, ok.p); err != nil {
+			t.Errorf("CheckRun(%d, %d, %g) = %v, want nil", ok.nLQ, ok.d, ok.p, err)
+		}
+	}
+}
+
 func TestValidateCircuitTableThreeRegime(t *testing.T) {
 	// A single-PPR benchmark at d=3, p=0.1% must validate with small dTV
 	// (the Table-3 regime).

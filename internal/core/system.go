@@ -343,8 +343,11 @@ func (s *System) Evaluate(nPhys int, r Rates) Report {
 	// consume each ESM round.
 	rep.InstBandwidthGbps = r.BitsPerQubitPerRound * float64(nPhys) / roundNs
 
-	// (2) Decode latency per window under the system's token scheme
-	// (mirrors the pipeline's decodeCycles model).
+	// (2) Decode latency per window under the system's token scheme: an
+	// analytic copy of decoder.WindowCycles, the pipeline's window price,
+	// with the same per-match spike term. Round-robin differs: this
+	// charges d cycles for every cell (nPhys/2), the pipeline only for
+	// its active cells; which one the hardware implies is still open.
 	tokens := r.SyndromesPerQubitPerWindow * float64(nPhys) * r.MatchesPerSyndrome
 	spikePerMatch := 2*r.AvgMatchSteps + float64(decoder.SpikeWaitCycles(s.D)) + decoder.SpikeOverheadCycles
 	cells := float64(nPhys) / 2

@@ -12,8 +12,7 @@ import (
 // consumes the bit-packed syndrome of one patch window and produces the
 // correction plus a modeled cycle cost, so alternative decoders (the
 // exact spike/token matcher, union-find, ...) can be raced against each
-// other on accuracy and latency and swapped into the streaming decoder
-// and the cycle-level pipeline.
+// other on accuracy and latency in the streaming decoder.
 //
 // Contract, pinned by verify.CheckBackends and FuzzUnionFind:
 //
@@ -66,20 +65,6 @@ func NewBackendByName(name string) (Backend, error) {
 	return nil, fmt.Errorf("decoder: unknown backend %q (have %v)", name, BackendNames())
 }
 
-// matchingCycleCost is the priority-encoder EDU latency model for a list
-// of committed matches: one token-allocation cycle per match plus the
-// spike round trip (2 steps per chain hop, the patch-crossing wait, and
-// the per-token overhead) — the same per-match terms
-// microarch.DecodeWindowCycles charges under SchemePriority.
-func matchingCycleCost(d int, matches []Match) uint64 {
-	total := len(matches)
-	wait := SpikeWaitCycles(d)
-	for _, m := range matches {
-		total += 2*m.Steps + wait + SpikeOverheadCycles
-	}
-	return uint64(total)
-}
-
 // MatchingBackend adapts the production spike/token matcher
 // (DecodePatchInto: exact memoized matching per cluster) to the Backend
 // interface. Its corrections are bit-identical to ReferenceDecodePatch.
@@ -96,8 +81,11 @@ func (b *MatchingBackend) Name() string { return "matching" }
 // Clone implements Backend.
 func (b *MatchingBackend) Clone() Backend { return NewMatchingBackend() }
 
-// Decode implements Backend via DecodePatchInto.
+// Decode implements Backend via DecodePatchInto. Its cost is the
+// priority-encoder window price of the one basis decoded, so the
+// tournament and the pipeline charge the same cycles for the same
+// matches.
 func (b *MatchingBackend) Decode(c surface.Code, basis pauli.Pauli, syn *SyndromeBitmap, res *Result) uint64 {
 	DecodePatchInto(c, basis, syn, &b.sc, res)
-	return matchingCycleCost(c.D, res.Matches)
+	return WindowCycles(SchemePriority, c.D, res.Matches, nil, 0, 0)
 }

@@ -200,14 +200,27 @@ func TestUnionFindAdjacentPairMatches(t *testing.T) {
 // from pipeline latencies for the same decode.
 func TestMatchingCycleCostMatchesPipelineModel(t *testing.T) {
 	d := 7
-	matches := []Match{{Steps: 2}, {Steps: 5, ToBoundary: true}}
-	want := uint64(0)
-	for _, m := range matches {
-		want += uint64(2*m.Steps + 4*(d+1) + SpikeOverheadCycles)
+	literal := func(matches []Match) uint64 {
+		want := uint64(len(matches))
+		for _, m := range matches {
+			want += uint64(2*m.Steps + 4*(d+1) + SpikeOverheadCycles)
+		}
+		return want
 	}
-	want += uint64(len(matches))
-	if got := matchingCycleCost(d, matches); got != want {
-		t.Fatalf("matchingCycleCost = %d, want %d", got, want)
+	matches := []Match{{Steps: 2}, {Steps: 5, ToBoundary: true}}
+	if got, want := WindowCycles(SchemePriority, d, matches, nil, 0, 0), literal(matches); got != want {
+		t.Fatalf("WindowCycles(priority) = %d, want %d", got, want)
+	}
+	c := surface.NewCode(d)
+	bm := NewSyndromeBitmap(c)
+	bm.FromMap(SyndromeOf(c, pauli.Z, []surface.Coord{{Row: 1, Col: 1}, {Row: 3, Col: 4}, {Row: 5, Col: 2}}))
+	var res Result
+	got := NewMatchingBackend().Decode(c, pauli.Z, bm, &res)
+	if len(res.Matches) == 0 {
+		t.Fatal("no matches decoded")
+	}
+	if want := literal(res.Matches); got != want {
+		t.Fatalf("MatchingBackend.Decode = %d cycles, want %d", got, want)
 	}
 }
 

@@ -12,10 +12,11 @@
 //
 // The matching itself is identical across schemes (the paper's
 // optimizations change latency and power, not the decode result); this
-// package computes matches, correction paths, and per-scheme cycle
-// accounting inputs. Decoding is per basis type: Z-type plaquettes detect
-// X errors, whose chains terminate on the X-boundaries (left/right in the
-// canonical orientation), and symmetrically for X-type plaquettes.
+// package computes matches and correction paths, and WindowCycles prices
+// a decode window under each scheme. Decoding is per basis type: Z-type
+// plaquettes detect X errors, whose chains terminate on the X-boundaries
+// (left/right in the canonical orientation), and symmetrically for
+// X-type plaquettes.
 //
 // The hot path is allocation-free: syndromes travel as bit-packed
 // SyndromeBitmaps, per-distance boundary tables are precomputed once, and
@@ -29,7 +30,6 @@ package decoder
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 
 	"xqsim/internal/pauli"
@@ -351,7 +351,7 @@ func (sc *Scratch) prepare(c surface.Code, basis pauli.Pauli) int {
 // terminates on an open boundary, minimizing the total chain length. This
 // is the matching the racing spikes of the cell array converge to (the
 // earliest spike to arrive wins); the per-scheme token setup changes only
-// the cycle cost, computed separately by SchemeCycles.
+// the cycle cost, computed separately by WindowCycles.
 //
 // Syndromes are first split into independent clusters (two syndromes can
 // only be profitably paired when their distance is below the sum of their
@@ -649,39 +649,52 @@ const SpikeOverheadCycles = 4
 // cell waits for the racing spikes to cross the patch-sized cell window
 // and reflect before committing a match (4*(d+1) cell hops). Two cycles
 // per chain step, this wait and SpikeOverheadCycles are the per-match
-// spike cost that the window decode (microarch.DecodeWindowCycles), the
-// matching backend and the scalability evaluation (core.System.Evaluate)
-// charge.
+// spike cost that WindowCycles charges under every scheme and that the
+// scalability evaluation (core.System.Evaluate) charges analytically.
 func SpikeWaitCycles(d int) int { return 4 * (d + 1) }
 
-// SchemeCycles models the EDU cycle count for one decode window under a
-// token-setup scheme.
+// WindowCycles is the EDU's latency for one decode window of d ESM
+// rounds, given the window's Z-plaquette matches z and X-plaquette
+// matches x in token order:
 //
-//   - Round-robin pays one cycle per EDU cell scanned while shifting the
-//     token across the whole array (totalCells), plus the spike round trip
-//     per match.
-//   - The priority encoder allocates each token in a single cycle.
-//   - Patch-sliding matches the priority encoder's latency, adding one
+//   - round-robin (baseline, Fig. 15a): the shared token circulates
+//     through every active cell once per ESM round of the window, plus
+//     the per-match spike traffic of both bases;
+//   - priority (Optimization #1, Fig. 15b): the X and Z cell arrays
+//     decode in parallel; each token allocation costs a single cycle
+//     plus the spike window, and the slower basis sets the latency;
+//   - patch-sliding (Optimization #4, Fig. 20): priority latency plus one
 //     pipeline-fill cycle per window slide (the double-buffered global
 //     ESM_srmem hides the reload itself).
 //
-// It returns the modeled cycles. totalCells is the number of cells in the
-// scanned array (all active ancillas of the basis); numWindows is the
-// number of window slides (patch-sliding only).
-func SchemeCycles(s Scheme, matches []Match, totalCells, numWindows int) int {
-	cycles := 0
-	for _, m := range matches {
-		cycles += 2*m.Steps + SpikeOverheadCycles
+// activeCells is the number of EDU cells participating (all active
+// ancillas) and slides the number of window slides; each only enters
+// its own scheme's term. It is the one price of a window: the pipeline,
+// the memory experiment's fault injector and MatchingBackend all charge
+// it.
+func WindowCycles(s Scheme, d int, z, x []Match, activeCells, slides int) uint64 {
+	wait := SpikeWaitCycles(d)
+	spikes := func(ms []Match) int {
+		total := 0
+		for _, m := range ms {
+			total += 2*m.Steps + wait + SpikeOverheadCycles
+		}
+		return total
+	}
+	perBasis := func(ms []Match) int {
+		return len(ms) + spikes(ms)
 	}
 	switch s {
 	case SchemeRoundRobin:
-		cycles += totalCells
+		// spikes is additive over matches, so summing the two bases equals
+		// spiking the combined slice without materializing it.
+		return uint64(d*activeCells + spikes(z) + spikes(x))
 	case SchemePriority:
-		cycles += len(matches)
+		return uint64(max(perBasis(z), perBasis(x)))
 	case SchemePatchSliding:
-		cycles += len(matches) + numWindows
+		return uint64(max(perBasis(z), perBasis(x)) + slides)
 	}
-	return cycles
+	return 0
 }
 
 // ResidualLogicalError reports whether error plus correction flips the
@@ -690,59 +703,4 @@ func SchemeCycles(s Scheme, matches []Match, totalCells, numWindows int) int {
 // logical-error accounting and for tests.
 func ResidualLogicalError(c surface.Code, basis pauli.Pauli, errors, correction []surface.Coord) bool {
 	return residualLogicalError(c, basis, errors, correction)
-}
-
-// LatticeSyndrome maps patch index -> non-trivial plaquettes of one basis.
-type LatticeSyndrome map[int]map[surface.Coord]bool
-
-// DecodeLattice decodes every patch of a lattice syndrome with the full
-// per-ancilla cell array (the baseline organization: all patches' cells
-// exist simultaneously). Patches decode in ascending index order — the
-// per-patch results are independent, but the explicit order keeps the
-// whole walk reproducible instead of following map iteration order.
-func DecodeLattice(c surface.Code, basis pauli.Pauli, syn LatticeSyndrome) map[int]Result {
-	patches := make([]int, 0, len(syn))
-	for p := range syn {
-		patches = append(patches, p)
-	}
-	sort.Ints(patches)
-	out := make(map[int]Result, len(syn))
-	for _, patch := range patches {
-		out[patch] = DecodePatch(c, basis, syn[patch])
-	}
-	return out
-}
-
-// DecodeLatticeSliding decodes the same lattice through Optimization #4's
-// sliding window: a constant-size cell array serves `window` patches at a
-// time, sliding across the lattice in patch order (Fig. 20). It returns
-// the per-patch results plus the number of window slides performed.
-//
-// The paper's key insight — non-trivial syndromes pair within the code
-// distance, so matching restricted to the window equals the full-array
-// matching — holds by construction here; TestPatchSlidingEquivalence
-// asserts it.
-func DecodeLatticeSliding(c surface.Code, basis pauli.Pauli, syn LatticeSyndrome, window int) (map[int]Result, int) {
-	if window < 1 {
-		window = 6
-	}
-	patches := make([]int, 0, len(syn))
-	for p := range syn {
-		patches = append(patches, p)
-	}
-	sort.Ints(patches)
-	out := make(map[int]Result, len(syn))
-	slides := 0
-	for start := 0; start < len(patches); start += window {
-		end := start + window
-		if end > len(patches) {
-			end = len(patches)
-		}
-		// One window load decodes its resident patches.
-		for _, p := range patches[start:end] {
-			out[p] = DecodePatch(c, basis, syn[p])
-		}
-		slides++
-	}
-	return out, slides
 }

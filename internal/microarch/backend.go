@@ -69,12 +69,6 @@ type Backend struct {
 	synBM  *decoder.SyndromeBitmap //xqlint:persistent decode scratch, rebuilt per window
 	decSc  decoder.Scratch         //xqlint:persistent decode scratch, overwritten per decode
 	decRes decoder.Result          //xqlint:persistent decode scratch, overwritten per decode
-	// dec, when set, replaces the direct DecodePatchInto call with a
-	// pluggable decode backend whose modeled cycle cost FinishWindow
-	// reports in WindowDecode.DecoderCycles. nil keeps the exact matcher
-	// on the historical zero-cost path (the pipeline then prices the
-	// window purely from DecodeWindowCycles).
-	dec decoder.Backend //xqlint:persistent configured decode backend, not shot state
 
 	// Syndrome state is bit-packed over the check templates: bit si is
 	// regular check si for si < len(stabs), then seam check
@@ -718,10 +712,10 @@ func selectBits(dst, mask []uint64, idx []int) {
 	}
 }
 
-// WindowDecode is the per-window decoding outcome consumed by the EDU
-// cycle model. Matches are split per basis because Optimization #1's
-// priority-encoder EDU decodes the X- and Z-cell arrays in parallel,
-// while the baseline round-robin token chain is shared.
+// WindowDecode is the per-window decoding outcome that
+// decoder.WindowCycles prices. Matches are split per basis because
+// Optimization #1's priority-encoder EDU decodes the X- and Z-cell arrays
+// in parallel, while the baseline round-robin token chain is shared.
 type WindowDecode struct {
 	MatchesZ    []decoder.Match // Z-plaquette (X-error) matches
 	MatchesX    []decoder.Match // X-plaquette (Z-error) matches
@@ -729,29 +723,6 @@ type WindowDecode struct {
 	Windows     int             // patch windows processed (patch-sliding slides)
 	Syndromes   int             // non-trivial syndrome count
 	Flips       int             // identified data-qubit errors
-	// DecoderCycles is the pluggable backend's modeled decode cost for
-	// the window (0 when no backend is installed); the pipeline charges
-	// max(DecodeWindowCycles, DecoderCycles) so a slower backend visibly
-	// stretches the EDU critical path.
-	DecoderCycles uint64
-}
-
-// SetDecoder installs a pluggable decode backend for every subsequent
-// FinishWindow. The backend must be private to this Backend (callers
-// Clone before installing); passing nil restores the direct matcher
-// path.
-func (b *Backend) SetDecoder(dec decoder.Backend) { b.dec = dec }
-
-// Decoder returns the installed decode backend (nil on the direct
-// matcher path).
-func (b *Backend) Decoder() decoder.Backend { return b.dec }
-
-// Matches returns both bases' matches combined.
-func (w WindowDecode) Matches() []decoder.Match {
-	out := make([]decoder.Match, 0, len(w.MatchesZ)+len(w.MatchesX))
-	out = append(out, w.MatchesZ...)
-	out = append(out, w.MatchesX...)
-	return out
 }
 
 // FinishWindow decodes the accumulated detection events of every active
@@ -816,11 +787,7 @@ func (b *Backend) FinishWindow() WindowDecode {
 				continue
 			}
 			out.Syndromes += nontrivial
-			if b.dec != nil {
-				out.DecoderCycles += b.dec.Decode(b.Code, basis, b.synBM, &b.decRes)
-			} else {
-				decoder.DecodePatchInto(b.Code, basis, b.synBM, &b.decSc, &b.decRes)
-			}
+			decoder.DecodePatchInto(b.Code, basis, b.synBM, &b.decSc, &b.decRes)
 			res := &b.decRes
 			if basis == pauli.Z {
 				out.MatchesZ = append(out.MatchesZ, res.Matches...)

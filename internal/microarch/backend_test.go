@@ -89,7 +89,7 @@ func TestSingleErrorDecodedThroughWindow(t *testing.T) {
 		b.MeasureSyndromes()
 	}
 	res := b.FinishWindow()
-	if len(res.Matches()) == 0 {
+	if len(res.MatchesZ)+len(res.MatchesX) == 0 {
 		t.Fatal("no matches decoded")
 	}
 	pr := pauli.NewProduct(b.NumLQ())

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"xqsim/internal/decoder"
 	"xqsim/internal/ftqc"
 	"xqsim/internal/isa"
 	"xqsim/internal/pauli"
@@ -531,12 +532,7 @@ func (p *Pipeline) execRunESM(cp *CompiledProgram, u *uop) {
 		p.M.MatchesSum++
 		p.M.MatchStepsSum += m.Steps
 	}
-	cycles := DecodeWindowCycles(p.Cfg.Scheme, p.Cfg.D, wd)
-	if wd.DecoderCycles > cycles {
-		// A pluggable decode backend slower than the scheme's structural
-		// model stretches the EDU critical path.
-		cycles = wd.DecoderCycles
-	}
+	cycles := decoder.WindowCycles(p.Cfg.Scheme, p.Cfg.D, wd.MatchesZ, wd.MatchesX, wd.ActiveCells, wd.Windows)
 	// Fault injection: a decoder stall spike multiplies the window's
 	// decode latency and backs syndromes up in the buffer; an overflow
 	// under backpressure idles the data qubits (extra decoherence rounds

@@ -102,18 +102,9 @@ type Config struct {
 	Seed       int64
 	Functional bool // enable the stabilizer tableau (logical outcomes)
 
+	// Scheme is the EDU's token-setup scheme, which prices every decode
+	// window (decoder.WindowCycles).
 	Scheme decoder.Scheme
-	// DecoderBackend, when non-nil, is the pluggable EDU decode
-	// implementation (decoder.NewBackendByName); each pipeline installs
-	// its own Clone so parallel shot runners never share scratch. nil
-	// keeps the direct matcher path, priced by the scheme's structural
-	// model alone (DecodeWindowCycles), and stays the default: a backend
-	// reports the sum of both bases' decode costs, while Opt #1 decodes X
-	// and Z in parallel. Even MatchingBackend, whose corrections are
-	// bit-identical, therefore charges more under priority and
-	// patch-sliding (46,492 instead of 25,659 cycles on the d=15
-	// MeasureRates workload, seed 1) and the same under round-robin.
-	DecoderBackend decoder.Backend
 	// MaskGenerators is the PSU mask-generator count; MaskSharing is
 	// Optimization #2's per-generator qubit multiplier.
 	MaskGenerators int
@@ -171,7 +162,7 @@ func NewPipeline(layout *surface.PPRLayout, cfg Config) *Pipeline {
 	if cfg.MaskSharing <= 0 {
 		cfg.MaskSharing = 1
 	}
-	p := &Pipeline{
+	return &Pipeline{
 		Cfg:          cfg,
 		B:            NewBackend(layout, cfg.PhysError, cfg.Seed, cfg.Functional),
 		byproduct:    pauli.NewProduct(layout.NLQ + 2),
@@ -179,10 +170,6 @@ func NewPipeline(layout *surface.PPRLayout, cfg Config) *Pipeline {
 		lqmScratch:   pauli.NewProduct(layout.NLQ + 2),
 		inj:          faults.NewInjector(cfg.Faults, cfg.Seed),
 	}
-	if cfg.DecoderBackend != nil {
-		p.B.SetDecoder(cfg.DecoderBackend.Clone())
-	}
-	return p
 }
 
 // Reset rewinds the pipeline to the state NewPipeline would hand back for
@@ -244,53 +231,6 @@ func (p *Pipeline) Run(prog isa.Program) error {
 		return err
 	}
 	return p.RunCompiled(context.Background(), cp)
-}
-
-// DecodeWindowCycles costs one window decode under the given scheme:
-//
-//   - round-robin (baseline, Fig. 15a): the shared token circulates
-//     through every active cell once per ESM round of the window, plus
-//     the per-match spike traffic;
-//   - priority (Optimization #1, Fig. 15b): the X and Z cell arrays
-//     decode in parallel; each token allocation costs a single cycle
-//     plus the spike window;
-//   - patch-sliding (Optimization #4, Fig. 20): priority latency plus one
-//     pipeline-fill cycle per window slide.
-//
-// It is exported so the memory experiment (core.LogicalErrorRateFaults)
-// can feed the same fault-free decode cost into a faults.Injector that
-// the full pipeline would.
-func DecodeWindowCycles(scheme decoder.Scheme, d int, wd WindowDecode) uint64 {
-	wait := decoder.SpikeWaitCycles(d)
-	spikes := func(ms []decoder.Match) int {
-		total := 0
-		for _, m := range ms {
-			total += 2*m.Steps + wait + decoder.SpikeOverheadCycles
-		}
-		return total
-	}
-	perBasis := func(ms []decoder.Match) int {
-		return len(ms) + spikes(ms)
-	}
-	switch scheme {
-	case decoder.SchemeRoundRobin:
-		// spikes is additive over matches, so summing the two bases equals
-		// spiking the combined slice without materializing it.
-		return uint64(d*wd.ActiveCells + spikes(wd.MatchesZ) + spikes(wd.MatchesX))
-	case decoder.SchemePriority:
-		z, x := perBasis(wd.MatchesZ), perBasis(wd.MatchesX)
-		if z > x {
-			return uint64(z)
-		}
-		return uint64(x)
-	case decoder.SchemePatchSliding:
-		z, x := perBasis(wd.MatchesZ), perBasis(wd.MatchesX)
-		if x > z {
-			z = x
-		}
-		return uint64(z + wd.Windows)
-	}
-	return 0
 }
 
 // angleOf decodes the protocol angle from the measurement flags.

@@ -37,9 +37,6 @@ type scanRef struct {
 	eventCount      []int
 	dropNext        bool
 
-	// dec mirrors the backend's pluggable decoder (nil: the direct
-	// matcher), as a separate instance.
-	dec   decoder.Backend
 	synBM *decoder.SyndromeBitmap
 	sc    decoder.Scratch
 	res   decoder.Result
@@ -196,11 +193,7 @@ func (r *scanRef) finishWindow() WindowDecode {
 				continue
 			}
 			out.Syndromes += nontrivial
-			if r.dec != nil {
-				out.DecoderCycles += r.dec.Decode(b.Code, basis, r.synBM, &r.res)
-			} else {
-				decoder.DecodePatchInto(b.Code, basis, r.synBM, &r.sc, &r.res)
-			}
+			decoder.DecodePatchInto(b.Code, basis, r.synBM, &r.sc, &r.res)
 			if basis == pauli.Z {
 				out.MatchesZ = append(out.MatchesZ, r.res.Matches...)
 			} else {
@@ -254,8 +247,7 @@ func (r *scanRef) compare() error {
 func sameWindowDecode(got, want WindowDecode) bool {
 	return slices.Equal(got.MatchesZ, want.MatchesZ) && slices.Equal(got.MatchesX, want.MatchesX) &&
 		got.ActiveCells == want.ActiveCells && got.Windows == want.Windows &&
-		got.Syndromes == want.Syndromes && got.Flips == want.Flips &&
-		got.DecoderCycles == want.DecoderCycles
+		got.Syndromes == want.Syndromes && got.Flips == want.Flips
 }
 
 // runSyndromeDifferential drives a backend and the full-scan reference in
@@ -263,20 +255,11 @@ func sameWindowDecode(got, want WindowDecode) bool {
 // of the truth frame and every syndrome-state transition: preparation,
 // merge and split windows, discards, injected logical errors, noise-only
 // backpressure rounds, dropped, final and ordinary rounds, window decodes
-// (through the direct matcher, or a union-find backend when seed%3 == 0)
 // and Reset.
 func runSyndromeDifferential(nLQ, d int, p float64, seed int64, steps int) error {
 	layout := surface.NewPPRLayout(nLQ, d)
 	b := NewBackend(layout, p, seed, seed%2 == 0)
 	ref := newScanRef(b, p, seed)
-	if seed%3 == 0 {
-		uf, err := decoder.NewBackendByName("union-find")
-		if err != nil {
-			return err
-		}
-		b.SetDecoder(uf.Clone())
-		ref.dec = uf
-	}
 	rng := xrand.New(seed ^ 0x5eed)
 	var region []int // the open merge region, nil outside a merge
 

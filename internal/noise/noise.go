@@ -36,7 +36,7 @@ type Model struct {
 // NewModel returns a sampler with per-site error probability p.
 func NewModel(p float64, seed int64) *Model {
 	if p < 0 || p >= 1 {
-		//xqlint:ignore nopanic constructor precondition: p comes from config constants and sweep grids in [0,1)
+		//xqlint:ignore nopanic constructor precondition: user rates pass core.CheckCode (xqsim flags, xqd simulate jobs) or GridSpec.Normalize (sweep grids); experiments use config constants in [0,1)
 		panic("noise: probability out of range")
 	}
 	m := &Model{P: p, rng: xrand.New(seed), gap: -1}

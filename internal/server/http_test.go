@@ -139,6 +139,35 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsUnrunnableSimulate sends simulate specs the run would
+// die on: each gets a 400 and leaves no durable job record, so a restart
+// has nothing to resume.
+func TestHTTPRejectsUnrunnableSimulate(t *testing.T) {
+	sched := newT(t, Config{Workers: 1})
+	defer drainT(t, sched)
+	ts := httptest.NewServer(NewServer(sched))
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"kind":"simulate","lq":40}`,
+		`{"kind":"simulate","workload":"qaoa","lq":21}`,
+		`{"kind":"simulate","workload":"ppr","product":"ZZZZZZZZZZZZZZZZZZZZZ"}`,
+		`{"kind":"simulate","d":4}`,
+		`{"kind":"simulate","d":100001}`,
+		`{"kind":"simulate","phys_error":7}`,
+		`{"kind":"simulate","phys_error":1}`,
+	} {
+		if resp, _ := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	for _, key := range sched.st.Keys() {
+		if strings.HasPrefix(key, "job/") {
+			t.Errorf("rejected spec left durable record %s", key)
+		}
+	}
+}
+
 func TestHTTPOverloadReturns429WithRetryAfter(t *testing.T) {
 	block := make(chan struct{})
 	runHook = func(ctx context.Context, spec JobSpec, attempt int) (json.RawMessage, error) {

@@ -96,6 +96,12 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		if s.Seed == 0 {
 			s.Seed = 1
 		}
+		// Reject what the run would die on (an even or enormous d, a
+		// probability outside [0, 1), a tally too large to allocate)
+		// before the job is stored and resumed on every restart.
+		if err := core.CheckRun(workloadLQ(s), s.D, s.PhysErr); err != nil {
+			return s, err
+		}
 		s.Experiments, s.Tech, s.NPhys = nil, "", 0
 	case "sweep":
 		if len(s.Experiments) == 0 {
@@ -183,6 +189,18 @@ func techKind(name string) (tech.Kind, error) {
 		return tech.ERSFQ, nil
 	}
 	return 0, fmt.Errorf("unknown technology %q (have 300k-cmos, 4k-cmos, rsfq, ersfq)", name)
+}
+
+// workloadLQ is the logical-qubit count of a simulate spec's circuit
+// (buildWorkload's NLQ), without building it.
+func workloadLQ(s JobSpec) int {
+	switch s.Workload {
+	case "qft2":
+		return 2
+	case "ppr":
+		return len(s.Product)
+	}
+	return s.LQ
 }
 
 func buildWorkload(s JobSpec) (compiler.Circuit, error) {

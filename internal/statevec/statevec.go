@@ -30,7 +30,7 @@ type State struct {
 // New returns |0...0> on n qubits.
 func New(n int, seed int64) *State {
 	if n < 1 || n > 24 {
-		//xqlint:ignore nopanic constructor precondition: functional mode caps qubit counts at compile time
+		//xqlint:ignore nopanic constructor precondition: functional runs pass core.CheckRun (at most MaxRunLQ=20 logical qubits, 22 with the protocol oracle's resource slots) before a reference is built; the verify oracles draw at most 6 qubits
 		panic("statevec: qubit count out of supported range")
 	}
 	s := &State{n: n, amps: make([]complex128, 1<<uint(n)), rng: xrand.New(seed)}

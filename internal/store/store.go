@@ -426,8 +426,8 @@ func (s *Store) lastRecordOffLocked() int64 {
 
 func (s *Store) snapshotPath() string { return s.path + ".idx" }
 
-// saveSnapshotLocked writes the index snapshot atomically: temp file in
-// the same directory, fsync, rename.
+// saveSnapshotLocked writes the index snapshot atomically
+// (WriteFileAtomic).
 func (s *Store) saveSnapshotLocked(lastRecord int64) error {
 	snap := snapshot{
 		Version:    snapshotVersion,
@@ -439,28 +439,35 @@ func (s *Store) saveSnapshotLocked(lastRecord int64) error {
 	if err != nil {
 		return fmt.Errorf("store: encode snapshot: %w", err)
 	}
-	dir := filepath.Dir(s.path)
-	tmp, err := os.CreateTemp(dir, ".store-idx-*")
-	if err != nil {
-		return fmt.Errorf("store: create snapshot temp: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name()) // best effort; the write error is the one to report
-		if werr != nil {
-			return fmt.Errorf("store: write snapshot: %w", werr)
-		}
-		if serr != nil {
-			return fmt.Errorf("store: sync snapshot: %w", serr)
-		}
-		return fmt.Errorf("store: close snapshot temp: %w", cerr)
-	}
-	if err := os.Rename(tmp.Name(), s.snapshotPath()); err != nil {
-		_ = os.Remove(tmp.Name()) // best effort; the rename error is the one to report
-		return fmt.Errorf("store: commit snapshot: %w", err)
+	if err := WriteFileAtomic(s.snapshotPath(), data); err != nil {
+		return fmt.Errorf("store: save snapshot: %w", err)
 	}
 	s.dirty = 0
 	return nil
+}
+
+// WriteFileAtomic replaces path with data so that a reader, or a crash
+// at any point, sees either the old file or the new one whole: the bytes
+// go to a temp file in path's directory, which is fsynced and then
+// renamed over path. On error the temp file is removed and path is left
+// as it was.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if serr := tmp.Sync(); err == nil {
+		err = serr
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name()) // best effort; the first error is the one to report
+	}
+	return err
 }

@@ -196,3 +196,36 @@ func TestEmptyKeyRejected(t *testing.T) {
 		t.Fatal("empty key should be rejected")
 	}
 }
+
+// TestWriteFileAtomic: each write replaces the file whole, and a write
+// that cannot commit (a missing directory, a directory in the way)
+// reports an error and leaves no temp file behind.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "f.json")
+	for _, content := range []string{"first, longer", "second"} {
+		if err := WriteFileAtomic(path, []byte(content)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != content {
+			t.Fatalf("read back %q, %v; want %q", got, err, content)
+		}
+	}
+	blocker := filepath.Join(dir, "blocker")
+	if err := os.MkdirAll(filepath.Join(blocker, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(blocker, []byte("x")); err == nil {
+		t.Fatal("renaming over a non-empty directory succeeded")
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, "absent", "f.json"), []byte("x")); err == nil {
+		t.Fatal("writing into a missing directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("directory holds %v, want only f.json and blocker", entries)
+	}
+}

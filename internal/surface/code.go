@@ -48,7 +48,7 @@ type Code struct {
 // at least 3 for the boundary structure to be well formed.
 func NewCode(d int) Code {
 	if d < 3 || d%2 == 0 {
-		//xqlint:ignore nopanic constructor precondition: d is validated by every cmd flag parser
+		//xqlint:ignore nopanic constructor precondition: user distances pass core.CheckCode (xqsim flags, xqd simulate jobs, sweep grid specs); experiments use fixed odd distances
 		panic(fmt.Sprintf("surface: invalid code distance %d", d))
 	}
 	return Code{D: d}

@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
+
+	"xqsim/internal/store"
 )
 
 // Checkpoint is a resumable snapshot of a multi-experiment sweep: the
@@ -129,30 +130,16 @@ func (c *Checkpoint) PutCell(r CellResult) {
 	c.Cells[r.Index] = r
 }
 
-// Save writes the snapshot atomically (temp file + rename in the target
-// directory), so a kill mid-write leaves the previous snapshot intact.
+// Save writes the snapshot with store.WriteFileAtomic (temp file, fsync,
+// rename in the target directory), so a kill mid-write leaves the
+// previous snapshot intact.
 func (c *Checkpoint) Save(path string) error {
 	data, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return fmt.Errorf("sweep: encode checkpoint: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*.json")
-	if err != nil {
-		return fmt.Errorf("sweep: create checkpoint temp: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		_ = os.Remove(tmp.Name()) // best-effort cleanup; the write error is the one to report
-		if werr != nil {
-			return fmt.Errorf("sweep: write checkpoint: %w", werr)
-		}
-		return fmt.Errorf("sweep: close checkpoint temp: %w", cerr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		_ = os.Remove(tmp.Name()) // best-effort cleanup; the rename error is the one to report
-		return fmt.Errorf("sweep: commit checkpoint: %w", err)
+	if err := store.WriteFileAtomic(path, data); err != nil {
+		return fmt.Errorf("sweep: save checkpoint: %w", err)
 	}
 	return nil
 }

@@ -80,8 +80,8 @@ func (g GridSpec) Normalize() (GridSpec, error) {
 		return g, fmt.Errorf("sweep: grid has no code distances")
 	}
 	for _, d := range g.Ds {
-		if d < 3 || d%2 == 0 {
-			return g, fmt.Errorf("sweep: invalid code distance %d (want odd, >= 3)", d)
+		if err := core.CheckCode(d, 0); err != nil {
+			return g, fmt.Errorf("sweep: grid: %w", err)
 		}
 	}
 	if len(g.Ps) == 0 {
