@@ -10,7 +10,7 @@
 // the baseline and the baseline plus 8 (see checkBaseline; the
 // SteadyStateAllocs tests pin the 0-alloc paths exactly):
 //
-//	go run ./cmd/xqbench -check BENCH_12.json -tolerance 2.0
+//	go run ./cmd/xqbench -check BENCH_13.json -tolerance 2.0
 //
 // With -compare it renders a benchstat-style old-vs-new table from two
 // committed summaries instead of running anything:

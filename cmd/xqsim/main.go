@@ -76,6 +76,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		_, _ = fmt.Fprintln(stderr, "xqsim:", err)
 		return 2
 	}
+	if err := core.CheckWorkload(workloadInputs(*workload, *lq, *pprs, *product)); err != nil {
+		_, _ = fmt.Fprintln(stderr, "xqsim:", err)
+		return 2
+	}
 	stopProf, err := prof.StartPaths(profiles.CPU, profiles.Mem)
 	if err != nil {
 		_, _ = fmt.Fprintln(stderr, "prof:", err)
@@ -204,6 +208,21 @@ func writeTrace(circ xqsim.Circuit, d int, p float64, seed int64, path string) e
 		return err
 	}
 	return f.Close()
+}
+
+// workloadInputs picks the flags kind's generator reads, in
+// core.CheckWorkload's terms: -lq and -pprs for random, -lq for qaoa,
+// and -product for ppr, whose length is its qubit count.
+func workloadInputs(kind string, lq, pprs int, product string) (nLQ, rotations int, prod string) {
+	switch kind {
+	case "random":
+		return lq, pprs, ""
+	case "qft2":
+		return 2, 0, ""
+	case "ppr":
+		return len(product), 0, product
+	}
+	return lq, 0, ""
 }
 
 func buildWorkload(kind string, lq, pprs int, product string, seed int64) (xqsim.Circuit, error) {

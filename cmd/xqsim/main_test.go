@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // runCmd runs the command in process and returns its exit status and
@@ -92,6 +93,11 @@ func TestRunExitCodes(t *testing.T) {
 		{"huge distance", nil, []string{"-d", "100001"}, 2, "code distance must be odd"},
 		{"error rate out of range", nil, []string{"-p", "7"}, 2, "physical error rate must be in [0, 1)"},
 		{"too many functional qubits", nil, []string{"-lq", "40", "-functional"}, 2, "logical qubits, got 40"},
+		{"no logical qubits", nil, []string{"-lq", "0"}, 2, "at least 1 logical qubit, got 0"},
+		{"no functional logical qubits", nil, []string{"-lq", "0", "-functional"}, 2, "at least 1 logical qubit, got 0"},
+		{"bad product", nil, []string{"-workload", "ppr", "-product", "Q"}, 2, `product "Q" is not a string`},
+		{"empty product", nil, []string{"-workload", "ppr", "-product", ""}, 2, "at least 1 logical qubit, got 0"},
+		{"too many rotations", nil, []string{"-pprs", "1000000000"}, 2, "rotations, got 1000000000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -99,8 +105,18 @@ func TestRunExitCodes(t *testing.T) {
 			if ctx == nil {
 				ctx = context.Background()
 			}
+			// A deadline, since an unchecked input can hang the command
+			// in a loop no context reaches (RandomPPR over 0 qubits).
 			var out, errb bytes.Buffer
-			if code := run(ctx, tc.args, &out, &errb); code != tc.code {
+			done := make(chan int, 1)
+			go func() { done <- run(ctx, tc.args, &out, &errb) }()
+			var code int
+			select {
+			case code = <-done:
+			case <-time.After(time.Minute):
+				t.Fatalf("%v still running after a minute", tc.args)
+			}
+			if code != tc.code {
 				t.Fatalf("exit %d, want %d; stderr:\n%s", code, tc.code, errb.String())
 			}
 			if !strings.Contains(errb.String(), tc.msg) {

@@ -93,7 +93,7 @@ type fieldSet struct {
 // calls (transitively, within this package). "Mutates" is deliberately
 // generous: assignment under any index/selector chain rooted at the
 // field, ++/--, taking the field's address, passing the field to any
-// call (clear(m), clearBools(b.synActive), copy into it), or invoking a
+// call (clear(b.synActive), copy into it), or invoking a
 // method on the field (b.buf.Reset()).
 func mutatedFieldClosure(p *Pass, named *types.Named, method string) fieldSet {
 	type summary struct {
@@ -192,7 +192,7 @@ func collectMutations(p *Pass, recv *types.Var, body *ast.BlockStmt, fields map[
 					fields[f] = true
 				}
 			}
-			// recv.field passed to any call (clear, clearBools, copy...).
+			// recv.field passed to any call (clear, copy...).
 			for _, arg := range n.Args {
 				if f := rootField(p, recv, arg); f != "" {
 					fields[f] = true

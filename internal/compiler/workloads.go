@@ -96,11 +96,12 @@ func (b *Builder) Circuit() Circuit { return b.c }
 
 // RandomPPR generates the paper's scalability workload: count random
 // PPR(pi/8) rotations over nLQ logical qubits, with uniformly drawn
-// non-identity Pauli products.
+// non-identity Pauli products. With nLQ < 1 there is no such product,
+// and the circuit has no rotations.
 func RandomPPR(nLQ, count int, seed int64) Circuit {
 	r := xrand.New(seed)
 	c := Circuit{NLQ: nLQ, Name: fmt.Sprintf("random-ppr-%dx%d", nLQ, count)}
-	for i := 0; i < count; i++ {
+	for i := 0; i < count && nLQ > 0; i++ {
 		p := pauli.NewProduct(nLQ)
 		for {
 			for q := 0; q < nLQ; q++ {

@@ -58,6 +58,12 @@ const (
 	// 2^nLQ-amplitude state vector: 8 MiB and 16 MiB at 20, inside
 	// statevec's limit of 24 qubits.
 	MaxRunLQ = 20
+	// MaxPPRs bounds a random workload's rotation count. RandomPPR
+	// builds every rotation before the first one runs, and a functional
+	// run costs about 17 us per rotation and shot (4 logical qubits,
+	// d=3, 2 vCPUs): 10,000 rotations at xqd's default 256 shots take
+	// about 14 s. The paper's constraint study (Fig. 5) draws 100.
+	MaxPPRs = 10000
 )
 
 // CheckCode reports whether d and physError describe a code the
@@ -83,6 +89,25 @@ func CheckRun(nLQ, d int, physError float64) error {
 	}
 	if nLQ < 1 || nLQ > MaxRunLQ {
 		return fmt.Errorf("core: a functional run takes 1 to %d logical qubits, got %d", MaxRunLQ, nLQ)
+	}
+	return nil
+}
+
+// CheckWorkload reports whether a generated workload can be built, in
+// any mode: nLQ >= 1 logical qubits (RandomPPR finds no non-identity
+// product over none, and a layout needs a patch), 0 to MaxPPRs random
+// rotations, and a product that pauli.ParseProduct accepts unless it is
+// empty. A ppr workload passes its product's length as nLQ. xqsim's
+// flags and xqd's JobSpec.Normalize apply it before building anything.
+func CheckWorkload(nLQ, pprs int, product string) error {
+	if nLQ < 1 {
+		return fmt.Errorf("core: a workload takes at least 1 logical qubit, got %d", nLQ)
+	}
+	if pprs < 0 || pprs > MaxPPRs {
+		return fmt.Errorf("core: a random workload takes 0 to %d rotations, got %d", MaxPPRs, pprs)
+	}
+	if _, ok := pauli.ParseProduct(product); product != "" && !ok {
+		return fmt.Errorf("core: product %q is not a string of I, X, Y and Z", product)
 	}
 	return nil
 }

@@ -113,6 +113,22 @@ type Backend struct {
 	// eventAcc; most windows end with zero, letting FinishWindow skip the
 	// per-basis scans entirely.
 	eventCount []int
+	// quiet[patch] marks a patch that a round with no measurement flip
+	// leaves exactly as it is: syndrome-active, diff clear on every check
+	// of its resolved check list, and each of those checks measured since
+	// it switched on. Such a round fires no event and rewrites diff and
+	// condWasActive with their own values, so MeasureSyndromesRound skips
+	// it after one noise.Skip. A round that re-resolves the patch to a new
+	// check list clears the mark first, and every other write that can
+	// break the invariant clears it through unquiet.
+	quiet []bool
+	// quietEpoch is the lattice epoch of the last round that left every
+	// active patch quiet, and quietMeasured that round's measurement
+	// count; quietEpoch is 0, an epoch the lattice never has, once any
+	// patch has been unquieted since. A round at quietEpoch costs one
+	// Skip over all its checks.
+	quietEpoch    uint64
+	quietMeasured int
 
 	// Reusable measurement scratch (MeasureProductDetail's logical and
 	// frame operator strings) and noise-site buffer; both grow to their
@@ -175,6 +191,7 @@ func NewBackend(layout *surface.PPRLayout, p float64, seed int64, functional boo
 	b.chkList = make([]*checkList, nPatches)
 	b.chkLists = make(map[uint32]*checkList)
 	b.eventCount = make([]int, nPatches)
+	b.quiet = make([]bool, nPatches)
 	b.synBM = decoder.NewSyndromeBitmap(layout.Code)
 	if functional {
 		b.tab = stab.New(layout.NLQ+2, seed+2)
@@ -271,14 +288,24 @@ func (b *Backend) synRow(slab []uint64, patch int) []uint64 {
 }
 
 // flipErr multiplies op into the truth frame at patch-local data offset
-// off. Every truth-frame write goes through here, so diff stays exact
-// without a per-round parity scan.
+// off. Every truth-frame write to a syndrome-active patch goes through
+// here, so diff stays exact without a per-round parity scan.
 //
 //xqlint:noalloc per-error hot path of every noise round
 func (b *Backend) flipErr(patch, off int, op pauli.Pauli) {
 	d := b.Code.D
 	b.errFrame.Ops[patch*d*d+off] ^= op
 	b.flipParity(b.synRow(b.diff, patch), off, op)
+	b.unquiet(patch)
+}
+
+// unquiet drops patch's quiet mark and the round-level cache that
+// relies on every active patch being quiet.
+//
+//xqlint:noalloc called per error from flipErr
+func (b *Backend) unquiet(patch int) {
+	b.quiet[patch] = false
+	b.quietEpoch = 0
 }
 
 // flipParity flips in diff the bits of the (at most four) checks whose
@@ -327,22 +354,21 @@ func (b *Backend) patchOf(lq int) int {
 }
 
 // resetPatchFrames clears both frames on a patch (physical re-preparation
-// destroys accumulated errors and invalidates old corrections).
+// destroys accumulated errors and invalidates old corrections). The wipe
+// bypasses flipErr and leaves the patch's diff stale: every caller then
+// re-derives the syndrome baseline (activatePatch) or deactivates the
+// patch, and activation re-derives diff from the frame.
 func (b *Backend) resetPatchFrames(patch int) {
 	d := b.Code.D
-	base := patch * d * d
-	for off := 0; off < d*d; off++ {
-		if op := b.errFrame.Ops[base+off]; op != pauli.I {
-			b.flipErr(patch, off, op)
-		}
-		b.pfFrame.Ops[base+off] = pauli.I
-	}
+	clear(b.errFrame.Ops[patch*d*d : (patch+1)*d*d])
+	clear(b.pfFrame.Ops[patch*d*d : (patch+1)*d*d])
 }
 
 // activatePatch (re)sets the syndrome baseline so no stale detection
 // events fire on the first round after (re)initialization.
 func (b *Backend) activatePatch(patch int) {
 	b.synActive[patch] = true
+	b.unquiet(patch)
 	clear(b.synRow(b.eventAcc, patch))
 	clear(b.synRow(b.condWasActive, patch))
 	// No check has been measured yet (last values all zero), so diff is
@@ -414,12 +440,6 @@ func (b *Backend) checksFor(sig uint32, dyn surface.Dynamic) *checkList {
 	return cl
 }
 
-func clearBools(s []bool) {
-	for i := range s {
-		s[i] = false
-	}
-}
-
 // Reset restores the backend to the state NewBackend(layout, p, seed,
 // functional) would return — layout re-homed, frames cleared, noise and
 // tableau streams rewound to the new seed — without reallocating. It is
@@ -429,17 +449,17 @@ func (b *Backend) Reset(seed int64) {
 	b.Layout.Reset()
 	// A wholesale frame wipe bypasses flipErr: Reset deactivates every
 	// patch, and activation re-derives diff from the frame.
-	for i := range b.errFrame.Ops {
-		b.errFrame.Ops[i] = pauli.I
-		b.pfFrame.Ops[i] = pauli.I
-	}
+	clear(b.errFrame.Ops)
+	clear(b.pfFrame.Ops)
 	b.dataNoise.Reseed(seed)
 	b.measNoise.Reseed(seed + 1)
 	if b.tab != nil {
 		b.tab.Reinit(seed + 2)
-		clearBools(b.xGauge)
+		clear(b.xGauge)
 	}
-	clearBools(b.synActive)
+	clear(b.synActive)
+	clear(b.quiet)
+	b.quietEpoch, b.quietMeasured = 0, 0
 	for i := range b.chkSig {
 		b.chkSig[i] = sigInvalid
 		b.chkEpoch[i] = 0 // the lattice epoch starts at 1 and only grows
@@ -602,17 +622,26 @@ func (b *Backend) MeasureProductDetail(pr pauli.Product, extraFramePatches []int
 }
 
 // InjectRoundNoise applies one round of Pauli noise to the data qubits of
-// every ESM-active patch.
+// every ESM-active patch: d^2 X trials then d^2 Z trials per patch, in
+// patch order. A round that draws no hit costs one noise.Skip over all
+// its trials. Otherwise each patch draws its 2d^2 trials with one
+// AppendSites, whose sites below d^2 are X flips and the rest Z flips:
+// that consumes the stream exactly as an X call and a Z call of d^2
+// trials each would.
 func (b *Backend) InjectRoundNoise() {
 	d := b.Code.D
-	for _, patch := range b.Layout.ActiveESMPatches() {
-		b.siteBuf = b.dataNoise.AppendSites(b.siteBuf[:0], d*d)
-		for _, off := range b.siteBuf {
-			b.flipErr(patch, off, pauli.X)
-		}
-		b.siteBuf = b.dataNoise.AppendSites(b.siteBuf[:0], d*d)
-		for _, off := range b.siteBuf {
-			b.flipErr(patch, off, pauli.Z)
+	active := b.Layout.ActiveESMPatches()
+	if b.dataNoise.Skip(2 * d * d * len(active)) {
+		return
+	}
+	for _, patch := range active {
+		b.siteBuf = b.dataNoise.AppendSites(b.siteBuf[:0], 2*d*d)
+		for _, site := range b.siteBuf {
+			if site < d*d {
+				b.flipErr(patch, site, pauli.X)
+			} else {
+				b.flipErr(patch, site-d*d, pauli.Z)
+			}
 		}
 	}
 }
@@ -645,11 +674,21 @@ func (b *Backend) DropNextRoundEvents() { b.dropNextRound = true }
 // flip. Measurement flips are drawn with one AppendSites over the live
 // checks, which consumes exactly the trials one Hit per check in
 // template order would, so every event matches a full parity scan.
+//
+// A quiet patch (see Backend.quiet) whose checks draw no flip is a fixed
+// point of the round and costs one noise.Skip; a round at quietEpoch,
+// where every active patch is quiet, costs one Skip over all the checks.
+// A failed Skip consumes nothing, so the per-patch draws that follow are
+// the ones the dense round makes.
 func (b *Backend) MeasureSyndromesRound(final bool) int {
-	measured := 0
 	dropped := b.dropNextRound
 	b.dropNextRound = false
 	epoch := b.Layout.ESMEpoch()
+	if epoch == b.quietEpoch && (final || b.measNoise.Skip(b.quietMeasured)) {
+		return b.quietMeasured
+	}
+	measured := 0
+	allQuiet := true
 	hits := b.hitBits
 	for _, patch := range b.Layout.ActiveESMPatches() {
 		if !b.synActive[patch] {
@@ -667,13 +706,19 @@ func (b *Backend) MeasureSyndromesRound(final bool) int {
 				for i, act := range b.chkList[patch].active {
 					was[i] &= act
 				}
+				b.quiet[patch] = false
 			}
 		}
 		cl := b.chkList[patch]
 		measured += cl.count
+		if b.quiet[patch] && (final || b.measNoise.Skip(cl.count)) {
+			continue
+		}
+		flips := 0
 		if !final {
 			b.siteBuf = b.measNoise.AppendSites(b.siteBuf[:0], cl.count)
 			selectBits(hits, cl.active, b.siteBuf)
+			flips = len(b.siteBuf)
 		}
 		diff := b.synRow(b.diff, patch)
 		acc := b.synRow(b.eventAcc, patch)
@@ -688,6 +733,14 @@ func (b *Backend) MeasureSyndromesRound(final bool) int {
 				acc[i] ^= ev
 			}
 		}
+		// With no flip, diff is now clear on every live check and every
+		// live check has been measured: the patch is quiet.
+		b.quiet[patch] = flips == 0
+		allQuiet = allQuiet && flips == 0
+	}
+	b.quietEpoch, b.quietMeasured = 0, measured
+	if allQuiet {
+		b.quietEpoch = epoch
 	}
 	return measured
 }
@@ -839,6 +892,7 @@ func (b *Backend) MeasureIntermediates(region []int) int {
 		}
 		b.resetPatchFrames(patch)
 		b.synActive[patch] = false
+		b.unquiet(patch)
 		count++
 	}
 	return count
@@ -853,6 +907,7 @@ func (b *Backend) DiscardLogical(lq int) {
 	}
 	b.resetPatchFrames(patch)
 	b.synActive[patch] = false
+	b.unquiet(patch)
 	b.Layout.UnmapLogical(lq)
 	b.Layout.DisableESM(patch)
 }

@@ -439,7 +439,7 @@ func (p *Pipeline) execLQI(cp *CompiledProgram, u *uop) {
 		p.byproduct.Ops[t.LQ] = pauli.I
 		nPhys += p.B.Code.PhysPerPatch()
 	}
-	p.psuStep(nPhys)
+	p.psuSteps(nPhys, 1)
 	p.M.VirtualNs += p.Cfg.T1QNs
 }
 
@@ -464,13 +464,13 @@ func (p *Pipeline) execInitIntmd(cp *CompiledProgram, u *uop) {
 	n := p.B.InitIntermediates(cp.regions[u.region])
 	p.M.Unit[UnitPIU].Ops++
 	p.M.Unit[UnitPIU].ActiveCycles += uint64(n)
-	p.psuStep(n * p.B.Code.PhysPerPatch())
+	p.psuSteps(n*p.B.Code.PhysPerPatch(), 1)
 	p.M.VirtualNs += p.Cfg.T1QNs
 }
 
 func (p *Pipeline) execMeasIntmd(cp *CompiledProgram, u *uop) {
 	n := p.B.MeasureIntermediates(cp.regions[u.region])
-	p.psuStep(n * p.B.Code.PhysPerPatch())
+	p.psuSteps(n*p.B.Code.PhysPerPatch(), 1)
 	// Intermediate X-measurement results return to the LMU.
 	d := p.B.Code.D
 	p.M.transfer(UnitQCI, UnitLMU, uint64(u.aux*d*d))
@@ -493,9 +493,7 @@ func (p *Pipeline) execRunESM(cp *CompiledProgram, u *uop) {
 
 	totalPhys := p.B.Layout.PhysicalQubits()
 	for r := 0; r < d; r++ {
-		for s := 0; s < p.Cfg.StepsPerRound; s++ {
-			p.psuStep(nPhys)
-		}
+		p.psuSteps(nPhys, p.Cfg.StepsPerRound)
 		// The QC interface is synchronous: idle qubit lines receive
 		// keep-alive timing frames of the same width every step.
 		if idle := totalPhys - nPhys; idle > 0 {
@@ -666,7 +664,7 @@ func (p *Pipeline) execLQM(cp *CompiledProgram, u *uop) {
 		}
 
 		// Data-qubit measurement traffic and LMU work.
-		p.psuStep(p.B.Code.PhysPerPatch())
+		p.psuSteps(p.B.Code.PhysPerPatch(), 1)
 		p.M.transfer(UnitQCI, UnitLMU, uint64(d*d))
 		p.M.transfer(UnitPFU, UnitLMU, uint64(2*d*d))
 		p.M.Unit[UnitLMU].Ops++

@@ -203,22 +203,24 @@ func (p *Pipeline) roundNs() float64 {
 	return 2*p.Cfg.T1QNs + 4*p.Cfg.T2QNs + p.Cfg.TMeasNs
 }
 
-// psuStep accounts one physical schedule step over nPhys qubits: the PSU
-// iterates its mask generators, the TCU streams the codeword array to the
-// QC interface.
-func (p *Pipeline) psuStep(nPhys int) {
-	if nPhys == 0 {
+// psuSteps accounts k physical schedule steps over nPhys qubits: per
+// step, the PSU iterates its mask generators and the TCU streams the
+// codeword array to the QC interface. The counters are integer sums, so
+// k steps at once account exactly what k single steps would.
+func (p *Pipeline) psuSteps(nPhys, k int) {
+	if nPhys == 0 || k <= 0 {
 		return
 	}
 	gens := p.Cfg.MaskGenerators * p.Cfg.MaskSharing
-	cycles := uint64((nPhys + gens - 1) / gens)
-	p.M.Unit[UnitPSU].Ops++
+	steps := uint64(k)
+	cycles := steps * uint64((nPhys+gens-1)/gens)
+	p.M.Unit[UnitPSU].Ops += steps
 	p.M.Unit[UnitPSU].ActiveCycles += cycles
-	p.M.Unit[UnitTCU].Ops++
+	p.M.Unit[UnitTCU].Ops += steps
 	p.M.Unit[UnitTCU].ActiveCycles += cycles
 	bits := uint64(nPhys * p.Cfg.CwdBits)
-	p.M.transfer(UnitPSU, UnitTCU, bits)
-	p.M.transfer(UnitTCU, UnitQCI, bits+32) // plus the cycle_time word
+	p.M.transfer(UnitPSU, UnitTCU, steps*bits)
+	p.M.transfer(UnitTCU, UnitQCI, steps*(bits+32)) // plus the cycle_time word
 }
 
 // Run compiles prog for the pipeline's machine shape and executes it with

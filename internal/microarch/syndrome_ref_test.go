@@ -12,20 +12,26 @@ import (
 	"xqsim/internal/xrand"
 )
 
-// scanRef is the frozen full-scan syndrome round the incremental diff
-// state replaced, kept as the differential reference. Every round it
-// re-derives each live check's parity from the backend's truth frame and
-// draws one Hit per live check in template order (regular checks, then
-// seam checks) from its own measurement-noise model, seeded like the
-// backend's. It keeps its own last-measured values, accumulators, seam
-// liveness and pending-event counts; it reads the backend's layout and
-// truth frame but never its syndrome state.
+// scanRef is the frozen dense round the incremental, quiet-skipping
+// backend replaced, kept as the differential reference. Its noise round
+// draws two AppendSites calls per ESM-active patch (X then Z over the
+// patch's d^2 sites) from its own data-noise model into its own truth
+// frame. Its syndrome round re-derives each live check's parity from
+// that frame and draws one Hit per live check in template order
+// (regular checks, then seam checks) from its own measurement-noise
+// model. Both models are seeded like the backend's. It keeps its own
+// last-measured values, accumulators, seam liveness and pending-event
+// counts; it reads the backend's layout and templates but never its
+// frames or syndrome state.
 //
 // The scan evaluates the mask-generator rules every round; the backend's
 // per-signature check lists only memoize that evaluation.
 type scanRef struct {
-	b    *Backend
-	meas *noise.Model
+	b     *Backend
+	data  *noise.Model
+	meas  *noise.Model
+	frame pauli.Frame
+	sites []int
 	// active mirrors synActive: runSyndromeDifferential reports every
 	// activation and deactivation the backend performs outside a round.
 	active []bool
@@ -47,7 +53,9 @@ func newScanRef(b *Backend, p float64, seed int64) *scanRef {
 	total := len(b.stabs) + len(b.condStabs)
 	r := &scanRef{
 		b:          b,
+		data:       noise.NewModel(p, seed),
 		meas:       noise.NewModel(p, seed+1),
+		frame:      pauli.NewFrame(len(b.errFrame.Ops)),
 		active:     make([]bool, n),
 		eventCount: make([]int, n),
 		synBM:      decoder.NewSyndromeBitmap(b.Code),
@@ -62,7 +70,9 @@ func newScanRef(b *Backend, p float64, seed int64) *scanRef {
 }
 
 func (r *scanRef) reset(seed int64) {
+	r.data.Reseed(seed)
 	r.meas.Reseed(seed + 1)
+	clear(r.frame.Ops)
 	clear(r.active)
 	clear(r.eventCount)
 	r.dropNext = false
@@ -76,6 +86,48 @@ func (r *scanRef) activate(patch int) {
 	r.eventCount[patch] = 0
 }
 
+// wipe clears patch's truth frame (a physical re-preparation or
+// measure-out).
+func (r *scanRef) wipe(patch int) {
+	d := r.b.Code.D
+	clear(r.frame.Ops[patch*d*d : (patch+1)*d*d])
+}
+
+// prepare mirrors PrepareZero, PreparePlus and InitIntermediates: a
+// wiped frame and a fresh syndrome baseline.
+func (r *scanRef) prepare(patch int) {
+	r.wipe(patch)
+	r.activate(patch)
+}
+
+// measureOut mirrors MeasureIntermediates and DiscardLogical.
+func (r *scanRef) measureOut(patch int) {
+	r.wipe(patch)
+	r.active[patch] = false
+}
+
+// injectLogical writes basis's logical string into patch.
+func (r *scanRef) injectLogical(patch int, basis pauli.Pauli) {
+	d := r.b.Code.D
+	for i, off := range r.b.lsOff[basis] {
+		r.frame.Ops[patch*d*d+off] ^= r.b.lsOps[basis][i]
+	}
+}
+
+// injectNoise is the dense noise round: per ESM-active patch, in patch
+// order, one AppendSites over the d^2 sites for X flips, then one for Z.
+func (r *scanRef) injectNoise() {
+	d := r.b.Code.D
+	for _, patch := range r.b.Layout.ActiveESMPatches() {
+		for _, op := range [2]pauli.Pauli{pauli.X, pauli.Z} {
+			r.sites = r.data.AppendSites(r.sites[:0], d*d)
+			for _, off := range r.sites {
+				r.frame.Ops[patch*d*d+off] ^= op
+			}
+		}
+	}
+}
+
 // parity is template si's noise-free parity on patch's truth frame.
 func (r *scanRef) parity(patch, si int) bool {
 	b := r.b
@@ -83,7 +135,7 @@ func (r *scanRef) parity(patch, si int) bool {
 	st := b.template(si)
 	par := false
 	for _, q := range st.Data {
-		if !b.errFrame.Ops[patch*d*d+q.Row*d+q.Col].Commutes(st.Basis) {
+		if !r.frame.Ops[patch*d*d+q.Row*d+q.Col].Commutes(st.Basis) {
 			par = !par
 		}
 	}
@@ -210,11 +262,17 @@ func (r *scanRef) finishWindow() WindowDecode {
 	return out
 }
 
-// compare checks the backend's syndrome state against the reference:
-// activity, pending-event counts, every accumulator bit, seam liveness,
-// and the diff invariant (last measured value XOR noise-free parity).
+// compare checks the backend's truth frame and syndrome state against
+// the reference: every frame site, activity, pending-event counts, every
+// accumulator bit, seam liveness, and the diff invariant (last measured
+// value XOR noise-free parity).
 func (r *scanRef) compare() error {
 	b := r.b
+	for i, op := range r.frame.Ops {
+		if b.errFrame.Ops[i] != op {
+			return fmt.Errorf("truth frame site %d: %v, reference %v", i, b.errFrame.Ops[i], op)
+		}
+	}
 	total := len(b.stabs) + len(b.condStabs)
 	bit := func(slab []uint64, patch, si int) bool {
 		return b.synRow(slab, patch)[si>>6]>>(si&63)&1 == 1
@@ -250,10 +308,11 @@ func sameWindowDecode(got, want WindowDecode) bool {
 		got.Syndromes == want.Syndromes && got.Flips == want.Flips
 }
 
-// runSyndromeDifferential drives a backend and the full-scan reference in
+// runSyndromeDifferential drives a backend and the dense reference in
 // lockstep through a random operation sequence that reaches every writer
 // of the truth frame and every syndrome-state transition: preparation,
-// merge and split windows, discards, injected logical errors, noise-only
+// merge and split windows (with the routing patches measured out before
+// or after the split), discards, injected logical errors, noise-only
 // backpressure rounds, dropped, final and ordinary rounds, window decodes
 // and Reset.
 func runSyndromeDifferential(nLQ, d int, p float64, seed int64, steps int) error {
@@ -270,15 +329,6 @@ func runSyndromeDifferential(nLQ, d int, p float64, seed int64, steps int) error
 			}
 		}
 	}
-	mapped := func() []int {
-		var lqs []int
-		for lq := 0; lq < b.NumLQ(); lq++ {
-			if _, ok := layout.PatchOfLQ(lq); ok {
-				lqs = append(lqs, lq)
-			}
-		}
-		return lqs
-	}
 	bases := [3]pauli.Pauli{pauli.X, pauli.Z, pauli.Y}
 
 	for step := 0; step < steps; step++ {
@@ -288,6 +338,7 @@ func runSyndromeDifferential(nLQ, d int, p float64, seed int64, steps int) error
 			final := rng.Intn(5) == 0
 			what = fmt.Sprintf("round(final=%v)", final)
 			b.InjectRoundNoise()
+			ref.injectNoise()
 			got, want := b.MeasureSyndromesRound(final), ref.round(final)
 			if got != want {
 				return fmt.Errorf("step %d %s: measured %d, reference %d", step, what, got, want)
@@ -301,20 +352,29 @@ func runSyndromeDifferential(nLQ, d int, p float64, seed int64, steps int) error
 		case op < 59:
 			what = "backpressure round"
 			b.InjectRoundNoise()
+			ref.injectNoise()
 		case op < 63:
 			what = "DropNextRoundEvents"
 			b.DropNextRoundEvents()
 			ref.dropNext = true
 		case op < 73:
+			if region != nil && rng.Intn(3) == 0 {
+				// The routing patches are measured out while still merged:
+				// the rounds before the split re-activate them.
+				what = "measure out before split"
+				intermediates(region, ref.measureOut)
+				b.MeasureIntermediates(region)
+				break
+			}
 			if region != nil {
 				what = "split"
 				layout.ApplySplit(region)
-				intermediates(region, func(patch int) { ref.active[patch] = false })
+				intermediates(region, ref.measureOut)
 				b.MeasureIntermediates(region)
 				region = nil
 				break
 			}
-			lqs := mapped()
+			lqs := layout.MappedLQs()
 			if len(lqs) < 2 {
 				continue
 			}
@@ -332,18 +392,20 @@ func runSyndromeDifferential(nLQ, d int, p float64, seed int64, steps int) error
 			region = r
 			layout.ApplyMerge(region)
 			b.InitIntermediates(region)
-			intermediates(region, ref.activate)
+			intermediates(region, ref.prepare)
 		case op < 81:
-			lqs := mapped()
+			lqs := layout.MappedLQs()
 			if len(lqs) == 0 {
 				continue
 			}
 			lq, basis := lqs[rng.Intn(len(lqs))], bases[rng.Intn(3)]
 			what = fmt.Sprintf("InjectLogicalError(%d, %v)", lq, basis)
 			b.InjectLogicalError(lq, basis)
+			patch, _ := layout.PatchOfLQ(lq)
+			ref.injectLogical(patch, basis)
 		case op < 89:
 			// Any mapped qubit, or a resource qubit mapped on demand.
-			lqs := append(mapped(), layout.AncillaLQ, layout.MagicLQ)
+			lqs := append(layout.MappedLQs(), layout.AncillaLQ, layout.MagicLQ)
 			lq := lqs[rng.Intn(len(lqs))]
 			if rng.Intn(2) == 0 {
 				what = fmt.Sprintf("PrepareZero(%d)", lq)
@@ -353,7 +415,7 @@ func runSyndromeDifferential(nLQ, d int, p float64, seed int64, steps int) error
 				b.PreparePlus(lq)
 			}
 			patch, _ := layout.PatchOfLQ(lq)
-			ref.activate(patch)
+			ref.prepare(patch)
 		case op < 97:
 			if region != nil {
 				continue
@@ -368,7 +430,7 @@ func runSyndromeDifferential(nLQ, d int, p float64, seed int64, steps int) error
 			}
 			what = fmt.Sprintf("DiscardLogical(%d)", lq)
 			b.DiscardLogical(lq)
-			ref.active[patch] = false
+			ref.measureOut(patch)
 		default:
 			s := int64(rng.Intn(1 << 20))
 			what = fmt.Sprintf("Reset(%d)", s)
@@ -383,19 +445,20 @@ func runSyndromeDifferential(nLQ, d int, p float64, seed int64, steps int) error
 	return nil
 }
 
-// TestIncrementalSyndromesMatchFullScan runs the backend's incremental
-// syndrome extraction in lockstep with the frozen full parity scan over
-// random operation sequences: every round's measurement count, every
-// accumulator bit, every pending-event count and every window decode must
-// agree. d=9 is the first distance whose check templates span two
-// words.
+// TestIncrementalSyndromesMatchFullScan runs the backend's incremental,
+// quiet-skipping noise and syndrome rounds in lockstep with the frozen
+// dense noise round and full parity scan over random operation
+// sequences: every truth-frame site, every round's measurement count,
+// every accumulator bit, every pending-event count and every window
+// decode must agree. d=9 is the first distance whose check templates
+// span two words; at p=0.0005 most rounds skip whole.
 func TestIncrementalSyndromesMatchFullScan(t *testing.T) {
 	steps := 600
 	if testing.Short() {
 		steps = 200
 	}
 	for _, d := range []int{3, 5, 7, 9} {
-		for _, p := range []float64{0.001, 0.01, 0.05} {
+		for _, p := range []float64{0.0005, 0.001, 0.01, 0.05} {
 			for trial := 0; trial < 6; trial++ {
 				nLQ := 2 + trial%3
 				seed := int64(1000*d + 100*trial + int(p*1000))

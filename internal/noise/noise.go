@@ -17,11 +17,11 @@ import (
 )
 
 // Model is a sparse Bernoulli sampler with a fixed per-site probability.
-// All entry points (AppendSites, Hit, CountHits) consume trials from one
-// geometric countdown that carries across calls, so the number of random
-// draws is proportional to the number of *hits*, not the number of trials
-// — and AppendSites(n) consumes exactly the trials n Hit calls would,
-// reporting the same hits.
+// All entry points (AppendSites, Skip, Hit, CountHits) consume trials
+// from one geometric countdown that carries across calls, so the number
+// of random draws is proportional to the number of *hits*, not the
+// number of trials — and AppendSites(n) consumes exactly the trials n
+// Hit calls would, reporting the same hits.
 type Model struct {
 	P   float64
 	rng *xrand.Rand
@@ -73,6 +73,29 @@ func (m *Model) AppendSites(dst []int, n int) []int {
 	}
 	m.gap = i - n
 	return dst
+}
+
+// Skip consumes n trials and reports true when none of them is a hit.
+// When one is, it consumes nothing and reports false, so the caller can
+// still draw the same n trials with AppendSites. Either way it draws
+// only what AppendSites(n) would draw first (at most the pending
+// countdown), which keeps the stream identical to calling AppendSites
+// directly; with p = 0 it draws nothing.
+//
+//xqlint:noalloc hit-free round fast path
+func (m *Model) Skip(n int) bool {
+	//xqlint:ignore floateq exact sentinel: P is never rounded; 0.0 means noise disabled
+	if m.P == 0 || n == 0 {
+		return true
+	}
+	if m.gap < 0 {
+		m.gap = m.skip()
+	}
+	if m.gap < n {
+		return false
+	}
+	m.gap -= n
+	return true
 }
 
 // Reseed rewinds the model's stream to the state a fresh NewModel(P, seed)

@@ -19,6 +19,13 @@ func TestZeroProbability(t *testing.T) {
 	if m.CountHits(1000) != 0 {
 		t.Fatal("p=0 counted hits")
 	}
+	if !m.Skip(1000) {
+		t.Fatal("p=0 Skip reported a hit")
+	}
+	// None of them touched the stream.
+	if got, want := m.Rand().Uint64(), xrand.New(1).Uint64(); got != want {
+		t.Fatalf("p=0 drew from the stream: next word %x, fresh %x", got, want)
+	}
 }
 
 func TestSampleSitesStatistics(t *testing.T) {
@@ -127,6 +134,83 @@ func TestAppendSitesMatchesHit(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			if b, w := bulk.Hit(), twin.Hit(); b != w {
 				t.Fatalf("p=%v: draw %d after the bulk calls diverged: %v vs %v", p, i, b, w)
+			}
+		}
+	}
+}
+
+// TestSkipMatchesAppendSites pins the premise the backend's quiet-round
+// fast path rests on: a model that tries Skip(n) first and falls back to
+// AppendSites(n) when it fails reports the same sites, and leaves the
+// same next draw, as a twin that calls AppendSites(n) directly — across
+// random interleavings with Hit, CountHits, SetProb and Reseed, and over
+// batched skips whose length is the sum of several calls'.
+func TestSkipMatchesAppendSites(t *testing.T) {
+	for _, p := range []float64{0, 0.0005, 0.001, 0.05, 0.3} {
+		skipper, twin := NewModel(p, 5), NewModel(p, 5)
+		ops := xrand.New(int64(p*1e6) + 3)
+		var got, want []int
+		for call := 0; call < 4000; call++ {
+			switch op := ops.Intn(100); {
+			case op < 60:
+				n := ops.Intn(400)
+				if call%9 == 0 {
+					n = 0
+				}
+				got = got[:0]
+				if !skipper.Skip(n) {
+					got = skipper.AppendSites(got, n)
+				}
+				want = twin.AppendSites(want[:0], n)
+				if !slices.Equal(got, want) {
+					t.Fatalf("p=%v call %d: Skip-then-AppendSites(%d) = %v, AppendSites = %v", p, call, n, got, want)
+				}
+			case op < 70:
+				// A batch of k calls skipped at once is k hit-free calls.
+				k := 1 + ops.Intn(4)
+				lens := make([]int, k)
+				total := 0
+				for i := range lens {
+					lens[i] = ops.Intn(200)
+					total += lens[i]
+				}
+				if skipper.Skip(total) {
+					for i, n := range lens {
+						if want = twin.AppendSites(want[:0], n); len(want) != 0 {
+							t.Fatalf("p=%v call %d: Skip(%d) held but part %d (AppendSites(%d)) hit %v", p, call, total, i, n, want)
+						}
+					}
+					break
+				}
+				for _, n := range lens {
+					got = skipper.AppendSites(got[:0], n)
+					want = twin.AppendSites(want[:0], n)
+					if !slices.Equal(got, want) {
+						t.Fatalf("p=%v call %d: after a failed Skip(%d), AppendSites(%d) = %v, twin %v", p, call, total, n, got, want)
+					}
+				}
+			case op < 80:
+				if s, w := skipper.Hit(), twin.Hit(); s != w {
+					t.Fatalf("p=%v call %d: Hit %v vs %v", p, call, s, w)
+				}
+			case op < 90:
+				n := ops.Intn(300)
+				if s, w := skipper.CountHits(n), twin.CountHits(n); s != w {
+					t.Fatalf("p=%v call %d: CountHits(%d) %d vs %d", p, call, n, s, w)
+				}
+			case op < 95:
+				q := []float64{0, 0.0005, 0.01, 0.2}[ops.Intn(4)]
+				skipper.SetProb(q)
+				twin.SetProb(q)
+			default:
+				s := int64(ops.Intn(1 << 16))
+				skipper.Reseed(s)
+				twin.Reseed(s)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			if s, w := skipper.Hit(), twin.Hit(); s != w {
+				t.Fatalf("p=%v: draw %d after the sequence diverged: %v vs %v", p, i, s, w)
 			}
 		}
 	}

@@ -10,8 +10,9 @@ import (
 
 // FuzzJobSpec pushes arbitrary bytes through the submit handler's
 // decoding (unknown fields rejected) and JobSpec.Normalize. Whatever
-// Normalize accepts must be a fixed point of Normalize, pass core's run
-// check when it is a simulate job, and hash like every equal spec: the
+// Normalize accepts must be a fixed point of Normalize, pass core's
+// workload and run checks when it is a simulate job, and hash like every
+// equal spec: the
 // same spec normalized twice, and the spec decoded back from its own
 // JSON.
 func FuzzJobSpec(f *testing.F) {
@@ -28,6 +29,10 @@ func FuzzJobSpec(f *testing.F) {
 		`{"kind":"sweep","experiments":["14","fig14","t3"],"d":7}`,
 		`{"kind":"estimate","tech":"ersfq","nphys":-1,"experiments":["fig5"]}`,
 		`{"kind":"simulate","bogus":1}`,
+		`{"kind":"simulate","pprs":1000000000}`,
+		`{"kind":"simulate","workload":"ppr","product":"Q"}`,
+		`{"kind":"simulate","workload":"qaoa","lq":0}`,
+		`{"kind":"simulate","workload":"random","lq":-2,"pprs":10000}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -54,6 +59,9 @@ func FuzzJobSpec(f *testing.F) {
 			t.Fatalf("Normalize is not idempotent:\n%s\n%s", raw, twice)
 		}
 		if norm.Kind == "simulate" {
+			if err := core.CheckWorkload(workloadLQ(norm), norm.PPRs, norm.Product); err != nil {
+				t.Fatalf("accepted simulate spec %s fails the workload check: %v", raw, err)
+			}
 			if err := core.CheckRun(workloadLQ(norm), norm.D, norm.PhysErr); err != nil {
 				t.Fatalf("accepted simulate spec %s fails the run check: %v", raw, err)
 			}

@@ -156,6 +156,10 @@ func TestHTTPRejectsUnrunnableSimulate(t *testing.T) {
 		`{"kind":"simulate","d":100001}`,
 		`{"kind":"simulate","phys_error":7}`,
 		`{"kind":"simulate","phys_error":1}`,
+		`{"kind":"simulate","pprs":1000000000}`,
+		`{"kind":"simulate","workload":"random","pprs":10001}`,
+		`{"kind":"simulate","workload":"ppr","product":"Q"}`,
+		`{"kind":"simulate","workload":"ppr","product":"ZZ+"}`,
 	} {
 		if resp, _ := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)

@@ -96,9 +96,13 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		if s.Seed == 0 {
 			s.Seed = 1
 		}
-		// Reject what the run would die on (an even or enormous d, a
-		// probability outside [0, 1), a tally too large to allocate)
-		// before the job is stored and resumed on every restart.
+		// Reject what the build or the run would die on (a bad product,
+		// too many rotations, an even or enormous d, a probability
+		// outside [0, 1), a tally too large to allocate) before the job
+		// is stored and resumed on every restart.
+		if err := core.CheckWorkload(workloadLQ(s), s.PPRs, s.Product); err != nil {
+			return s, err
+		}
 		if err := core.CheckRun(workloadLQ(s), s.D, s.PhysErr); err != nil {
 			return s, err
 		}

@@ -2,7 +2,6 @@ package surface
 
 import (
 	"fmt"
-	"sort"
 
 	"xqsim/internal/pauli"
 )
@@ -119,8 +118,9 @@ type Lattice struct {
 	Rows    int
 	Cols    int
 	Patches []Patch
-	// lqToPatch maps a logical qubit index to its patch index.
-	lqToPatch map[int]int
+	// lqToPatch[lq] is the index of the patch holding logical qubit lq,
+	// or -1 while lq is unmapped; MapLogical grows it.
+	lqToPatch []int
 	// mergeScratch is ApplyMerge's reusable in-region membership table;
 	// activeScratch backs ActiveESMPatches. Both exist so the per-shot
 	// lattice-surgery hot path stays allocation-free.
@@ -142,12 +142,11 @@ func NewLattice(rows, cols, d int) *Lattice {
 		panic("surface: empty lattice")
 	}
 	l := &Lattice{
-		Code:      NewCode(d),
-		Rows:      rows,
-		Cols:      cols,
-		Patches:   make([]Patch, rows*cols),
-		lqToPatch: make(map[int]int),
-		esmEpoch:  1, // ahead of activeEpoch so the first listing builds
+		Code:     NewCode(d),
+		Rows:     rows,
+		Cols:     cols,
+		Patches:  make([]Patch, rows*cols),
+		esmEpoch: 1, // ahead of activeEpoch so the first listing builds
 	}
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -195,13 +194,16 @@ func (l *Lattice) MapLogical(lq, idx int, init InitState) {
 	p.Static.Type = Mapped
 	p.Static.Init = init
 	p.Static.LQ = lq
+	for len(l.lqToPatch) <= lq {
+		l.lqToPatch = append(l.lqToPatch, -1)
+	}
 	l.lqToPatch[lq] = idx
 }
 
 // UnmapLogical releases the patch holding logical qubit lq (used when the
 // per-PPR resource qubits are measured out).
 func (l *Lattice) UnmapLogical(lq int) {
-	idx, ok := l.lqToPatch[lq]
+	idx, ok := l.PatchOfLQ(lq)
 	if !ok {
 		return
 	}
@@ -209,22 +211,25 @@ func (l *Lattice) UnmapLogical(lq int) {
 	p.Static.Type = Intermediate
 	p.Static.Init = InitNone
 	p.Static.LQ = -1
-	delete(l.lqToPatch, lq)
+	l.lqToPatch[lq] = -1
 }
 
 // PatchOfLQ returns the patch index of logical qubit lq.
 func (l *Lattice) PatchOfLQ(lq int) (int, bool) {
-	idx, ok := l.lqToPatch[lq]
-	return idx, ok
+	if lq < 0 || lq >= len(l.lqToPatch) || l.lqToPatch[lq] < 0 {
+		return 0, false
+	}
+	return l.lqToPatch[lq], true
 }
 
 // MappedLQs lists the logical qubits currently mapped, in ascending order.
 func (l *Lattice) MappedLQs() []int {
-	out := make([]int, 0, len(l.lqToPatch))
-	for lq := range l.lqToPatch {
-		out = append(out, lq)
+	var out []int
+	for lq, idx := range l.lqToPatch {
+		if idx >= 0 {
+			out = append(out, lq)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -468,6 +473,7 @@ func NewPPRLayout(nLQ, d int) *PPRLayout {
 		cols = 5
 	}
 	l := NewLattice(3, cols, d)
+	l.lqToPatch = make([]int, 0, nLQ+2) // the data qubits and the two resource qubits
 	for q := 0; q < nLQ; q++ {
 		l.MapLogical(q, 0*cols+2*q, InitZero)
 		l.EnableESM(0*cols + 2*q)
@@ -485,8 +491,9 @@ func NewPPRLayout(nLQ, d int) *PPRLayout {
 // Reset restores the layout to its freshly constructed state — every data
 // logical qubit mapped to its home patch with |0> initialization and ESM
 // enabled, every other patch an inactive intermediate — without
-// reallocating the patch array or map. Shot loops reuse one layout across
-// shots; a reset layout is indistinguishable from a new one.
+// reallocating the patch array or the logical-qubit table. Shot loops
+// reuse one layout across shots; a reset layout is indistinguishable
+// from a new one.
 func (l *PPRLayout) Reset() {
 	for i := range l.Patches {
 		p := &l.Patches[i]
@@ -494,7 +501,9 @@ func (l *PPRLayout) Reset() {
 		p.Dynamic = Dynamic{}
 	}
 	l.esmEpoch++
-	clear(l.lqToPatch)
+	for i := range l.lqToPatch {
+		l.lqToPatch[i] = -1
+	}
 	for q := 0; q < l.NLQ; q++ {
 		l.MapLogical(q, 2*q, InitZero)
 		l.EnableESM(2 * q)
