@@ -17,6 +17,7 @@ import (
 
 	"xqsim"
 	"xqsim/internal/cli"
+	"xqsim/internal/core"
 )
 
 type multiFlag []string
@@ -52,18 +53,9 @@ func main() {
 	var prog xqsim.Program
 	switch {
 	case *compile != "":
-		var circ xqsim.Circuit
-		switch *compile {
-		case "random":
-			circ = xqsim.RandomPPR(*lq, *pprs, *seed)
-		case "qft2":
-			circ = xqsim.QFT2(2)
-		case "qaoa":
-			circ = xqsim.QAOA(*lq)
-		case "ppr":
-			circ = xqsim.SinglePPR(*product, xqsim.AnglePi8)
-		default:
-			fail(fmt.Errorf("unknown workload %q", *compile))
+		circ, err := core.Workload{Kind: *compile, LQ: *lq, PPRs: *pprs, Product: *product, Seed: *seed}.Circuit()
+		if err != nil {
+			fail(err)
 		}
 		res, err := xqsim.Compile(circ)
 		if err != nil {
@@ -80,8 +72,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		p, err := xqsim.Program(nil), error(nil)
-		p, err = decodeBinary(raw)
+		p, err := xqsim.DecodeBinary(raw)
 		if err != nil {
 			fail(err)
 		}
@@ -120,8 +111,4 @@ func main() {
 		return
 	}
 	fmt.Print(xqsim.Disassemble(prog))
-}
-
-func decodeBinary(raw []byte) (xqsim.Program, error) {
-	return xqsim.DecodeBinary(raw)
 }

@@ -76,7 +76,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		_, _ = fmt.Fprintln(stderr, "xqsim:", err)
 		return 2
 	}
-	if err := core.CheckWorkload(workloadInputs(*workload, *lq, *pprs, *product)); err != nil {
+	// An unknown -workload exits 1, like an unknown -system; inputs its
+	// generator cannot build are usage errors.
+	w, err := core.Workload{Kind: *workload, LQ: *lq, PPRs: *pprs, Product: *product, Seed: *seed}.Canonical()
+	if err != nil {
+		_, _ = fmt.Fprintln(stderr, "xqsim:", err)
+		return 1
+	}
+	if err := w.Check(); err != nil {
 		_, _ = fmt.Fprintln(stderr, "xqsim:", err)
 		return 2
 	}
@@ -95,7 +102,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	circ, err := buildWorkload(*workload, *lq, *pprs, *product, *seed)
+	circ, err := w.Circuit()
 	if err != nil {
 		return fail(err)
 	}
@@ -208,35 +215,6 @@ func writeTrace(circ xqsim.Circuit, d int, p float64, seed int64, path string) e
 		return err
 	}
 	return f.Close()
-}
-
-// workloadInputs picks the flags kind's generator reads, in
-// core.CheckWorkload's terms: -lq and -pprs for random, -lq for qaoa,
-// and -product for ppr, whose length is its qubit count.
-func workloadInputs(kind string, lq, pprs int, product string) (nLQ, rotations int, prod string) {
-	switch kind {
-	case "random":
-		return lq, pprs, ""
-	case "qft2":
-		return 2, 0, ""
-	case "ppr":
-		return len(product), 0, product
-	}
-	return lq, 0, ""
-}
-
-func buildWorkload(kind string, lq, pprs int, product string, seed int64) (xqsim.Circuit, error) {
-	switch kind {
-	case "random":
-		return xqsim.RandomPPR(lq, pprs, seed), nil
-	case "qft2":
-		return xqsim.QFT2(2), nil
-	case "qaoa":
-		return xqsim.QAOA(lq), nil
-	case "ppr":
-		return xqsim.SinglePPR(product, xqsim.AnglePi8), nil
-	}
-	return xqsim.Circuit{}, fmt.Errorf("unknown workload %q", kind)
 }
 
 func buildSystem(name string, d int) (*xqsim.System, xqsim.Scheme, error) {

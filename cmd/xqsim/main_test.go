@@ -94,6 +94,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"error rate out of range", nil, []string{"-p", "7"}, 2, "physical error rate must be in [0, 1)"},
 		{"too many functional qubits", nil, []string{"-lq", "40", "-functional"}, 2, "logical qubits, got 40"},
 		{"no logical qubits", nil, []string{"-lq", "0"}, 2, "at least 1 logical qubit, got 0"},
+		{"too many logical qubits", nil, []string{"-lq", "10000000", "-pprs", "1", "-d", "3"}, 2, "at most 1024 logical qubits, got 10000000"},
+		{"too many rotated qubits", nil, []string{"-lq", "100000", "-pprs", "10000", "-d", "3"}, 2, "at most 1024 logical qubits, got 100000"},
 		{"no functional logical qubits", nil, []string{"-lq", "0", "-functional"}, 2, "at least 1 logical qubit, got 0"},
 		{"bad product", nil, []string{"-workload", "ppr", "-product", "Q"}, 2, `product "Q" is not a string`},
 		{"empty product", nil, []string{"-workload", "ppr", "-product", ""}, 2, "at least 1 logical qubit, got 0"},

@@ -27,7 +27,10 @@ type gridFlags struct {
 	resume     bool
 	submit     string // -submit <url>
 	fetch      string // -fetch <url> (with -grid-id)
+	worker     string // -worker <url> (with -grid-id)
 	gridID     string
+	workerName string
+	leaseBatch int
 	// stdout receives the grid JSONL when no -jsonl/-csv file is given
 	// (and -submit's grid id); stderr the progress notes.
 	stdout, stderr io.Writer
@@ -35,11 +38,11 @@ type gridFlags struct {
 
 // buildGridSpec assembles and normalizes the GridSpec from the flags.
 func (f gridFlags) buildGridSpec() (xqsim.GridSpec, error) {
-	ds, err := parseInts(f.ds)
+	ds, err := parseList(f.ds, strconv.Atoi)
 	if err != nil {
 		return xqsim.GridSpec{}, fmt.Errorf("-d: %w", err)
 	}
-	ps, err := parseFloats(f.ps)
+	ps, err := parseList(f.ps, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
 	if err != nil {
 		return xqsim.GridSpec{}, fmt.Errorf("-p: %w", err)
 	}
@@ -53,32 +56,16 @@ func (f gridFlags) buildGridSpec() (xqsim.GridSpec, error) {
 	}.Normalize()
 }
 
-func parseInts(s string) ([]int, error) {
+// parseList parses a comma-separated flag value, one parse per item.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
 	if s == "" {
 		return nil, fmt.Errorf("empty list")
 	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
+	var out []T
+	for _, p := range strings.Split(s, ",") {
+		v, err := parse(strings.TrimSpace(p))
 		if err != nil {
-			return nil, fmt.Errorf("bad int %q", p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	if s == "" {
-		return nil, fmt.Errorf("empty list")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad float %q", p)
+			return nil, fmt.Errorf("bad value %q", p)
 		}
 		out = append(out, v)
 	}
@@ -110,51 +97,28 @@ func runGridLocal(ctx context.Context, f gridFlags) error {
 		return err
 	}
 
-	var ck *xqsim.SweepCheckpoint
-	if f.checkpoint != "" {
-		if f.resume {
-			loaded, err := xqsim.LoadSweepCheckpoint(f.checkpoint)
-			if err != nil {
-				return err
-			}
-			if loaded.CompatibleGrid(g.Hash()) {
-				ck = loaded
-				_, _ = fmt.Fprintf(f.stderr, "resuming from %s (%d cells done)\n", f.checkpoint, len(loaded.Cells))
-			} else if loaded != nil {
-				_, _ = fmt.Fprintf(f.stderr, "checkpoint %s belongs to a different grid; starting over\n", f.checkpoint)
-			}
-		}
-		if ck == nil {
-			ck = xqsim.NewGridCheckpoint(g)
-		}
+	ck, err := openCheckpoint(f.checkpoint, f.resume, xqsim.NewGridCheckpoint(g), f.stderr, "")
+	if err != nil {
+		return err
 	}
 
 	clock := monotonicClock()
 	results := make([]xqsim.GridCellResult, 0, len(cells))
 	timings := make([]xqsim.GridCellTiming, 0, len(cells))
 	for _, cell := range cells {
-		if r, ok := ck.CellAt(cell.Index); ok {
-			_, _ = fmt.Fprintf(f.stderr, "skipping cell %d (checkpointed)\n", cell.Index)
-			results = append(results, r)
-			timings = append(timings, xqsim.GridCellTiming{})
-			continue
-		}
-		r, t, err := xqsim.RunGridCell(ctx, g, cell, clock)
+		r, t, cached, err := ck.Cell(ctx, f.checkpoint, g, cell, clock)
 		if err != nil {
 			return fmt.Errorf("cell %d (d=%d p=%g): %w", cell.Index, cell.D, cell.P, err)
 		}
+		if cached {
+			_, _ = fmt.Fprintf(f.stderr, "skipping cell %d (checkpointed)\n", cell.Index)
+		}
 		results = append(results, r)
 		timings = append(timings, t)
-		if ck != nil {
-			ck.PutCell(r)
-			if err := ck.Save(f.checkpoint); err != nil {
-				return err
-			}
-		}
 	}
 
 	if f.jsonl != "" {
-		if err := writeFileWith(f.jsonl, func(w *os.File) error {
+		if err := writeFileWith(f.jsonl, func(w io.Writer) error {
 			return xqsim.WriteGridJSONL(w, g, results)
 		}); err != nil {
 			return err
@@ -163,7 +127,7 @@ func runGridLocal(ctx context.Context, f gridFlags) error {
 	}
 	if f.csv != "" {
 		shardLabel := f.shard
-		if err := writeFileWith(f.csv, func(w *os.File) error {
+		if err := writeFileWith(f.csv, func(w io.Writer) error {
 			return xqsim.WriteGridCSV(w, g, shardLabel, results, timings)
 		}); err != nil {
 			return err
@@ -202,7 +166,7 @@ func runGridMerge(f gridFlags, shardPaths []string) error {
 	}
 
 	if f.jsonl != "" {
-		if err := writeFileWith(f.jsonl, func(w *os.File) error {
+		if err := writeFileWith(f.jsonl, func(w io.Writer) error {
 			return xqsim.MergeGridFiles(w, readers)
 		}); err != nil {
 			return err
@@ -216,7 +180,7 @@ func runGridMerge(f gridFlags, shardPaths []string) error {
 		if err != nil {
 			return err
 		}
-		if err := writeFileWith(f.csv, func(w *os.File) error {
+		if err := writeFileWith(f.csv, func(w io.Writer) error {
 			return xqsim.WriteGridCSV(w, g, "", cells, nil)
 		}); err != nil {
 			return err
@@ -239,7 +203,7 @@ func readMerged(path string) (xqsim.GridSpec, []xqsim.GridCellResult, error) {
 }
 
 // writeFileWith creates path and streams through fn, closing cleanly.
-func writeFileWith(path string, fn func(*os.File) error) error {
+func writeFileWith(path string, fn func(io.Writer) error) error {
 	fh, err := os.Create(path)
 	if err != nil {
 		return err

@@ -25,6 +25,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -101,7 +102,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			kind: *grid, ds: *gridDs, ps: *gridPs, rounds: *gridRounds, trials: *gridTrials,
 			seed: *seed, shard: *shard, jsonl: *jsonl, csv: *csv,
 			checkpoint: *checkpoint, resume: *resume,
-			submit: *submit, fetch: *fetch, gridID: *gridID,
+			submit: *submit, fetch: *fetch, worker: *worker, gridID: *gridID,
+			workerName: *workerName, leaseBatch: *leaseBatch,
 			stdout: stdout, stderr: stderr,
 		}
 		var err error
@@ -109,11 +111,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		case *merge:
 			err = runGridMerge(gf, fs.Args())
 		case *worker != "":
-			err = runGridWorker(ctx, workerFlags{
-				url: *worker, gridID: *gridID, name: *workerName,
-				leaseBatch: *leaseBatch, checkpoint: *checkpoint, csv: *csv,
-				stderr: stderr,
-			})
+			err = runGridWorker(ctx, gf)
 		case *fetch != "":
 			err = runGridFetch(ctx, gf)
 		case *submit != "":
@@ -137,24 +135,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 	opts := xqsim.ExperimentOptions{Shots: *shots, Seed: *seed, TournamentDecoder: *decoderName}
-
-	var ck *xqsim.SweepCheckpoint
-	if *checkpoint != "" {
-		if *resume {
-			loaded, err := xqsim.LoadSweepCheckpoint(*checkpoint)
-			if err != nil {
-				return fail(err)
-			}
-			if loaded.Compatible(*seed, *shots) {
-				ck = loaded
-				_, _ = fmt.Fprintf(stderr, "resuming from %s (%d experiments done)\n", *checkpoint, len(loaded.Results))
-			} else if loaded != nil {
-				_, _ = fmt.Fprintf(stderr, "checkpoint %s was taken with different -seed/-shots; starting over\n", *checkpoint)
-			}
-		}
-		if ck == nil {
-			ck = xqsim.NewSweepCheckpoint(*seed, *shots)
-		}
+	ck, err := openCheckpoint(*checkpoint, *resume, xqsim.NewSweepCheckpoint(*seed, *shots), stderr, "")
+	if err != nil {
+		return fail(err)
 	}
 
 	var ids []string
@@ -181,98 +164,97 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	var results []xqsim.ExperimentResult
+	code := 0
 	for _, id := range ids {
-		if cid := xqsim.CanonicalExperimentID(id); ck.Has(cid) {
-			results = append(results, ck.Results[cid])
-			_, _ = fmt.Fprintf(stderr, "skipping %s (checkpointed)\n", cid)
+		r, cached, err := ck.Experiment(ctx, *checkpoint, id, opts)
+		if cached {
+			_, _ = fmt.Fprintf(stderr, "skipping %s (checkpointed)\n", r.ID)
+		}
+		if r.ID != "" { // a run whose checkpoint save failed still counts
+			results = append(results, r)
+		}
+		if err != nil {
+			code = fail(err)
+			break
+		}
+	}
+	if err := writeResults(stdout, stderr, results, *md, *csv, *jsonl); err != nil {
+		code = fail(err)
+	}
+	return code
+}
+
+// openCheckpoint is xqsweep's side of the checkpoint protocol. With a
+// path it starts from fresh, or with resume from whatever
+// sweep.Resume finds there, printing the protocol's note after prefix;
+// with none it returns nil, and every step only runs.
+func openCheckpoint(path string, resume bool, fresh *xqsim.SweepCheckpoint, stderr io.Writer, prefix string) (*xqsim.SweepCheckpoint, error) {
+	if path == "" {
+		return nil, nil
+	}
+	if !resume {
+		return fresh, nil
+	}
+	ck, note, err := xqsim.ResumeSweepCheckpoint(path, fresh)
+	if note != "" {
+		_, _ = fmt.Fprintln(stderr, prefix+note)
+	}
+	return ck, err
+}
+
+// writeResults is the experiment mode's one output path, after a clean
+// run and after a failure or interrupt alike: it prints every finished
+// result and writes the -md, -csv and -jsonl files, so a failed sweep
+// still leaves its partial report behind. It returns the first write
+// error.
+func writeResults(stdout, stderr io.Writer, results []xqsim.ExperimentResult, md, csv, jsonl string) error {
+	if len(results) == 0 {
+		return nil
+	}
+	for _, r := range results {
+		_, _ = fmt.Fprintln(stdout, r)
+	}
+	worst, where := xqsim.WorstDeviationPct(results)
+	outputs := []struct {
+		path, note string
+		render     func(io.Writer) error
+	}{
+		{md, fmt.Sprintf("wrote report to %s (worst deviation %.1f%% at %s)", md, worst, where), func(w io.Writer) error {
+			_, err := io.WriteString(w, xqsim.MarkdownReport(results))
+			return err
+		}},
+		{csv, "wrote series to " + csv, func(w io.Writer) error { return writeSeriesCSV(w, results) }},
+		{jsonl, fmt.Sprintf("wrote %d JSONL results to %s", len(results), jsonl), func(w io.Writer) error {
+			return xqsim.WriteExperimentsJSONL(w, results)
+		}},
+	}
+	var first error
+	for _, o := range outputs {
+		if o.path == "" {
 			continue
 		}
-		r, err := xqsim.RunExperiment(ctx, id, opts)
-		if err != nil {
-			code := fail(err)
-			flushPartial(stdout, stderr, results, *md, *csv, *jsonl)
-			return code
-		}
-		results = append(results, r)
-		if ck != nil {
-			ck.Put(r)
-			if err := ck.Save(*checkpoint); err != nil {
-				return fail(err)
+		if err := writeFileWith(o.path, o.render); err != nil {
+			if first == nil {
+				first = err
 			}
+			continue
 		}
+		_, _ = fmt.Fprintln(stderr, o.note)
 	}
-
-	for _, r := range results {
-		_, _ = fmt.Fprintln(stdout, r)
-	}
-
-	if *md != "" && len(results) > 0 {
-		if err := os.WriteFile(*md, []byte(xqsim.MarkdownReport(results)), 0o644); err != nil {
-			return fail(err)
-		}
-		worst, where := xqsim.WorstDeviationPct(results)
-		_, _ = fmt.Fprintf(stderr, "wrote report to %s (worst deviation %.1f%% at %s)\n", *md, worst, where)
-	}
-
-	if *csv != "" && len(results) > 0 {
-		if err := writeCSV(*csv, results); err != nil {
-			return fail(err)
-		}
-		_, _ = fmt.Fprintf(stderr, "wrote series to %s\n", *csv)
-	}
-
-	if *jsonl != "" && len(results) > 0 {
-		if err := writeJSONL(*jsonl, results); err != nil {
-			return fail(err)
-		}
-		_, _ = fmt.Fprintf(stderr, "wrote %d JSONL results to %s\n", len(results), *jsonl)
-	}
-	return 0
+	return first
 }
 
-// flushPartial writes whatever completed before a failure or interrupt,
-// so a canceled sweep still leaves its partial report behind.
-func flushPartial(stdout, stderr io.Writer, results []xqsim.ExperimentResult, md, csv, jsonl string) {
-	if len(results) == 0 {
-		return
-	}
-	for _, r := range results {
-		_, _ = fmt.Fprintln(stdout, r)
-	}
-	if md != "" {
-		if err := os.WriteFile(md, []byte(xqsim.MarkdownReport(results)), 0o644); err != nil {
-			_, _ = fmt.Fprintln(stderr, "xqsweep:", err)
-		}
-	}
-	if csv != "" {
-		if err := writeCSV(csv, results); err != nil {
-			_, _ = fmt.Fprintln(stderr, "xqsweep:", err)
-		}
-	}
-	if jsonl != "" {
-		if err := writeJSONL(jsonl, results); err != nil {
-			_, _ = fmt.Fprintln(stderr, "xqsweep:", err)
-		}
-	}
-}
-
-func writeJSONL(path string, results []xqsim.ExperimentResult) error {
-	var sb strings.Builder
-	if err := xqsim.WriteExperimentsJSONL(&sb, results); err != nil {
-		return err
-	}
-	return os.WriteFile(path, []byte(sb.String()), 0o644)
-}
-
-func writeCSV(path string, results []xqsim.ExperimentResult) error {
-	var sb strings.Builder
-	sb.WriteString("experiment,series,x,y\n")
+// writeSeriesCSV writes every result's series as experiment,series,x,y
+// rows.
+func writeSeriesCSV(w io.Writer, results []xqsim.ExperimentResult) error {
+	bw := bufio.NewWriter(w)
+	_, _ = bw.WriteString("experiment,series,x,y\n")
 	for _, r := range results {
 		for _, s := range r.Series {
 			for i := range s.X {
-				fmt.Fprintf(&sb, "%s,%s,%g,%g\n", r.ID, s.Name, s.X[i], s.Y[i])
+				_, _ = fmt.Fprintf(bw, "%s,%s,%g,%g\n", r.ID, s.Name, s.X[i], s.Y[i])
 			}
 		}
 	}
-	return os.WriteFile(path, []byte(sb.String()), 0o644)
+	return bw.Flush()
 }

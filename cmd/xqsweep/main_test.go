@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"xqsim/internal/server"
 )
 
 // runCmd runs the command in process and returns its exit status and
@@ -77,6 +80,24 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestRunFailedCheckpointSaveKeepsResults: a checkpoint that cannot be
+// saved fails the run (exit 1) only after the finished result is
+// printed and written, as a failed experiment does.
+func TestRunFailedCheckpointSaveKeepsResults(t *testing.T) {
+	dir := t.TempDir()
+	part := filepath.Join(dir, "part.jsonl")
+	code, out, errOut := runCmd(t, "-table", "4", "-checkpoint", filepath.Join(dir, "absent", "ck.json"), "-jsonl", part)
+	if code != 1 || !strings.Contains(errOut, "save checkpoint") {
+		t.Fatalf("exit %d, want 1 with a save error; stderr:\n%s", code, errOut)
+	}
+	if !strings.Contains(out, "== table4:") {
+		t.Errorf("finished result not printed:\n%s", out)
+	}
+	if b, err := os.ReadFile(part); err != nil || !bytes.Contains(b, []byte(`"id":"table4"`)) {
+		t.Errorf("finished result not written to -jsonl: %v\n%s", err, b)
+	}
+}
+
 // TestRunGridShardMerge runs a 2-cell grid in one process and as two
 // shards, and checks that merging the shards reproduces the
 // single-process bytes.
@@ -126,6 +147,52 @@ func TestRunGridShardMerge(t *testing.T) {
 	code, streamed, errOut = runCmd(t, args...)
 	if code != 0 || streamed != string(s0) || !strings.Contains(errOut, "skipping cell 0 (checkpointed)") {
 		t.Fatalf("resumed shard: exit %d, stderr %s, bytes equal %v", code, errOut, streamed == string(s0))
+	}
+}
+
+// TestRunWorkerAgainstDaemon drives -submit, -worker and -fetch against
+// an in-process xqd. A worker whose checkpoint belongs to another grid
+// says so and starts over, the fetched grid equals a single-process run
+// byte for byte, and a restarted worker resumes its own checkpoint.
+func TestRunWorkerAgainstDaemon(t *testing.T) {
+	dir := t.TempDir()
+	sched, err := server.New(server.Config{DataDir: filepath.Join(dir, "xqd")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.NewServer(sched))
+	defer func() {
+		ts.Close()
+		if err := sched.Drain(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}()
+	ck := filepath.Join(dir, "ck.json")
+	grid := []string{"-grid", "threshold", "-d", "3", "-p", "0.01,0.03", "-trials", "32", "-seed", "5"}
+	worker := []string{"-worker", ts.URL, "-worker-name", "w", "-checkpoint", ck}
+
+	if code, _, errOut := runCmd(t, "-grid", "threshold", "-d", "3", "-p", "0.02", "-trials", "8", "-checkpoint", ck); code != 0 {
+		t.Fatalf("other grid: exit %d, stderr:\n%s", code, errOut)
+	}
+	code, id, errOut := runCmd(t, append(grid[:len(grid):len(grid)], "-submit", ts.URL)...)
+	if id = strings.TrimSpace(id); code != 0 || id == "" {
+		t.Fatalf("submit: exit %d, id %q, stderr:\n%s", code, id, errOut)
+	}
+	worker = append(worker, "-grid-id", id)
+	code, _, errOut = runCmd(t, worker...)
+	if code != 0 || !strings.Contains(errOut, "worker w: checkpoint "+ck+" belongs to a different grid; starting over") {
+		t.Fatalf("worker: exit %d, stderr:\n%s", code, errOut)
+	}
+	code, fetched, errOut := runCmd(t, "-fetch", ts.URL, "-grid-id", id)
+	if code != 0 {
+		t.Fatalf("fetch: exit %d, stderr:\n%s", code, errOut)
+	}
+	if _, whole, _ := runCmd(t, grid...); fetched != whole {
+		t.Fatalf("fetched grid differs from the single-process run:\n%s\nvs\n%s", fetched, whole)
+	}
+	code, _, errOut = runCmd(t, worker...)
+	if code != 0 || !strings.Contains(errOut, "worker w: resuming from "+ck+" (2 cells done)") {
+		t.Fatalf("restarted worker: exit %d, stderr:\n%s", code, errOut)
 	}
 }
 

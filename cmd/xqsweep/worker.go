@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"xqsim"
+	"xqsim/internal/server"
 )
 
 // gridClient speaks the xqd grid protocol (see internal/server: POST
@@ -31,21 +32,26 @@ func newGridClient(base string) *gridClient {
 // apiError decodes the daemon's {"error": ...} body into a Go error.
 func apiError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	var e struct {
-		Error string `json:"error"`
-	}
+	var e server.ErrorResponse
 	if json.Unmarshal(body, &e) == nil && e.Error != "" {
 		return fmt.Errorf("xqd: %s (%s)", e.Error, resp.Status)
 	}
 	return fmt.Errorf("xqd: %s", resp.Status)
 }
 
-func (c *gridClient) postJSON(ctx context.Context, path string, body, out any) (int, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
+// call sends body, as JSON unless nil, to path and decodes the reply
+// into out: the raw bytes for a *[]byte, JSON otherwise. A reply above
+// 2xx is the daemon's error, returned with its status code.
+func (c *gridClient) call(ctx context.Context, method, path string, body, out any) (int, error) {
+	var rd io.Reader
+	if body != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			return 0, err
+		}
+		rd = bytes.NewReader(raw)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(raw))
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return 0, err
 	}
@@ -58,56 +64,30 @@ func (c *gridClient) postJSON(ctx context.Context, path string, body, out any) (
 	if resp.StatusCode >= 300 {
 		return resp.StatusCode, apiError(resp)
 	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, err
-		}
+	switch out := out.(type) {
+	case nil:
+	case *[]byte:
+		*out, err = io.ReadAll(resp.Body)
+	default:
+		err = json.NewDecoder(resp.Body).Decode(out)
 	}
-	return resp.StatusCode, nil
+	return resp.StatusCode, err
 }
 
-type gridCreateReply struct {
-	ID     string `json:"id"`
-	Status string `json:"status"`
-	Cells  int    `json:"cells"`
-}
-
-func (c *gridClient) create(ctx context.Context, g xqsim.GridSpec) (gridCreateReply, error) {
-	var out gridCreateReply
-	_, err := c.postJSON(ctx, "/grids", g, &out)
+func (c *gridClient) create(ctx context.Context, g xqsim.GridSpec) (server.GridCreateResponse, error) {
+	var out server.GridCreateResponse
+	_, err := c.call(ctx, http.MethodPost, "/grids", g, &out)
 	return out, err
 }
 
-// leasedCell mirrors server.LeasedCell.
-type leasedCell struct {
-	Cell      xqsim.GridCell `json:"cell"`
-	Attempt   int            `json:"attempt"`
-	TTLMillis int64          `json:"ttl_ms"`
-}
-
-// gridStatus mirrors server.GridStatus.
-type gridStatus struct {
-	ID       string `json:"id"`
-	Kind     string `json:"kind"`
-	Cells    int    `json:"cells"`
-	Complete int    `json:"complete"`
-	Leased   int    `json:"leased"`
-	Done     bool   `json:"done"`
-}
-
-type leaseReply struct {
-	Cells  []leasedCell `json:"cells"`
-	Status gridStatus   `json:"status"`
-}
-
-func (c *gridClient) lease(ctx context.Context, id, worker string, max int) (leaseReply, error) {
-	var out leaseReply
-	_, err := c.postJSON(ctx, "/grids/"+id+"/lease", map[string]any{"worker": worker, "max": max}, &out)
+func (c *gridClient) lease(ctx context.Context, id, worker string, max int) (server.LeaseResponse, error) {
+	var out server.LeaseResponse
+	_, err := c.call(ctx, http.MethodPost, "/grids/"+id+"/lease", server.LeaseRequest{Worker: worker, Max: max}, &out)
 	return out, err
 }
 
 func (c *gridClient) renew(ctx context.Context, id, worker string, index int) error {
-	_, err := c.postJSON(ctx, fmt.Sprintf("/grids/%s/cells/%d/renew", id, index), map[string]any{"worker": worker}, nil)
+	_, err := c.call(ctx, http.MethodPost, fmt.Sprintf("/grids/%s/cells/%d/renew", id, index), server.RenewRequest{Worker: worker}, nil)
 	return err
 }
 
@@ -119,40 +99,14 @@ func (c *gridClient) complete(ctx context.Context, id string, r xqsim.GridCellRe
 	if err != nil {
 		return false, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		fmt.Sprintf("%s/grids/%s/cells/%d", c.base, id, r.Index), bytes.NewReader(raw))
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode == http.StatusConflict {
-		return true, apiError(resp)
-	}
-	if resp.StatusCode >= 300 {
-		return false, apiError(resp)
-	}
-	return false, nil
+	code, err := c.call(ctx, http.MethodPost, fmt.Sprintf("/grids/%s/cells/%d", id, r.Index), json.RawMessage(raw), nil)
+	return code == http.StatusConflict, err
 }
 
 func (c *gridClient) result(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/grids/"+id+"/result", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode >= 300 {
-		return nil, apiError(resp)
-	}
-	return io.ReadAll(resp.Body)
+	var out []byte
+	_, err := c.call(ctx, http.MethodGet, "/grids/"+id+"/result", nil, &out)
+	return out, err
 }
 
 // runGridSubmit registers the grid with the daemon and prints its id —
@@ -192,17 +146,6 @@ func runGridFetch(ctx context.Context, f gridFlags) error {
 	return err
 }
 
-// workerFlags collects the -worker mode knobs.
-type workerFlags struct {
-	url        string // -worker <url>
-	gridID     string
-	name       string // -worker-name
-	leaseBatch int
-	checkpoint string
-	csv        string
-	stderr     io.Writer // progress notes
-}
-
 // runGridWorker is the work-stealing loop: lease a batch of cells,
 // run each through the checkpoint machinery (so a restarted worker
 // re-pushes instead of recomputing), push the pinned bytes, repeat
@@ -210,61 +153,55 @@ type workerFlags struct {
 // renews the leases on every not-yet-pushed cell of the batch at a
 // third of the TTL — queued cells included, so only a dead worker's
 // leases expire.
-func runGridWorker(ctx context.Context, f workerFlags) error {
+func runGridWorker(ctx context.Context, f gridFlags) error {
 	if f.gridID == "" {
 		return fmt.Errorf("-worker needs -grid-id")
 	}
-	if f.name == "" {
+	if f.workerName == "" {
 		host, _ := os.Hostname()
-		f.name = fmt.Sprintf("%s-%d", host, os.Getpid())
+		f.workerName = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	if f.leaseBatch <= 0 {
 		f.leaseBatch = 1
 	}
-	c := newGridClient(f.url)
+	c := newGridClient(f.worker)
 
 	// Leased cells are self-contained (d, p, rounds, trials, per-cell
 	// seed); the only spec field execution needs beyond them is the
 	// kind, which rides the lease reply's status snapshot.
 	var kind string
 
-	var (
-		ck      *xqsim.SweepCheckpoint
-		results []xqsim.GridCellResult
-		timings []xqsim.GridCellTiming
-	)
-	if f.checkpoint != "" {
-		loaded, err := xqsim.LoadSweepCheckpoint(f.checkpoint)
-		if err != nil {
-			return err
-		}
-		if loaded.CompatibleGrid(f.gridID) {
-			ck = loaded
-			_, _ = fmt.Fprintf(f.stderr, "worker %s: resuming checkpoint %s (%d cells)\n", f.name, f.checkpoint, len(loaded.Cells))
-		}
-		if ck == nil {
-			ck = xqsim.NewSweepCheckpoint(0, 0)
-			ck.Grid = f.gridID
-			ck.Cells = map[int]xqsim.GridCellResult{}
-		}
+	// A worker's snapshot is keyed by the grid id alone: leased cells
+	// carry everything else.
+	fresh := xqsim.NewSweepCheckpoint(0, 0)
+	fresh.Grid = f.gridID
+	ck, err := openCheckpoint(f.checkpoint, true, fresh, f.stderr, "worker "+f.workerName+": ")
+	if err != nil {
+		return err
+	}
+	if ck != nil {
 		// Re-push anything a previous life computed but may not have
 		// delivered; completion is idempotent, so double-push is safe.
-		for _, r := range sortedCells(ck.Cells) {
-			if conflict, err := c.complete(ctx, f.gridID, r); conflict {
+		for _, i := range sortedKeys(ck.Cells) {
+			if conflict, err := c.complete(ctx, f.gridID, ck.Cells[i]); conflict {
 				return err
 			} else if err != nil {
-				_, _ = fmt.Fprintf(f.stderr, "worker %s: re-push cell %d: %v\n", f.name, r.Index, err)
+				_, _ = fmt.Fprintf(f.stderr, "worker %s: re-push cell %d: %v\n", f.workerName, i, err)
 			}
 		}
 	}
 
+	var (
+		results []xqsim.GridCellResult
+		timings []xqsim.GridCellTiming
+	)
 	clock := monotonicClock()
 	ran := 0
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		reply, err := c.lease(ctx, f.gridID, f.name, f.leaseBatch)
+		reply, err := c.lease(ctx, f.gridID, f.workerName, f.leaseBatch)
 		if err != nil {
 			return err
 		}
@@ -272,7 +209,7 @@ func runGridWorker(ctx context.Context, f workerFlags) error {
 		if len(reply.Cells) == 0 {
 			if reply.Status.Done {
 				_, _ = fmt.Fprintf(f.stderr, "worker %s: grid %s done (%d/%d cells, ran %d here)\n",
-					f.name, f.gridID, reply.Status.Complete, reply.Status.Cells, ran)
+					f.workerName, f.gridID, reply.Status.Complete, reply.Status.Cells, ran)
 				break
 			}
 			// Everything unfinished is leased elsewhere; poll until a
@@ -288,22 +225,17 @@ func runGridWorker(ctx context.Context, f workerFlags) error {
 		renew := startBatchRenewal(ctx, c, f, reply.Cells)
 		for _, lc := range reply.Cells {
 			if lc.Attempt > 1 {
-				_, _ = fmt.Fprintf(f.stderr, "worker %s: cell %d re-leased (attempt %d)\n", f.name, lc.Cell.Index, lc.Attempt)
+				_, _ = fmt.Fprintf(f.stderr, "worker %s: cell %d re-leased (attempt %d)\n", f.workerName, lc.Cell.Index, lc.Attempt)
 			}
-			r, t, err := xqsim.RunGridCell(ctx, g, lc.Cell, clock)
+			r, t, cached, err := ck.Cell(ctx, f.checkpoint, g, lc.Cell, clock)
 			if err != nil {
 				renew.stop()
 				return err
 			}
 			results = append(results, r)
 			timings = append(timings, t)
-			ran++
-			if ck != nil {
-				ck.PutCell(r)
-				if err := ck.Save(f.checkpoint); err != nil {
-					renew.stop()
-					return err
-				}
+			if !cached {
+				ran++
 			}
 			conflict, err := c.complete(ctx, f.gridID, r)
 			// Pushed, conflicted, or failed: stop renewing either way. On
@@ -316,7 +248,7 @@ func runGridWorker(ctx context.Context, f workerFlags) error {
 				return err
 			}
 			if err != nil {
-				_, _ = fmt.Fprintf(f.stderr, "worker %s: push cell %d: %v\n", f.name, r.Index, err)
+				_, _ = fmt.Fprintf(f.stderr, "worker %s: push cell %d: %v\n", f.workerName, r.Index, err)
 			}
 		}
 		renew.stop()
@@ -324,12 +256,12 @@ func runGridWorker(ctx context.Context, f workerFlags) error {
 
 	if f.csv != "" && len(results) > 0 {
 		g := xqsim.GridSpec{Kind: kind}
-		if err := writeFileWith(f.csv, func(w *os.File) error {
+		if err := writeFileWith(f.csv, func(w io.Writer) error {
 			return xqsim.WriteGridCSV(w, g, "", results, timings)
 		}); err != nil {
 			return err
 		}
-		_, _ = fmt.Fprintf(f.stderr, "worker %s: wrote timings to %s\n", f.name, f.csv)
+		_, _ = fmt.Fprintf(f.stderr, "worker %s: wrote timings to %s\n", f.workerName, f.csv)
 	}
 	return nil
 }
@@ -355,16 +287,11 @@ func (r *batchRenewal) stop() { r.cancel() }
 
 func (r *batchRenewal) pending() []int {
 	r.mu.Lock()
-	out := make([]int, 0, len(r.left))
-	for i := range r.left {
-		out = append(out, i)
-	}
-	r.mu.Unlock()
-	sort.Ints(out)
-	return out
+	defer r.mu.Unlock()
+	return sortedKeys(r.left)
 }
 
-func startBatchRenewal(ctx context.Context, c *gridClient, f workerFlags, cells []leasedCell) *batchRenewal {
+func startBatchRenewal(ctx context.Context, c *gridClient, f gridFlags, cells []server.LeasedCell) *batchRenewal {
 	rctx, cancel := context.WithCancel(ctx)
 	r := &batchRenewal{cancel: cancel, left: map[int]bool{}}
 	ttl := time.Second
@@ -387,11 +314,11 @@ func startBatchRenewal(ctx context.Context, c *gridClient, f workerFlags, cells 
 				return
 			case <-t.C:
 				for _, i := range r.pending() {
-					if err := c.renew(rctx, f.gridID, f.name, i); err != nil && rctx.Err() == nil {
+					if err := c.renew(rctx, f.gridID, f.workerName, i); err != nil && rctx.Err() == nil {
 						// Lost lease (expired and re-leased, or daemon
 						// gone): keep computing — completion is
 						// idempotent, the first result to land wins.
-						_, _ = fmt.Fprintf(f.stderr, "worker %s: renew cell %d: %v\n", f.name, i, err)
+						_, _ = fmt.Fprintf(f.stderr, "worker %s: renew cell %d: %v\n", f.workerName, i, err)
 					}
 				}
 			}
@@ -400,16 +327,12 @@ func startBatchRenewal(ctx context.Context, c *gridClient, f workerFlags, cells 
 	return r
 }
 
-// sortedCells returns the checkpoint's cells ascending by index.
-func sortedCells(m map[int]xqsim.GridCellResult) []xqsim.GridCellResult {
+// sortedKeys returns m's keys ascending.
+func sortedKeys[V any](m map[int]V) []int {
 	keys := make([]int, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Ints(keys)
-	out := make([]xqsim.GridCellResult, 0, len(m))
-	for _, k := range keys {
-		out = append(out, m[k])
-	}
-	return out
+	return keys
 }

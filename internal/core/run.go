@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"xqsim/internal/compiler"
@@ -11,19 +12,12 @@ import (
 	"xqsim/internal/decoder"
 	"xqsim/internal/estimator"
 	"xqsim/internal/faults"
+	"xqsim/internal/ftqc"
 	"xqsim/internal/microarch"
 	"xqsim/internal/pauli"
 	"xqsim/internal/statevec"
 	"xqsim/internal/surface"
 )
-
-func workloadCircuit(nLQ, pprs int, seed int64) compiler.Circuit {
-	return compiler.RandomPPR(nLQ, pprs, seed).SubstituteStabilizer()
-}
-
-func compileCircuit(c compiler.Circuit) (*compiler.Result, error) { return compiler.Compile(c) }
-
-func newLayout(nLQ, d int) *surface.PPRLayout { return surface.NewPPRLayout(nLQ, d) }
 
 // PipelineConfig builds the standard microarchitecture configuration from
 // Table 4 constants.
@@ -64,6 +58,15 @@ const (
 	// d=3, 2 vCPUs): 10,000 rotations at xqd's default 256 shots take
 	// about 14 s. The paper's constraint study (Fig. 5) draws 100.
 	MaxPPRs = 10000
+	// MaxWorkloadLQ bounds a workload's logical qubits in any mode. A
+	// random workload holds MaxPPRs products over nLQ qubits, and a
+	// scalability run sizes a layout of 3·(2·nLQ−1) patches from it:
+	// at 1,024 qubits RandomPPR allocates about 13 MB in 0.13 s (2
+	// vCPUs) and the layout 0.6 MB, where 10^7 qubits asked for a
+	// 6.2 GB block. 1,024 logical qubits are 3.1 M physical qubits at
+	// d=15, 16 times the largest direct scaling run (64 logical qubits,
+	// 195,072 physical, past the paper's 59K-qubit final design).
+	MaxWorkloadLQ = 1024
 )
 
 // CheckCode reports whether d and physError describe a code the
@@ -94,14 +97,18 @@ func CheckRun(nLQ, d int, physError float64) error {
 }
 
 // CheckWorkload reports whether a generated workload can be built, in
-// any mode: nLQ >= 1 logical qubits (RandomPPR finds no non-identity
-// product over none, and a layout needs a patch), 0 to MaxPPRs random
-// rotations, and a product that pauli.ParseProduct accepts unless it is
-// empty. A ppr workload passes its product's length as nLQ. xqsim's
-// flags and xqd's JobSpec.Normalize apply it before building anything.
+// any mode: 1 to MaxWorkloadLQ logical qubits (RandomPPR finds no
+// non-identity product over none, and a layout needs a patch), 0 to
+// MaxPPRs random rotations, and a product that pauli.ParseProduct
+// accepts unless it is empty. A ppr workload passes its product's
+// length as nLQ. Workload.Check applies it, and xqsim's flags and xqd's
+// JobSpec.Normalize call that before building anything.
 func CheckWorkload(nLQ, pprs int, product string) error {
 	if nLQ < 1 {
 		return fmt.Errorf("core: a workload takes at least 1 logical qubit, got %d", nLQ)
+	}
+	if nLQ > MaxWorkloadLQ {
+		return fmt.Errorf("core: a workload takes at most %d logical qubits, got %d", MaxWorkloadLQ, nLQ)
 	}
 	if pprs < 0 || pprs > MaxPPRs {
 		return fmt.Errorf("core: a random workload takes 0 to %d rotations, got %d", MaxPPRs, pprs)
@@ -110,6 +117,96 @@ func CheckWorkload(nLQ, pprs int, product string) error {
 		return fmt.Errorf("core: product %q is not a string of I, X, Y and Z", product)
 	}
 	return nil
+}
+
+// Workload names a generated workload and its generator's inputs.
+// workloads is the one table from a name to its generator, so xqsim's
+// -workload flag and xqd's simulate specs cannot drift apart.
+type Workload struct {
+	Kind    string // random | qft2 | qaoa | ppr
+	LQ      int    // logical qubits (random, qaoa)
+	PPRs    int    // rotations (random)
+	Product string // Pauli product (ppr); its length is the qubit count
+	Seed    int64  // rotation draw (random)
+}
+
+// workloadGen is one row of the workload table: the inputs the
+// generator reads, its fixed qubit count when it reads neither LQ nor
+// a product, and the generator.
+type workloadGen struct {
+	name              string
+	lq, pprs, product bool
+	qubits            int
+	build             func(Workload) compiler.Circuit
+}
+
+var workloads = []workloadGen{
+	{name: "random", lq: true, pprs: true, build: func(w Workload) compiler.Circuit { return compiler.RandomPPR(w.LQ, w.PPRs, w.Seed) }},
+	{name: "qft2", qubits: 2, build: func(Workload) compiler.Circuit { return compiler.QFT2(2) }},
+	{name: "qaoa", lq: true, build: func(w Workload) compiler.Circuit { return compiler.QAOA(w.LQ) }},
+	{name: "ppr", product: true, build: func(w Workload) compiler.Circuit { return compiler.SinglePPR(w.Product, ftqc.AnglePi8) }},
+}
+
+func (w Workload) gen() (workloadGen, error) {
+	names := make([]string, len(workloads))
+	for i, g := range workloads {
+		if g.name == w.Kind {
+			return g, nil
+		}
+		names[i] = g.name
+	}
+	return workloadGen{}, fmt.Errorf("unknown workload %q (have %s)", w.Kind, strings.Join(names, ", "))
+}
+
+// Canonical returns w with the inputs its generator does not read
+// zeroed (Seed stays: a run draws from it too), or an error for a name
+// the table does not hold.
+func (w Workload) Canonical() (Workload, error) {
+	g, err := w.gen()
+	if err != nil {
+		return w, err
+	}
+	if !g.lq {
+		w.LQ = 0
+	}
+	if !g.pprs {
+		w.PPRs = 0
+	}
+	if !g.product {
+		w.Product = ""
+	}
+	return w, nil
+}
+
+// NLQ is the logical-qubit count of w's circuit, without building it
+// (0 for an unknown name).
+func (w Workload) NLQ() int {
+	switch g, _ := w.gen(); {
+	case g.lq:
+		return w.LQ
+	case g.product:
+		return len(w.Product)
+	default:
+		return g.qubits
+	}
+}
+
+// Check is CheckWorkload on the inputs w's generator reads.
+func (w Workload) Check() error {
+	c, err := w.Canonical()
+	if err != nil {
+		return err
+	}
+	return CheckWorkload(c.NLQ(), c.PPRs, c.Product)
+}
+
+// Circuit checks w and builds its circuit.
+func (w Workload) Circuit() (compiler.Circuit, error) {
+	if err := w.Check(); err != nil {
+		return compiler.Circuit{}, err
+	}
+	g, _ := w.gen() // Check found the name
+	return g.build(w), nil
 }
 
 // RunOptions tunes RunShotsOpt beyond the standard happy path.

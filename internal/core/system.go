@@ -16,10 +16,12 @@ import (
 	"fmt"
 	"math"
 
+	"xqsim/internal/compiler"
 	"xqsim/internal/config"
 	"xqsim/internal/decoder"
 	"xqsim/internal/estimator"
 	"xqsim/internal/microarch"
+	"xqsim/internal/surface"
 	"xqsim/internal/synth"
 	"xqsim/internal/tech"
 )
@@ -232,12 +234,11 @@ type Rates struct {
 // tableau). It returns the run's metrics by value, so no caller keeps
 // the pipeline alive, and the layout's physical-qubit count.
 func referenceRun(d int, physError float64, scheme decoder.Scheme, seed int64, nLQ, pprs int) (microarch.Metrics, int, error) {
-	circ := workloadCircuit(nLQ, pprs, seed)
-	res, err := compileCircuit(circ)
+	res, err := compiler.Compile(compiler.RandomPPR(nLQ, pprs, seed).SubstituteStabilizer())
 	if err != nil {
 		return microarch.Metrics{}, 0, fmt.Errorf("core: compile reference workload: %w", err)
 	}
-	pl := microarch.NewPipeline(newLayout(nLQ, d), PipelineConfig(d, physError, scheme, false, seed))
+	pl := microarch.NewPipeline(surface.NewPPRLayout(nLQ, d), PipelineConfig(d, physError, scheme, false, seed))
 	if err := pl.Run(res.Program); err != nil {
 		return microarch.Metrics{}, 0, fmt.Errorf("core: run reference workload: %w", err)
 	}

@@ -27,7 +27,7 @@ func gridT(t *testing.T, dir string, ttl time.Duration) (*GridCoordinator, *time
 	return gc, &now
 }
 
-func gridSpecT(t *testing.T) sweep.GridSpec {
+func gridSpecT(t testing.TB) sweep.GridSpec {
 	t.Helper()
 	g, err := sweep.GridSpec{
 		Kind:   sweep.GridThreshold,

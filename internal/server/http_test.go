@@ -140,8 +140,9 @@ func TestHTTPBadRequests(t *testing.T) {
 }
 
 // TestHTTPRejectsUnrunnableSimulate sends simulate specs the run would
-// die on: each gets a 400 and leaves no durable job record, so a restart
-// has nothing to resume.
+// die on, and estimate specs at a distance no run takes: each gets a
+// 400 and leaves no durable job record, so a restart has nothing to
+// resume.
 func TestHTTPRejectsUnrunnableSimulate(t *testing.T) {
 	sched := newT(t, Config{Workers: 1})
 	defer drainT(t, sched)
@@ -160,6 +161,9 @@ func TestHTTPRejectsUnrunnableSimulate(t *testing.T) {
 		`{"kind":"simulate","workload":"random","pprs":10001}`,
 		`{"kind":"simulate","workload":"ppr","product":"Q"}`,
 		`{"kind":"simulate","workload":"ppr","product":"ZZ+"}`,
+		`{"kind":"estimate","d":4}`,
+		`{"kind":"estimate","tech":"ersfq","d":1}`,
+		`{"kind":"estimate","d":103}`,
 	} {
 		if resp, _ := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)
@@ -261,7 +265,7 @@ func TestHTTPGridProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var created gridCreateResponse
+	var created GridCreateResponse
 	_ = json.NewDecoder(resp.Body).Decode(&created)
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated || created.Cells != 2 {
@@ -271,7 +275,7 @@ func TestHTTPGridProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var again gridCreateResponse
+	var again GridCreateResponse
 	_ = json.NewDecoder(resp.Body).Decode(&again)
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || again.ID != created.ID {
@@ -284,7 +288,7 @@ func TestHTTPGridProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var leased leaseResponse
+	var leased LeaseResponse
 	_ = json.NewDecoder(resp.Body).Decode(&leased)
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || len(leased.Cells) != 2 {

@@ -18,10 +18,8 @@ import (
 	"fmt"
 	"sort"
 
-	"xqsim/internal/compiler"
 	"xqsim/internal/core"
 	"xqsim/internal/estimator"
-	"xqsim/internal/ftqc"
 	"xqsim/internal/microarch"
 	"xqsim/internal/sweep"
 	"xqsim/internal/tech"
@@ -57,33 +55,25 @@ type JobSpec struct {
 func (s JobSpec) Normalize() (JobSpec, error) {
 	switch s.Kind {
 	case "simulate":
+		// Fill every input, then let the workload table clear the ones
+		// its generator does not read.
 		if s.Workload == "" {
 			s.Workload = "random"
 		}
-		switch s.Workload {
-		case "random", "qaoa":
-			if s.LQ <= 0 {
-				s.LQ = 4
-			}
-		case "qft2":
-			s.LQ = 0
-		case "ppr":
-			s.LQ = 0
-			if s.Product == "" {
-				s.Product = "ZZZ"
-			}
-		default:
-			return s, fmt.Errorf("unknown workload %q (have random, qft2, qaoa, ppr)", s.Workload)
+		if s.LQ <= 0 {
+			s.LQ = 4
 		}
-		if s.Workload == "random" && s.PPRs <= 0 {
+		if s.PPRs <= 0 {
 			s.PPRs = 10
 		}
-		if s.Workload != "random" {
-			s.PPRs = 0
+		if s.Product == "" {
+			s.Product = "ZZZ"
 		}
-		if s.Workload != "ppr" {
-			s.Product = ""
+		w, err := s.workload().Canonical()
+		if err != nil {
+			return s, err
 		}
+		s.LQ, s.PPRs, s.Product = w.LQ, w.PPRs, w.Product
 		if s.D <= 0 {
 			s.D = 3
 		}
@@ -97,13 +87,13 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 			s.Seed = 1
 		}
 		// Reject what the build or the run would die on (a bad product,
-		// too many rotations, an even or enormous d, a probability
-		// outside [0, 1), a tally too large to allocate) before the job
-		// is stored and resumed on every restart.
-		if err := core.CheckWorkload(workloadLQ(s), s.PPRs, s.Product); err != nil {
+		// too many rotations or qubits, an even or enormous d, a
+		// probability outside [0, 1), a tally too large to allocate)
+		// before the job is stored and resumed on every restart.
+		if err := w.Check(); err != nil {
 			return s, err
 		}
-		if err := core.CheckRun(workloadLQ(s), s.D, s.PhysErr); err != nil {
+		if err := core.CheckRun(w.NLQ(), s.D, s.PhysErr); err != nil {
 			return s, err
 		}
 		s.Experiments, s.Tech, s.NPhys = nil, "", 0
@@ -141,7 +131,7 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		if s.Tech == "" {
 			s.Tech = "rsfq"
 		}
-		if _, err := techKind(s.Tech); err != nil {
+		if _, err := tech.ParseKind(s.Tech); err != nil {
 			return s, err
 		}
 		if s.NPhys <= 0 {
@@ -149,6 +139,9 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		}
 		if s.D <= 0 {
 			s.D = 15
+		}
+		if err := core.CheckCode(s.D, 0); err != nil {
+			return s, err
 		}
 		s.Workload, s.LQ, s.PPRs, s.Product, s.PhysErr, s.Shots, s.Seed = "", 0, 0, "", 0, 0, 0
 		s.Experiments = nil
@@ -181,50 +174,15 @@ type Outcome struct {
 	Result   json.RawMessage `json:"result,omitempty"`
 }
 
-func techKind(name string) (tech.Kind, error) {
-	switch name {
-	case "300k-cmos":
-		return tech.CMOS300K, nil
-	case "4k-cmos":
-		return tech.CMOS4K, nil
-	case "rsfq":
-		return tech.RSFQ, nil
-	case "ersfq":
-		return tech.ERSFQ, nil
-	}
-	return 0, fmt.Errorf("unknown technology %q (have 300k-cmos, 4k-cmos, rsfq, ersfq)", name)
-}
-
-// workloadLQ is the logical-qubit count of a simulate spec's circuit
-// (buildWorkload's NLQ), without building it.
-func workloadLQ(s JobSpec) int {
-	switch s.Workload {
-	case "qft2":
-		return 2
-	case "ppr":
-		return len(s.Product)
-	}
-	return s.LQ
-}
-
-func buildWorkload(s JobSpec) (compiler.Circuit, error) {
-	switch s.Workload {
-	case "random":
-		return compiler.RandomPPR(s.LQ, s.PPRs, s.Seed), nil
-	case "qft2":
-		return compiler.QFT2(2), nil
-	case "qaoa":
-		return compiler.QAOA(s.LQ), nil
-	case "ppr":
-		return compiler.SinglePPR(s.Product, ftqc.AnglePi8), nil
-	}
-	return compiler.Circuit{}, fmt.Errorf("unknown workload %q", s.Workload)
+// workload is the simulate spec's entry in core's workload table.
+func (s JobSpec) workload() core.Workload {
+	return core.Workload{Kind: s.Workload, LQ: s.LQ, PPRs: s.PPRs, Product: s.Product, Seed: s.Seed}
 }
 
 // executeSimulate runs the functional pipeline and reports the outcome
 // distribution plus the run's headline accounting.
 func executeSimulate(ctx context.Context, s JobSpec, opts core.RunOptions) (json.RawMessage, error) {
-	circ, err := buildWorkload(s)
+	circ, err := s.workload().Circuit()
 	if err != nil {
 		return nil, err
 	}
@@ -247,7 +205,7 @@ func executeSimulate(ctx context.Context, s JobSpec, opts core.RunOptions) (json
 // executeEstimate reports per-unit estimates in fixed unit order (QID
 // through LMU), so the payload bytes are deterministic.
 func executeEstimate(s JobSpec) (json.RawMessage, error) {
-	kind, err := techKind(s.Tech)
+	kind, err := tech.ParseKind(s.Tech)
 	if err != nil {
 		return nil, err
 	}

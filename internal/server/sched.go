@@ -422,39 +422,21 @@ func (s *Scheduler) runJob(ctx context.Context, js *jobState, attempt int) (resu
 func (s *Scheduler) runSweep(ctx context.Context, js *jobState) (json.RawMessage, error) {
 	spec := js.spec
 	ckPath := filepath.Join(s.cfg.DataDir, "ck-"+js.hash+".json")
-	var ck *sweep.Checkpoint
-	if loaded, err := sweep.LoadCheckpoint(ckPath); err == nil && loaded.Compatible(spec.Seed, spec.Shots) {
-		ck = loaded
-	}
-	if ck == nil {
-		ck = sweep.NewCheckpoint(spec.Seed, spec.Shots)
-	}
-
-	s.mu.Lock()
-	js.progress = 0
-	for _, id := range spec.Experiments {
-		if ck.Has(id) {
-			js.progress++
-		}
-	}
-	s.mu.Unlock()
+	// An unreadable checkpoint only costs the work it held: start fresh.
+	ck, _, _ := sweep.Resume(ckPath, sweep.NewCheckpoint(spec.Seed, spec.Shots))
 
 	opts := sweep.ExperimentOptions{Shots: spec.Shots, Seed: spec.Seed}
-	for _, id := range spec.Experiments {
-		if ck.Has(id) {
-			continue
-		}
-		r, err := sweep.RunExperiment(ctx, id, opts)
+	for i, id := range spec.Experiments {
+		_, cached, err := ck.Experiment(ctx, ckPath, id, opts)
 		if err != nil {
 			return nil, err
 		}
-		ck.Put(r)
-		if err := ck.Save(ckPath); err != nil {
-			return nil, err
-		}
 		s.mu.Lock()
-		js.progress++
+		js.progress = i + 1
 		s.mu.Unlock()
+		if cached {
+			continue
+		}
 		if expHook != nil {
 			expHook(js.hash, id)
 		}

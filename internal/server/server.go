@@ -152,28 +152,32 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.sched.Stats())
 }
 
-// gridCreateResponse is the POST /grids reply body.
-type gridCreateResponse struct {
+// The grid-lease wire types below are the protocol's one definition:
+// the handlers decode and encode them, and xqsweep -worker, -submit and
+// -fetch import them.
+
+// GridCreateResponse is the POST /grids reply body.
+type GridCreateResponse struct {
 	ID     string `json:"id"`
 	Status string `json:"status"` // created | exists
 	Cells  int    `json:"cells"`
 }
 
-// leaseRequest is the POST /grids/{id}/lease body.
-type leaseRequest struct {
+// LeaseRequest is the POST /grids/{id}/lease body.
+type LeaseRequest struct {
 	Worker string `json:"worker"`
 	Max    int    `json:"max"`
 }
 
-// leaseResponse carries the leased cells plus a progress snapshot so a
+// LeaseResponse carries the leased cells plus a progress snapshot so a
 // worker that got nothing knows whether to poll again or exit.
-type leaseResponse struct {
+type LeaseResponse struct {
 	Cells  []LeasedCell `json:"cells"`
 	Status GridStatus   `json:"status"`
 }
 
-// renewRequest is the POST /grids/{id}/cells/{index}/renew body.
-type renewRequest struct {
+// RenewRequest is the POST /grids/{id}/cells/{index}/renew body.
+type RenewRequest struct {
 	Worker string `json:"worker"`
 }
 
@@ -199,7 +203,7 @@ func (s *Server) handleGridCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	resp := gridCreateResponse{ID: id, Status: "exists", Cells: g.NumCells()}
+	resp := GridCreateResponse{ID: id, Status: "exists", Cells: g.NumCells()}
 	code := http.StatusOK
 	if created {
 		resp.Status = "created"
@@ -234,7 +238,7 @@ func (s *Server) handleGridLease(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, ErrDraining.Error())
 		return
 	}
-	var req leaseRequest
+	var req LeaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad lease request: %v", err))
 		return
@@ -251,7 +255,7 @@ func (s *Server) handleGridLease(w http.ResponseWriter, r *http.Request) {
 	if cells == nil {
 		cells = []LeasedCell{}
 	}
-	writeJSON(w, http.StatusOK, leaseResponse{Cells: cells, Status: st})
+	writeJSON(w, http.StatusOK, LeaseResponse{Cells: cells, Status: st})
 }
 
 func (s *Server) handleGridComplete(w http.ResponseWriter, r *http.Request) {
@@ -279,7 +283,7 @@ func (s *Server) handleGridRenew(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad cell index")
 		return
 	}
-	var req renewRequest
+	var req RenewRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad renew request: %v", err))
 		return
@@ -327,6 +331,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// ErrorResponse is the body of every non-2xx reply.
+type ErrorResponse struct {
+	Error string `json:"error"`
+}
+
 func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
+	writeJSON(w, code, ErrorResponse{Error: msg})
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -71,12 +72,6 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	return &c, nil
 }
 
-// Compatible reports whether the snapshot was taken under the same grid
-// parameters, i.e. whether its completed cells can be reused.
-func (c *Checkpoint) Compatible(seed int64, shots int) bool {
-	return c != nil && c.Seed == seed && c.Shots == shots
-}
-
 // Has reports whether the experiment with the given ID is already done.
 func (c *Checkpoint) Has(id string) bool {
 	if c == nil {
@@ -98,21 +93,6 @@ func NewGridCheckpoint(g GridSpec) *Checkpoint {
 	return c
 }
 
-// CompatibleGrid reports whether the snapshot belongs to the grid with
-// the given content hash.
-func (c *Checkpoint) CompatibleGrid(hash string) bool {
-	return c != nil && c.Grid == hash
-}
-
-// HasCell reports whether the cell at the given index is already done.
-func (c *Checkpoint) HasCell(i int) bool {
-	if c == nil {
-		return false
-	}
-	_, ok := c.Cells[i]
-	return ok
-}
-
 // CellAt returns a completed cell result, if present.
 func (c *Checkpoint) CellAt(i int) (CellResult, bool) {
 	if c == nil {
@@ -128,6 +108,65 @@ func (c *Checkpoint) PutCell(r CellResult) {
 		c.Cells = map[int]CellResult{}
 	}
 	c.Cells[r.Index] = r
+}
+
+// sameRun reports whether c was taken for the run fresh starts: the
+// same grid hash for grid snapshots, else the same seed and shot count.
+func (c *Checkpoint) sameRun(fresh *Checkpoint) bool {
+	if c.Grid != "" || fresh.Grid != "" {
+		return c.Grid == fresh.Grid
+	}
+	return c.Seed == fresh.Seed && c.Shots == fresh.Shots
+}
+
+// Resume is how every resumable run opens its snapshot: it returns the
+// one saved at path when it was taken for the run fresh starts
+// (sameRun), and fresh otherwise. note is the line to show an
+// operator: empty when there was no file, else whether the run resumes
+// or starts over. A file that cannot be read is an error, returned
+// with fresh; xqsweep stops on it, and xqd starts fresh.
+func Resume(path string, fresh *Checkpoint) (ck *Checkpoint, note string, err error) {
+	loaded, err := LoadCheckpoint(path)
+	if err != nil || loaded == nil {
+		return fresh, "", err
+	}
+	done, what, other := len(loaded.Results), "experiments", "was taken with a different seed or shot count"
+	if fresh.Grid != "" {
+		done, what, other = len(loaded.Cells), "cells", "belongs to a different grid"
+	}
+	if !loaded.sameRun(fresh) {
+		return fresh, fmt.Sprintf("checkpoint %s %s; starting over", path, other), nil
+	}
+	return loaded, fmt.Sprintf("resuming from %s (%d %s done)", path, done, what), nil
+}
+
+// Experiment is the checkpointed run step of an experiment sweep: it
+// returns experiment id from the snapshot (cached), or runs it, Puts
+// the result and Saves the snapshot to path. A nil snapshot only runs.
+// A result whose save fails is still returned, with the save's error;
+// only a failed run returns the zero Result.
+func (c *Checkpoint) Experiment(ctx context.Context, path, id string, opts ExperimentOptions) (r Result, cached bool, err error) {
+	if cid := CanonicalExperimentID(id); c.Has(cid) {
+		return c.Results[cid], true, nil
+	}
+	if r, err = RunExperiment(ctx, id, opts); err != nil || c == nil {
+		return r, false, err
+	}
+	c.Put(r)
+	return r, false, c.Save(path)
+}
+
+// Cell is Experiment for one grid cell; a checkpointed cell comes
+// back with zero timings.
+func (c *Checkpoint) Cell(ctx context.Context, path string, g GridSpec, cell Cell, clock func() int64) (r CellResult, t CellTiming, cached bool, err error) {
+	if r, ok := c.CellAt(cell.Index); ok {
+		return r, CellTiming{}, true, nil
+	}
+	if r, t, err = RunGridCell(ctx, g, cell, clock); err != nil || c == nil {
+		return r, t, false, err
+	}
+	c.PutCell(r)
+	return r, t, false, c.Save(path)
 }
 
 // Save writes the snapshot with store.WriteFileAtomic (temp file, fsync,

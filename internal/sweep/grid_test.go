@@ -334,7 +334,7 @@ func TestGridJSONLPinnedSchema(t *testing.T) {
 func TestGridCheckpointRoundTrip(t *testing.T) {
 	g := testGrid(t)
 	ck := NewGridCheckpoint(g)
-	if !ck.CompatibleGrid(g.Hash()) {
+	if !ck.sameRun(NewGridCheckpoint(g)) {
 		t.Fatal("fresh grid checkpoint incompatible with its own grid")
 	}
 	r := CellResult{Index: 2, D: 3, P: 0.03, Rounds: 3, Trials: 16, Seed: g.Cell(2).Seed, Rate: 0.25}
@@ -347,7 +347,7 @@ func TestGridCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.CompatibleGrid(g.Hash()) {
+	if !loaded.sameRun(NewGridCheckpoint(g)) {
 		t.Fatal("loaded checkpoint lost its grid hash")
 	}
 	got, ok := loaded.CellAt(2)
@@ -361,10 +361,10 @@ func TestGridCheckpointRoundTrip(t *testing.T) {
 	if !same {
 		t.Errorf("cell changed through checkpoint: %+v vs %+v", got, r)
 	}
-	if loaded.HasCell(3) {
+	if _, ok := loaded.CellAt(3); ok {
 		t.Error("checkpoint reports a cell it never saw")
 	}
-	if other := testGrid(t); loaded.CompatibleGrid(other.Hash() + "x") {
+	if loaded.sameRun(&Checkpoint{Grid: g.Hash() + "x"}) || loaded.sameRun(NewCheckpoint(g.Seed, g.Trials)) {
 		t.Error("checkpoint compatible with a different grid")
 	}
 }

@@ -17,7 +17,9 @@
 package tech
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 )
 
@@ -40,6 +42,20 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return "?"
+}
+
+// ParseKind resolves a candidate's lowercase name (300k-cmos, 4k-cmos,
+// rsfq, ersfq): the names xqestimate's -tech flag and xqd's estimate
+// specs take.
+func ParseKind(name string) (Kind, error) {
+	names := make([]string, len(kindNames))
+	for k, n := range kindNames {
+		names[k] = strings.ToLower(n)
+		if names[k] == name {
+			return Kind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown technology %q (have %s)", name, strings.Join(names, ", "))
 }
 
 // Cryogenic reports whether the technology lives at the 4 K stage.

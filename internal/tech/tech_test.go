@@ -2,6 +2,7 @@ package tech
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -147,5 +148,20 @@ func TestKindProperties(t *testing.T) {
 	}
 	if RSFQ.String() != "RSFQ" || ERSFQ.String() != "ERSFQ" {
 		t.Error("names wrong")
+	}
+}
+
+// TestParseKind pins the names xqestimate and xqd accept: each
+// candidate's lowercase String, and nothing else.
+func TestParseKind(t *testing.T) {
+	for name, want := range map[string]Kind{"300k-cmos": CMOS300K, "4k-cmos": CMOS4K, "rsfq": RSFQ, "ersfq": ERSFQ} {
+		if got, err := ParseKind(name); err != nil || got != want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "RSFQ", "duct-tape"} {
+		if _, err := ParseKind(name); err == nil || !strings.Contains(err.Error(), "(have 300k-cmos, 4k-cmos, rsfq, ersfq)") {
+			t.Errorf("ParseKind(%q) error = %v", name, err)
+		}
 	}
 }
