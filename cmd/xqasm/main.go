@@ -100,7 +100,7 @@ func main() {
 
 	if ctx.Err() != nil {
 		_, _ = fmt.Fprintln(os.Stderr, "xqasm: interrupted")
-		os.Exit(130)
+		os.Exit(cli.ExitInterrupted)
 	}
 
 	if *out != "" {

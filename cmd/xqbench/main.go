@@ -462,7 +462,7 @@ func main() {
 	for _, bm := range benchmarks(ctx) {
 		if ctx.Err() != nil {
 			_, _ = fmt.Fprintln(os.Stderr, "xqbench: interrupted")
-			os.Exit(130)
+			os.Exit(cli.ExitInterrupted)
 		}
 		if *only != "" && bm.Name != *only {
 			continue
@@ -471,7 +471,7 @@ func main() {
 		if !ok {
 			if ctx.Err() != nil {
 				_, _ = fmt.Fprintln(os.Stderr, "xqbench: interrupted")
-				os.Exit(130)
+				os.Exit(cli.ExitInterrupted)
 			}
 			_, _ = fmt.Fprintf(os.Stderr, "xqbench: %s failed to run\n", bm.Name)
 			os.Exit(2)

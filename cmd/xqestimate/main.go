@@ -83,7 +83,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if ctx.Err() != nil {
 		_, _ = fmt.Fprintln(stderr, "xqestimate: interrupted")
-		return 130
+		return cli.ExitInterrupted
 	}
 
 	scale := xqsim.ScaleFor(*n, *d)

@@ -34,7 +34,8 @@ func main() {
 }
 
 // run is the whole command: it parses args, runs the workload and
-// returns the exit status (0 ok, 1 failure, 2 usage error).
+// returns the exit status (0 ok, 1 failure, 2 usage error, 130
+// interrupted).
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xqsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -99,6 +100,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}()
 	fail := func(err error) int {
 		_, _ = fmt.Fprintln(stderr, "xqsim:", err)
+		if ctx.Err() != nil {
+			return cli.ExitInterrupted
+		}
 		return 1
 	}
 
@@ -173,7 +177,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	if err := ctx.Err(); err != nil {
 		_, _ = fmt.Fprintln(stderr, "xqsim: interrupted before the scalability evaluation:", err)
-		return 1
+		return cli.ExitInterrupted
 	}
 
 	rates := xqsim.MeasureRates(*d, *p, scheme, *seed)

@@ -87,7 +87,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"invalid fault config", nil, []string{"-faults", "-fault-stall", "2"}, 1, ""},
 		{"unwritable profile", nil, []string{"-cpuprofile", filepath.Join(dir, "absent", "cpu.prof")}, 1, ""},
 		{"unwritable trace", nil, []string{"-d", "3", "-trace", filepath.Join(dir, "absent", "trace.json")}, 1, ""},
-		{"interrupted", canceled, []string{"-d", "3"}, 1, ""},
+		{"interrupted", canceled, []string{"-d", "3"}, 130, "interrupted"},
+		{"interrupted shots", canceled, []string{"-workload", "ppr", "-product", "ZZ", "-d", "3", "-shots", "8", "-functional"}, 130, "context canceled"},
 		{"zero shots", nil, []string{"-workload", "ppr", "-product", "ZZ", "-d", "3", "-shots", "0", "-functional"}, 2, "-shots must be at least 1"},
 		{"even distance", nil, []string{"-d", "4"}, 2, "code distance must be odd"},
 		{"huge distance", nil, []string{"-d", "100001"}, 2, "code distance must be odd"},

@@ -48,7 +48,8 @@ func main() {
 }
 
 // run is the whole command: it parses args, runs the selected mode and
-// returns the exit status (0 ok, 1 failure, 2 usage error).
+// returns the exit status (0 ok, 1 failure, 2 usage error, 130
+// interrupted).
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xqsweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -94,6 +95,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	fail := func(err error) int {
 		_, _ = fmt.Fprintln(stderr, "xqsweep:", err)
+		if ctx.Err() != nil {
+			return cli.ExitInterrupted
+		}
 		return 1
 	}
 

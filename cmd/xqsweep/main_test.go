@@ -198,30 +198,40 @@ func TestRunWorkerAgainstDaemon(t *testing.T) {
 
 func TestRunExitCodes(t *testing.T) {
 	dir := t.TempDir()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	cases := []struct {
 		name string
+		ctx  context.Context
 		args []string
 		code int
 	}{
-		{"help", []string{"-h"}, 0},
-		{"unknown flag", []string{"-bogus"}, 2},
-		{"no mode", nil, 2},
-		{"bad flag value", []string{"-shots", "many"}, 2},
-		{"unknown figure", []string{"-fig", "99"}, 1},
-		{"unwritable profile", []string{"-fig", "14", "-cpuprofile", filepath.Join(dir, "absent", "cpu.prof")}, 1},
-		{"unreadable checkpoint", []string{"-fig", "14", "-checkpoint", dir, "-resume"}, 1},
-		{"bad distance list", []string{"-grid", "threshold", "-d", "x", "-p", "0.01"}, 1},
-		{"bad rate list", []string{"-grid", "threshold", "-d", "3", "-p", ""}, 1},
-		{"bad shard", []string{"-grid", "threshold", "-d", "3", "-p", "0.01", "-shard", "3/2"}, 1},
-		{"merge without files", []string{"-merge"}, 1},
-		{"merge missing file", []string{"-merge", filepath.Join(dir, "absent.jsonl")}, 1},
-		{"worker without id", []string{"-worker", "http://127.0.0.1:1"}, 1},
-		{"fetch without id", []string{"-fetch", "http://127.0.0.1:1"}, 1},
+		{"help", nil, []string{"-h"}, 0},
+		{"unknown flag", nil, []string{"-bogus"}, 2},
+		{"no mode", nil, nil, 2},
+		{"bad flag value", nil, []string{"-shots", "many"}, 2},
+		{"unknown figure", nil, []string{"-fig", "99"}, 1},
+		{"unwritable profile", nil, []string{"-fig", "14", "-cpuprofile", filepath.Join(dir, "absent", "cpu.prof")}, 1},
+		{"unreadable checkpoint", nil, []string{"-fig", "14", "-checkpoint", dir, "-resume"}, 1},
+		{"bad distance list", nil, []string{"-grid", "threshold", "-d", "x", "-p", "0.01"}, 1},
+		{"bad rate list", nil, []string{"-grid", "threshold", "-d", "3", "-p", ""}, 1},
+		{"bad shard", nil, []string{"-grid", "threshold", "-d", "3", "-p", "0.01", "-shard", "3/2"}, 1},
+		{"merge without files", nil, []string{"-merge"}, 1},
+		{"merge missing file", nil, []string{"-merge", filepath.Join(dir, "absent.jsonl")}, 1},
+		{"worker without id", nil, []string{"-worker", "http://127.0.0.1:1"}, 1},
+		{"fetch without id", nil, []string{"-fetch", "http://127.0.0.1:1"}, 1},
+		{"interrupted experiment", canceled, []string{"-fig", "16"}, 130},
+		{"interrupted grid", canceled, []string{"-grid", "threshold", "-d", "3", "-p", "0.01", "-trials", "16"}, 130},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if code, _, errOut := runCmd(t, tc.args...); code != tc.code {
-				t.Fatalf("exit %d, want %d; stderr:\n%s", code, tc.code, errOut)
+			ctx := tc.ctx
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			var out, errb bytes.Buffer
+			if code := run(ctx, tc.args, &out, &errb); code != tc.code {
+				t.Fatalf("exit %d, want %d; stderr:\n%s", code, tc.code, errb.String())
 			}
 		})
 	}

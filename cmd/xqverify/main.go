@@ -94,7 +94,7 @@ func main() {
 	fmt.Printf("xqverify depth=%s seed=%d (%.2fs)\n%s", depth.Name, *seed, time.Since(start).Seconds(), rep.Summary())
 	if ctx.Err() != nil {
 		_, _ = fmt.Fprintln(os.Stderr, "xqverify: interrupted; report above is partial")
-		os.Exit(130)
+		os.Exit(cli.ExitInterrupted)
 	}
 	if !rep.OK() {
 		for _, f := range rep.Failures {

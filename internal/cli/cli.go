@@ -10,6 +10,11 @@ import (
 	"syscall"
 )
 
+// ExitInterrupted is the exit status of a one-shot command whose
+// SignalContext was cancelled, after it has flushed the partial output
+// it owns: 128 + SIGINT, the shell's code for an interrupted program.
+const ExitInterrupted = 130
+
 // SignalContext returns a context that is cancelled on the first SIGINT
 // or SIGTERM. Call stop (usually deferred) to release the signal
 // handler; after stop, a subsequent signal gets the default disposition

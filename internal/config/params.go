@@ -163,11 +163,3 @@ func (p Params) Validate() error {
 	}
 	return nil
 }
-
-// ESMRoundNs is the Params-parameterized counterpart of the package-level
-// ESMRoundNs: two single-qubit layers, four two-qubit layers, one
-// measurement layer.
-func (p Params) ESMRoundNs() float64 { return 2*p.T1QNs + 4*p.T2QNs + p.TMeasNs }
-
-// MaxCables is floor(4 K power budget / per-cable heat).
-func (p Params) MaxCables() int { return int(p.Power4KW / p.CableHeatW) }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xqsim/internal/decoder"
+	"xqsim/internal/microarch"
 )
 
 // Keys here use otherwise-unused seeds so the miss accounting is not
@@ -107,108 +108,53 @@ func TestMeasureRatesUncachedBypasses(t *testing.T) {
 	}
 }
 
-// TestMeasureRatesConcurrent hammers one fresh key from many goroutines:
-// the singleflight cell must run the pipeline exactly once and every
-// caller must observe the same settled value. Run with -race.
+// TestMeasureRatesConcurrent hammers two fresh keys from many
+// goroutines, half asking for the rates and half for the reference
+// run's metrics: the singleflight cell must run the pipeline exactly
+// once per key, every metrics copy must equal a fresh reference run and
+// every caller must observe the same rates. Run with -race.
 func TestMeasureRatesConcurrent(t *testing.T) {
 	const seed = 900003
 	forgetRates(t, seed)
+	schemes := [2]decoder.Scheme{decoder.SchemePriority, decoder.SchemePatchSliding}
 	before := rateMisses.Load()
 	const callers = 16
-	out := make([]Rates, callers)
+	rates := make([]Rates, callers)
+	metrics := make([]*microarch.Metrics, callers)
+	errs := make([]error, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Mix two distinct keys across the callers.
-			scheme := decoder.SchemePriority
-			if i%2 == 1 {
-				scheme = decoder.SchemePatchSliding
+			scheme := schemes[i%2]
+			if i/2%2 == 0 {
+				rates[i] = MeasureRates(3, 0.001, scheme, seed)
+			} else {
+				metrics[i], errs[i] = RunScalingWorkload(3, 0.001, scheme, seed)
 			}
-			out[i] = MeasureRates(3, 0.001, scheme, seed)
 		}(i)
 	}
 	wg.Wait()
 	if got := rateMisses.Load() - before; got != 2 {
 		t.Fatalf("%d concurrent callers over 2 keys ran the pipeline %d times, want 2", callers, got)
 	}
-	for i := 2; i < callers; i++ {
-		if out[i] != out[i%2] {
-			t.Fatalf("caller %d observed %+v, want %+v", i, out[i], out[i%2])
+	for k, scheme := range schemes {
+		fresh, nPhys, err := referenceRun(3, 0.001, scheme, seed, refLQ, refPPRs)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// fakeRateStore records LoadRates/StoreRates traffic for the durable
-// second-level cache tests.
-type fakeRateStore struct {
-	mu     sync.Mutex
-	m      map[string]Rates
-	loads  int
-	stores int
-}
-
-func (f *fakeRateStore) LoadRates(key string) (Rates, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.loads++
-	r, ok := f.m[key]
-	return r, ok
-}
-
-func (f *fakeRateStore) StoreRates(key string, r Rates) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.stores++
-	if f.m == nil {
-		f.m = map[string]Rates{}
-	}
-	f.m[key] = r
-}
-
-func TestMeasureRatesPersistenceMissThenStore(t *testing.T) {
-	const seed = 900005
-	forgetRates(t, seed)
-	fs := &fakeRateStore{}
-	EnableRatePersistence(fs)
-	defer EnableRatePersistence(nil)
-
-	before := rateMisses.Load()
-	r := MeasureRates(3, 0.001, decoder.SchemePriority, seed)
-	if got := rateMisses.Load() - before; got != 1 {
-		t.Fatalf("cold key with empty store ran the pipeline %d times, want 1", got)
-	}
-	key := RateCacheKey(3, 0.001, decoder.SchemePriority, seed)
-	fs.mu.Lock()
-	stored, ok := fs.m[key]
-	fs.mu.Unlock()
-	if !ok || stored != r {
-		t.Fatalf("fresh measurement not persisted under %q (ok=%v)", key, ok)
-	}
-}
-
-func TestMeasureRatesPersistenceServesWithoutPipeline(t *testing.T) {
-	const seed = 900006
-	forgetRates(t, seed)
-	// Pre-populate the durable level with a sentinel: a hit must be
-	// served verbatim with no pipeline execution (no miss counted).
-	key := RateCacheKey(3, 0.001, decoder.SchemePriority, seed)
-	sentinel := Rates{BitsPerQubitPerRound: 123.5}
-	fs := &fakeRateStore{m: map[string]Rates{key: sentinel}}
-	EnableRatePersistence(fs)
-	defer EnableRatePersistence(nil)
-
-	before := rateMisses.Load()
-	got := MeasureRates(3, 0.001, decoder.SchemePriority, seed)
-	if n := rateMisses.Load() - before; n != 0 {
-		t.Fatalf("durable hit still ran the pipeline %d times", n)
-	}
-	if got != sentinel {
-		t.Fatalf("durable hit returned %+v, want the stored sentinel", got)
-	}
-	if fs.stores != 0 {
-		t.Fatalf("durable hit wrote back to the store %d times", fs.stores)
+		want := ratesOf(&fresh, nPhys)
+		for i := k; i < callers; i += 2 {
+			switch {
+			case errs[i] != nil:
+				t.Fatalf("caller %d: %v", i, errs[i])
+			case metrics[i] != nil && *metrics[i] != fresh:
+				t.Fatalf("caller %d: metrics differ from a fresh reference run", i)
+			case metrics[i] == nil && rates[i] != want:
+				t.Fatalf("caller %d observed %+v, want %+v", i, rates[i], want)
+			}
+		}
 	}
 }
 
@@ -246,38 +192,6 @@ func TestScalingWorkloadSharesRateRun(t *testing.T) {
 	}
 	if *again != fresh {
 		t.Fatal("a caller's edit leaked into the memoized metrics")
-	}
-}
-
-// TestScalingWorkloadRunsWhenStoreServes: rates served by the durable
-// RateStore come without a reference run, so RunScalingWorkload runs the
-// pipeline itself and still returns the fresh-run metrics.
-func TestScalingWorkloadRunsWhenStoreServes(t *testing.T) {
-	const seed = 900008
-	forgetRates(t, seed)
-	fresh, _, err := referenceRun(3, 0.001, decoder.SchemePriority, seed, refLQ, refPPRs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := RateCacheKey(3, 0.001, decoder.SchemePriority, seed)
-	sentinel := Rates{BitsPerQubitPerRound: 123.5}
-	fs := &fakeRateStore{m: map[string]Rates{key: sentinel}}
-	EnableRatePersistence(fs)
-	defer EnableRatePersistence(nil)
-
-	before := rateMisses.Load()
-	m, err := RunScalingWorkload(3, 0.001, decoder.SchemePriority, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *m != fresh {
-		t.Fatal("store-served key: RunScalingWorkload metrics differ from a fresh reference run")
-	}
-	if got := MeasureRates(3, 0.001, decoder.SchemePriority, seed); got != sentinel {
-		t.Fatalf("MeasureRates returned %+v, want the stored sentinel", got)
-	}
-	if n := rateMisses.Load() - before; n != 0 {
-		t.Fatalf("store-served key counted %d memo misses, want 0", n)
 	}
 }
 

@@ -227,8 +227,14 @@ func TestRatesScaleInvariance(t *testing.T) {
 	// The engine extrapolates macroscopic metrics from rates measured at a
 	// reference scale; that is only sound if the per-qubit rates are
 	// scale-invariant. Measure at two workload sizes and compare.
-	a := measureRatesN(7, 0.001, decoder.SchemePriority, 3, 3, 4)
-	b := measureRatesN(7, 0.001, decoder.SchemePriority, 3, 6, 4)
+	rates := func(nLQ int) Rates {
+		m, nPhys, err := referenceRun(7, 0.001, decoder.SchemePriority, 3, nLQ, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ratesOf(&m, nPhys)
+	}
+	a, b := rates(3), rates(6)
 	rel := func(x, y float64) float64 {
 		if y == 0 {
 			return 0

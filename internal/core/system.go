@@ -245,16 +245,6 @@ func referenceRun(d int, physError float64, scheme decoder.Scheme, seed int64, n
 	return pl.M, pl.B.Layout.PhysicalQubits(), nil
 }
 
-// measureRatesN runs the reference workload and extracts its rates.
-func measureRatesN(d int, physError float64, scheme decoder.Scheme, seed int64, nLQ, pprs int) Rates {
-	m, nPhys, err := referenceRun(d, physError, scheme, seed, nLQ, pprs)
-	if err != nil {
-		//xqlint:ignore nopanic unreachable guard: the internal reference workload always compiles and runs; MeasureRates' dozen call sites have no error path
-		panic(err.Error())
-	}
-	return ratesOf(&m, nPhys)
-}
-
 // ratesOf divides a reference run's counters by its nPhys physical
 // qubits and its rounds, windows, syndromes and matches.
 func ratesOf(m *microarch.Metrics, nPhys int) Rates {

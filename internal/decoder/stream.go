@@ -185,11 +185,6 @@ func (s *StreamDecoder) Finish() *Result {
 	return &s.res
 }
 
-// Provisional returns the last closed window's correction (the decode
-// the EDU would have acted on in real time), valid until the next window
-// closes.
-func (s *StreamDecoder) Provisional() *Result { return &s.res }
-
 // Stats returns the stream accounting, folding in the buffer tracker's
 // drop/backpressure counts.
 func (s *StreamDecoder) Stats() StreamStats {

@@ -176,6 +176,80 @@ func TestHTTPRejectsUnrunnableSimulate(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsTrailingData: every body xqd reads is exactly one JSON
+// value. A closing newline is fine; a second value or stray bytes after
+// the first is a 400 that stores nothing, not a request for the first
+// value.
+func TestHTTPRejectsTrailingData(t *testing.T) {
+	sched := newT(t, Config{Workers: 1, LeaseTTL: 30 * time.Second})
+	defer drainT(t, sched)
+	ts := httptest.NewServer(NewServer(sched))
+	defer ts.Close()
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	g, err := sweep.GridSpec{Kind: sweep.GridThreshold, Ds: []int{3}, Ps: []float64{0.01}, Trials: 8, Seed: 3}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post("/grids", string(spec)+`{"kind":"circuit"}`); code != http.StatusBadRequest {
+		t.Errorf("grid spec with a second value = %d, want 400", code)
+	}
+	if keys := sched.st.Keys(); len(keys) != 0 {
+		t.Fatalf("rejected grid spec left records %v", keys)
+	}
+	id, _, err := sched.Grids().Create(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.Cell(0)
+	cell, err := sweep.MarshalCell(sweep.CellResult{Index: 0, D: c.D, P: c.P, Rounds: c.Rounds, Trials: c.Trials, Seed: c.Seed, Rate: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct{ path, body string }{
+		{"/jobs", `{"kind":"simulate"}{"kind":"sweep"}`},
+		{"/jobs", `{"kind":"estimate","tech":"rsfq"} x`},
+		{"/grids/" + id + "/lease", `{"worker":"w1","max":1}{"worker":"w2"}`},
+		{"/grids/" + id + "/cells/0/renew", `{"worker":"w1"}]`},
+		{"/grids/" + id + "/cells/0", string(cell) + `{"trailing":1}`},
+		{"/grids/" + id + "/cells/0", string(cell) + "\n" + string(cell)},
+	} {
+		if code := post(tc.path, tc.body); code != http.StatusBadRequest {
+			t.Errorf("POST %s %s = %d, want 400", tc.path, tc.body, code)
+		}
+	}
+	if keys := sched.st.Keys(); len(keys) != 1 || keys[0] != gridKey(id) {
+		t.Fatalf("rejected bodies left records %v", keys)
+	}
+
+	// The same bodies without the tail, ending in a newline, go through.
+	if resp, sr := postJob(t, ts, `{"kind":"estimate","tech":"rsfq"}`+"\n"); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("job spec with a closing newline = %d %+v, want 202", resp.StatusCode, sr)
+	}
+	if code := post("/grids/"+id+"/lease", `{"worker":"w1","max":1}`+"\n"); code != http.StatusOK {
+		t.Errorf("lease with a closing newline = %d, want 200", code)
+	}
+	if code := post("/grids/"+id+"/cells/0/renew", `{"worker":"w1"}`+"\n"); code != http.StatusOK {
+		t.Errorf("renew with a closing newline = %d, want 200", code)
+	}
+	if code := post("/grids/"+id+"/cells/0", string(cell)+"\n"); code != http.StatusOK {
+		t.Errorf("cell with a closing newline = %d, want 200", code)
+	}
+}
+
 func TestHTTPOverloadReturns429WithRetryAfter(t *testing.T) {
 	block := make(chan struct{})
 	runHook = func(ctx context.Context, spec JobSpec, attempt int) (json.RawMessage, error) {

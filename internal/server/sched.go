@@ -164,9 +164,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s.jobsCtx, s.jobsStop = context.WithCancel(context.Background())
 
-	// Make MeasureRates memoization durable across processes.
-	core.EnableRatePersistence(&storeRates{st: st})
-
 	resumed := s.resumable()
 	// The queue never blocks a sender: every admitted job (bounded by
 	// QueueDepth), every resumed job, and every retry re-enqueue has a
@@ -625,36 +622,8 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 		waitErr = fmt.Errorf("server: drain timed out: %w", ctx.Err())
 	}
 
-	core.EnableRatePersistence(nil)
 	if err := s.st.Close(); err != nil && waitErr == nil {
 		waitErr = err
 	}
 	return waitErr
-}
-
-// storeRates adapts the durable store to core.RateStore, making
-// MeasureRates memoization survive restarts and hop processes.
-type storeRates struct {
-	st *store.Store
-}
-
-func (sr *storeRates) LoadRates(key string) (core.Rates, bool) {
-	raw, ok, err := sr.st.Get(key)
-	if err != nil || !ok {
-		return core.Rates{}, false
-	}
-	var r core.Rates
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return core.Rates{}, false
-	}
-	return r, true
-}
-
-func (sr *storeRates) StoreRates(key string, r core.Rates) {
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return
-	}
-	// Best-effort: a failed persist only costs a future re-measurement.
-	_ = sr.st.Put(key, raw)
 }

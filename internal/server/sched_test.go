@@ -6,9 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+
+	"xqsim/internal/config"
+	"xqsim/internal/core"
+	"xqsim/internal/decoder"
+	"xqsim/internal/store"
 )
 
 // The tests share the package-level run/exp hooks, so none of them run
@@ -76,6 +82,67 @@ func TestSubmitRunsJobAndServesResult(t *testing.T) {
 	}
 	if payload.Tech != "rsfq" || len(payload.Units) != 8 || payload.TotalW <= 0 {
 		t.Fatalf("unexpected payload %+v", payload)
+	}
+}
+
+// TestLegacyRateRecordsAreNeverServed: a data dir written by an older
+// xqd holds rates/... records. The scheduler never reads them: a sweep
+// measures its rates afresh, so a record from another model cannot
+// reach a result or the process-wide rate memo.
+func TestLegacyRateRecordsAreNeverServed(t *testing.T) {
+	const seed = 2121 // measured by no other test in the package
+	d, p := config.CodeDistance, config.PhysErrorRate
+	sentinel := core.Rates{BitsPerQubitPerRound: 123.5, SyndromesPerQubitPerWindow: 1, MatchesPerSyndrome: 1, AvgMatchSteps: 1000}
+	dir := t.TempDir()
+	st, err := store.Open(filepath.Join(dir, "results.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(sentinel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := fmt.Sprintf("rates/d=%d,p=%g,scheme=%d,seed=%d", d, p, int(decoder.SchemeRoundRobin), seed)
+	if err := st.Put(key, raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newT(t, Config{Workers: 1, DataDir: dir})
+	defer drainT(t, s)
+	hash, _, err := s.Submit(JobSpec{Kind: "sweep", Experiments: []string{"fig14"}, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, s, hash, StatusDone)
+	out, ok := s.Result(hash)
+	if !ok || !out.OK {
+		t.Fatalf("Result = %+v, ok=%v", out, ok)
+	}
+
+	fresh := core.MeasureRatesUncached(d, p, decoder.SchemeRoundRobin, seed)
+	if got := core.MeasureRates(d, p, decoder.SchemeRoundRobin, seed); got != fresh {
+		t.Fatalf("the memo holds %+v for %s, want a fresh measurement %+v", got, key, fresh)
+	}
+	var payload []struct {
+		Anchors map[string]struct {
+			Measured float64 `json:"measured"`
+		} `json:"anchors"`
+	}
+	if err := json.Unmarshal(out.Result, &payload); err != nil || len(payload) != 1 {
+		t.Fatalf("payload %s: %v", out.Result, err)
+	}
+	decodeOK := func(r core.Report) bool { return r.DecodeOK }
+	base := core.CurrentSystem(d, false)
+	got := payload[0].Anchors["decode limit baseline"].Measured
+	stale, want := float64(base.ConstraintLimit(sentinel, decodeOK)), float64(base.ConstraintLimit(fresh, decodeOK))
+	if stale == want {
+		t.Fatalf("the sentinel's decode limit %v equals the measured one; pick another sentinel", stale)
+	}
+	if got != want {
+		t.Fatalf("round-robin decode limit %v, want %v from fresh rates (the legacy record gives %v)", got, want, stale)
 	}
 }
 

@@ -78,7 +78,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeOne(dec, &spec); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
 		return
 	}
@@ -189,7 +189,7 @@ func (s *Server) handleGridCreate(w http.ResponseWriter, r *http.Request) {
 	var spec sweep.GridSpec
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeOne(dec, &spec); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad grid spec: %v", err))
 		return
 	}
@@ -239,7 +239,7 @@ func (s *Server) handleGridLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeOne(json.NewDecoder(r.Body), &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad lease request: %v", err))
 		return
 	}
@@ -284,7 +284,7 @@ func (s *Server) handleGridRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RenewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeOne(json.NewDecoder(r.Body), &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad renew request: %v", err))
 		return
 	}
@@ -306,6 +306,20 @@ func (s *Server) handleGridResult(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(out)
+}
+
+// decodeOne decodes a request body that holds exactly one JSON value.
+// Only whitespace, such as a client's closing newline, may follow it:
+// a body carrying a second value or stray bytes is an error, not a
+// request for its first value.
+func decodeOne(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
 }
 
 // gridError maps coordinator errors onto HTTP statuses.

@@ -245,26 +245,6 @@ func (t *Tableau) rowsum(h, i int) {
 	t.r[h] = uint8((acc >> 1) & 1)
 }
 
-// loadScratch sets the scratch row (index 2n) to the given Pauli product
-// with sign (+1 if sign==0, -1 if sign==1). qubits and ops run in parallel.
-func (t *Tableau) loadScratch(qubits []int, ops []pauli.Pauli, sign uint8) {
-	s := 2 * t.n
-	t.clearRow(s)
-	t.r[s] = sign
-	for k, q := range qubits {
-		if q < 0 || q >= t.n {
-			//xqlint:ignore nopanic unreachable guard: callers pass indices from the tableau's own geometry
-			panic(fmt.Sprintf("stab: qubit %d out of range", q))
-		}
-		if ops[k].XBit() {
-			t.setX(s, q, true)
-		}
-		if ops[k].ZBit() {
-			t.setZ(s, q, true)
-		}
-	}
-}
-
 // clearRow zeroes row `row`'s bit-vectors.
 func (t *Tableau) clearRow(row int) {
 	base := row * t.words

@@ -185,16 +185,6 @@ func (c Code) BoundaryBasis(s Side) pauli.Pauli {
 	return pauli.X
 }
 
-// BoundarySide returns a side carrying the given boundary basis
-// (Top for Z, Left for X), mirroring the single-side representation in
-// the paper's Table 2.
-func (c Code) BoundarySide(b pauli.Pauli) Side {
-	if b == pauli.Z {
-		return Top
-	}
-	return Left
-}
-
 // ConditionalStabilizer is a weight-2 boundary check that exists only
 // while its side participates in a merge: the canonical patch drops (say)
 // X-type checks on the top/bottom edges, but when that side becomes a

@@ -331,6 +331,45 @@ func TestGridJSONLPinnedSchema(t *testing.T) {
 	}
 }
 
+// TestUnmarshalCellTakesOneValue: a cell payload is exactly one JSON
+// value. Surrounding whitespace is fine; a second value or stray bytes
+// after the first is an error, never a cell.
+func TestUnmarshalCellTakesOneValue(t *testing.T) {
+	want := CellResult{Index: 1, D: 3, P: 0.01, Rounds: 3, Trials: 16, Seed: 9, Rate: 0.25}
+	cell, err := MarshalCell(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := string(cell)
+	cases := []struct {
+		name, payload string
+		ok            bool
+	}{
+		{"canonical", c, true},
+		{"surrounding whitespace", " \t" + c + "\r\n", true},
+		{"trailing object", c + `{"trailing":1}`, false},
+		{"two cells", c + "\n" + c, false},
+		{"trailing bytes", c + " x", false},
+		{"trailing brace", c + "}", false},
+		{"unknown field", `{"index":1,"bogus":2}`, false},
+		{"truncated", c[:len(c)-1], false},
+		{"empty", "", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := UnmarshalCell([]byte(tc.payload))
+			switch {
+			case tc.ok && err != nil:
+				t.Fatalf("rejected %q: %v", tc.payload, err)
+			case tc.ok && got != want:
+				t.Fatalf("decoded %+v, want %+v", got, want)
+			case !tc.ok && err == nil:
+				t.Fatalf("accepted %q as %+v", tc.payload, got)
+			}
+		})
+	}
+}
+
 func TestGridCheckpointRoundTrip(t *testing.T) {
 	g := testGrid(t)
 	ck := NewGridCheckpoint(g)

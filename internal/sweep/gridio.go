@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -36,13 +37,18 @@ func MarshalCell(c CellResult) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalCell decodes one pinned-schema cell line.
+// UnmarshalCell decodes one pinned-schema cell line: exactly one JSON
+// value, with nothing but whitespace after it, so a payload carrying two
+// cells or stray bytes is rejected rather than read as its first cell.
 func UnmarshalCell(b []byte) (CellResult, error) {
 	var c CellResult
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
 		return CellResult{}, fmt.Errorf("sweep: decode cell: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return CellResult{}, errors.New("sweep: decode cell: unexpected data after the cell value")
 	}
 	return c, nil
 }
