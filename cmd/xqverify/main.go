@@ -9,7 +9,6 @@
 //	xqverify -depth deep -seed 7           # release depth, custom base seed
 //	xqverify -case lockstep -case decoder  # only the named checks
 //	xqverify -depth deep -replay isa:42    # re-run one reported failure
-//	xqverify -config params.txt            # validate a Params override file
 //
 // Every failure prints its repro (depth, check name and seed) and, for
 // circuit-shaped checks, a minimal shrunk circuit dump; feed the repro
@@ -25,7 +24,6 @@ import (
 	"time"
 
 	"xqsim/internal/cli"
-	"xqsim/internal/config"
 	"xqsim/internal/verify"
 )
 
@@ -36,26 +34,13 @@ func (c *caseList) Set(v string) error { *c = append(*c, v); return nil }
 
 func main() {
 	var (
-		depthName  = flag.String("depth", "quick", "suite depth: quick | standard | deep")
-		seed       = flag.Int64("seed", 1, "base seed for the suite's per-check seed streams")
-		replay     = flag.String("replay", "", "replay one trial as \"check:seed\" and exit")
-		configPath = flag.String("config", "", "validate a config.Params file before running")
-		cases      caseList
+		depthName = flag.String("depth", "quick", "suite depth: quick | standard | deep")
+		seed      = flag.Int64("seed", 1, "base seed for the suite's per-check seed streams")
+		replay    = flag.String("replay", "", "replay one trial as \"check:seed\" and exit")
+		cases     caseList
 	)
 	flag.Var(&cases, "case", "run only this check (repeatable); default all")
 	flag.Parse()
-
-	if *configPath != "" {
-		src, err := os.ReadFile(*configPath)
-		if err != nil {
-			fatalf("xqverify: %v", err)
-		}
-		p, err := config.ParseParams(string(src))
-		if err != nil {
-			fatalf("xqverify: %v", err)
-		}
-		fmt.Printf("config %s ok:\n%s", *configPath, p.String())
-	}
 
 	depth, err := verify.DepthByName(*depthName)
 	if err != nil {

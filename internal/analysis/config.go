@@ -78,8 +78,7 @@ func DefaultConfig(modulePath string) *Config {
 			"fmt.Printf",
 			"fmt.Println",
 		},
-		// numOpcodes, NumKinds, NumUnits, NumESMSteps: counting
-		// sentinels, not members.
+		// numOpcodes, NumKinds, NumUnits: counting sentinels, not members.
 		ExhaustiveSentinelPrefixes: []string{"num", "Num"},
 		ExhaustiveMinMembers:       2,
 	}

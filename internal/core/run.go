@@ -19,22 +19,15 @@ import (
 	"xqsim/internal/surface"
 )
 
-// PipelineConfig builds the standard microarchitecture configuration from
-// Table 4 constants.
+// PipelineConfig builds a run's microarchitecture configuration; the
+// pipeline reads the Table 4 constants from internal/config itself.
 func PipelineConfig(d int, physError float64, scheme decoder.Scheme, functional bool, seed int64) microarch.Config {
 	return microarch.Config{
-		D:              d,
-		PhysError:      physError,
-		Seed:           seed,
-		Functional:     functional,
-		Scheme:         scheme,
-		MaskGenerators: config.DefaultMaskGenerators,
-		MaskSharing:    1,
-		CwdBits:        config.CodewordBits,
-		StepsPerRound:  config.ESMStepsPerRound,
-		T1QNs:          config.T1QNs,
-		T2QNs:          config.T2QNs,
-		TMeasNs:        config.TMeasNs,
+		D:          d,
+		PhysError:  physError,
+		Seed:       seed,
+		Functional: functional,
+		Scheme:     scheme,
 	}
 }
 

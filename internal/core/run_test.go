@@ -122,11 +122,9 @@ func TestRunScalingWorkloadMetrics(t *testing.T) {
 
 func TestPipelineConfigDefaults(t *testing.T) {
 	cfg := PipelineConfig(15, 0.001, decoder.SchemePriority, true, 9)
-	if cfg.D != 15 || !cfg.Functional || cfg.CwdBits != 26 || cfg.StepsPerRound != 8 {
-		t.Fatalf("config = %+v", cfg)
-	}
-	if cfg.T1QNs != 14 || cfg.T2QNs != 26 || cfg.TMeasNs != 600 {
-		t.Fatal("gate latencies drifted")
+	want := microarch.Config{D: 15, PhysError: 0.001, Seed: 9, Functional: true, Scheme: decoder.SchemePriority}
+	if cfg != want {
+		t.Fatalf("config = %+v, want %+v", cfg, want)
 	}
 }
 

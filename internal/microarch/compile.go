@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"xqsim/internal/config"
 	"xqsim/internal/decoder"
 	"xqsim/internal/ftqc"
 	"xqsim/internal/isa"
@@ -440,7 +441,7 @@ func (p *Pipeline) execLQI(cp *CompiledProgram, u *uop) {
 		nPhys += p.B.Code.PhysPerPatch()
 	}
 	p.psuSteps(nPhys, 1)
-	p.M.VirtualNs += p.Cfg.T1QNs
+	p.M.VirtualNs += config.T1QNs
 }
 
 func (p *Pipeline) execMerge(cp *CompiledProgram, u *uop) {
@@ -465,7 +466,7 @@ func (p *Pipeline) execInitIntmd(cp *CompiledProgram, u *uop) {
 	p.M.Unit[UnitPIU].Ops++
 	p.M.Unit[UnitPIU].ActiveCycles += uint64(n)
 	p.psuSteps(n*p.B.Code.PhysPerPatch(), 1)
-	p.M.VirtualNs += p.Cfg.T1QNs
+	p.M.VirtualNs += config.T1QNs
 }
 
 func (p *Pipeline) execMeasIntmd(cp *CompiledProgram, u *uop) {
@@ -476,7 +477,7 @@ func (p *Pipeline) execMeasIntmd(cp *CompiledProgram, u *uop) {
 	p.M.transfer(UnitQCI, UnitLMU, uint64(u.aux*d*d))
 	p.M.Unit[UnitLMU].Ops++
 	p.M.Unit[UnitLMU].ActiveCycles += uint64(u.aux)
-	p.M.VirtualNs += p.Cfg.TMeasNs
+	p.M.VirtualNs += config.TMeasNs
 }
 
 func (p *Pipeline) execRunESM(cp *CompiledProgram, u *uop) {
@@ -493,11 +494,11 @@ func (p *Pipeline) execRunESM(cp *CompiledProgram, u *uop) {
 
 	totalPhys := p.B.Layout.PhysicalQubits()
 	for r := 0; r < d; r++ {
-		p.psuSteps(nPhys, p.Cfg.StepsPerRound)
+		p.psuSteps(nPhys, config.ESMStepsPerRound)
 		// The QC interface is synchronous: idle qubit lines receive
 		// keep-alive timing frames of the same width every step.
 		if idle := totalPhys - nPhys; idle > 0 {
-			p.M.transfer(UnitTCU, UnitQCI, uint64(idle*p.Cfg.CwdBits*p.Cfg.StepsPerRound))
+			p.M.transfer(UnitTCU, UnitQCI, uint64(idle*config.CodewordBits*config.ESMStepsPerRound))
 		}
 		p.B.InjectRoundNoise()
 		// Fault injection: a corrupted cross-temperature transfer costs
@@ -512,8 +513,8 @@ func (p *Pipeline) execRunESM(cp *CompiledProgram, u *uop) {
 		p.M.transfer(UnitQCI, UnitEDU, uint64(anc)*uint64(1+ro.Retransmits))
 		p.M.Unit[UnitEDU].ActiveCycles += ro.BackoffCycles
 		p.M.ESMRounds++
-		p.M.ESMTimeNs += p.roundNs()
-		p.M.VirtualNs += p.roundNs()
+		p.M.ESMTimeNs += config.ESMRoundNs()
+		p.M.VirtualNs += config.ESMRoundNs()
 	}
 
 	if nPhys > p.M.MaxActivePhys {
@@ -539,7 +540,7 @@ func (p *Pipeline) execRunESM(cp *CompiledProgram, u *uop) {
 	cycles += wo.StallCycles
 	for i := 0; i < wo.BackpressureRounds; i++ {
 		p.B.InjectRoundNoise()
-		p.M.VirtualNs += p.roundNs()
+		p.M.VirtualNs += config.ESMRoundNs()
 	}
 	p.M.DecodeWindows++
 	p.M.DecodeCyclesSum += cycles
@@ -672,7 +673,7 @@ func (p *Pipeline) execLQM(cp *CompiledProgram, u *uop) {
 		p.M.Unit[UnitPFU].Ops++
 		p.M.Unit[UnitPFU].ActiveCycles++
 	}
-	p.M.VirtualNs += p.Cfg.TMeasNs
+	p.M.VirtualNs += config.TMeasNs
 }
 
 // Dump renders the lowered stream in a stable human-readable form; the

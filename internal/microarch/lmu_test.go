@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"xqsim/internal/compiler"
+	"xqsim/internal/config"
 	"xqsim/internal/ftqc"
 	"xqsim/internal/isa"
 	"xqsim/internal/pauli"
@@ -135,7 +136,7 @@ func TestQIDGroupingMultiWindow(t *testing.T) {
 func TestKeepAliveTrafficAccounting(t *testing.T) {
 	// The TCU->QCI stream must cover every physical qubit every round
 	// (active codewords plus keep-alive frames): bits/qubit/round equals
-	// CwdBits * StepsPerRound.
+	// the 26-bit codeword times the 8 ESM steps.
 	circ := compiler.SinglePPR("ZZ", ftqc.AnglePi4)
 	res, err := compiler.Compile(circ)
 	if err != nil {
@@ -146,7 +147,7 @@ func TestKeepAliveTrafficAccounting(t *testing.T) {
 	totalPhys := pl.B.Layout.PhysicalQubits()
 	perQubitRound := float64(m.TransferBits[UnitTCU][UnitQCI]) /
 		float64(totalPhys) / float64(m.ESMRounds)
-	want := float64(pl.Cfg.CwdBits * pl.Cfg.StepsPerRound)
+	want := float64(config.CodewordBits * config.ESMStepsPerRound)
 	if perQubitRound < want || perQubitRound > want*1.1 {
 		t.Fatalf("stream density = %.1f bits/qubit/round, want ~%.0f", perQubitRound, want)
 	}

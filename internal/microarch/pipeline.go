@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"xqsim/internal/config"
 	"xqsim/internal/decoder"
 	"xqsim/internal/faults"
 	"xqsim/internal/ftqc"
@@ -95,7 +96,9 @@ func (m *Metrics) UnitTrafficBits(u Unit) uint64 {
 	return total
 }
 
-// Config sets the microarchitectural and physical parameters of a run.
+// Config holds a run's inputs. The Table-4 constants every run shares
+// (gate latencies, ESM steps per round, codeword width, PSU mask
+// generators) are read from internal/config.
 type Config struct {
 	D          int
 	PhysError  float64
@@ -105,15 +108,6 @@ type Config struct {
 	// Scheme is the EDU's token-setup scheme, which prices every decode
 	// window (decoder.WindowCycles).
 	Scheme decoder.Scheme
-	// MaskGenerators is the PSU mask-generator count; MaskSharing is
-	// Optimization #2's per-generator qubit multiplier.
-	MaskGenerators int
-	MaskSharing    int
-
-	CwdBits       int
-	StepsPerRound int
-
-	T1QNs, T2QNs, TMeasNs float64
 
 	// Faults configures deterministic fault injection (decoder stalls,
 	// syndrome-buffer overflow, cross-temperature link corruption); the
@@ -155,13 +149,6 @@ type Pipeline struct {
 
 // NewPipeline builds a pipeline over a fresh layout and backend.
 func NewPipeline(layout *surface.PPRLayout, cfg Config) *Pipeline {
-	if cfg.MaskGenerators <= 0 {
-		//xqlint:ignore nopanic constructor precondition: every Config producer (core.PipelineConfig, config defaults) sets MaskGenerators; failing fast at build beats failing mid-run
-		panic("microarch: config needs mask generators")
-	}
-	if cfg.MaskSharing <= 0 {
-		cfg.MaskSharing = 1
-	}
 	return &Pipeline{
 		Cfg:          cfg,
 		B:            NewBackend(layout, cfg.PhysError, cfg.Seed, cfg.Functional),
@@ -198,11 +185,6 @@ func (p *Pipeline) Reset(seed int64) {
 	p.B.Reset(seed)
 }
 
-// roundNs is the wall-clock duration of one ESM round.
-func (p *Pipeline) roundNs() float64 {
-	return 2*p.Cfg.T1QNs + 4*p.Cfg.T2QNs + p.Cfg.TMeasNs
-}
-
 // psuSteps accounts k physical schedule steps over nPhys qubits: per
 // step, the PSU iterates its mask generators and the TCU streams the
 // codeword array to the QC interface. The counters are integer sums, so
@@ -211,14 +193,14 @@ func (p *Pipeline) psuSteps(nPhys, k int) {
 	if nPhys == 0 || k <= 0 {
 		return
 	}
-	gens := p.Cfg.MaskGenerators * p.Cfg.MaskSharing
+	const gens = config.DefaultMaskGenerators
 	steps := uint64(k)
 	cycles := steps * uint64((nPhys+gens-1)/gens)
 	p.M.Unit[UnitPSU].Ops += steps
 	p.M.Unit[UnitPSU].ActiveCycles += cycles
 	p.M.Unit[UnitTCU].Ops += steps
 	p.M.Unit[UnitTCU].ActiveCycles += cycles
-	bits := uint64(nPhys * p.Cfg.CwdBits)
+	bits := uint64(nPhys * config.CodewordBits)
 	p.M.transfer(UnitPSU, UnitTCU, steps*bits)
 	p.M.transfer(UnitTCU, UnitQCI, steps*(bits+32)) // plus the cycle_time word
 }

@@ -11,16 +11,11 @@ import (
 
 func testConfig(d int, p float64, seed int64) Config {
 	return Config{
-		D:              d,
-		PhysError:      p,
-		Seed:           seed,
-		Functional:     true,
-		Scheme:         decoder.SchemePriority,
-		MaskGenerators: 64,
-		MaskSharing:    1,
-		CwdBits:        26,
-		StepsPerRound:  8,
-		T1QNs:          14, T2QNs: 26, TMeasNs: 600,
+		D:          d,
+		PhysError:  p,
+		Seed:       seed,
+		Functional: true,
+		Scheme:     decoder.SchemePriority,
 	}
 }
 
@@ -181,34 +176,6 @@ func TestPipelineSchemeLatencyOrdering(t *testing.T) {
 	}
 	if float64(ps) > 2*float64(pr)+1000 {
 		t.Errorf("patch-sliding (%d) too far above priority (%d)", ps, pr)
-	}
-}
-
-func TestPipelineMaskSharingReducesPSUCycles(t *testing.T) {
-	circ := compiler.SinglePPR("ZZ", 0).SubstituteStabilizer()
-	res, err := compiler.Compile(circ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := testConfig(5, 0, 3)
-	base.MaskGenerators = 8
-	pl1 := NewPipeline(surface.NewPPRLayout(circ.NLQ, 5), base)
-	if err := pl1.Run(res.Program); err != nil {
-		t.Fatal(err)
-	}
-	shared := base
-	shared.MaskSharing = 14
-	pl2 := NewPipeline(surface.NewPPRLayout(circ.NLQ, 5), shared)
-	if err := pl2.Run(res.Program); err != nil {
-		t.Fatal(err)
-	}
-	if pl2.M.Unit[UnitPSU].ActiveCycles >= pl1.M.Unit[UnitPSU].ActiveCycles {
-		t.Errorf("mask sharing did not reduce PSU cycles: %d vs %d",
-			pl2.M.Unit[UnitPSU].ActiveCycles, pl1.M.Unit[UnitPSU].ActiveCycles)
-	}
-	// Traffic is unchanged: sharing changes cycles, not codewords.
-	if pl2.M.TransferBits[UnitPSU][UnitTCU] != pl1.M.TransferBits[UnitPSU][UnitTCU] {
-		t.Error("mask sharing changed codeword traffic")
 	}
 }
 

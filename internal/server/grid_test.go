@@ -14,7 +14,7 @@ import (
 
 // gridT opens a coordinator over a fresh store with a controllable
 // clock. Advance the returned *time.Time to expire leases.
-func gridT(t *testing.T, dir string, ttl time.Duration) (*GridCoordinator, *time.Time) {
+func gridT(t testing.TB, dir string, ttl time.Duration) (*GridCoordinator, *time.Time) {
 	t.Helper()
 	st, err := store.Open(filepath.Join(dir, "grids.log"))
 	if err != nil {

@@ -27,6 +27,17 @@ func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, su
 	return resp, sr
 }
 
+// postStatus POSTs body to path and returns the response status.
+func postStatus(t *testing.T, ts *httptest.Server, path, body string) int {
+	t.Helper()
+	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	return resp.StatusCode
+}
+
 func getJSON(t *testing.T, ts *httptest.Server, path string, v any) int {
 	t.Helper()
 	resp, err := http.Get(ts.URL + path)
@@ -185,15 +196,6 @@ func TestHTTPRejectsTrailingData(t *testing.T) {
 	defer drainT(t, sched)
 	ts := httptest.NewServer(NewServer(sched))
 	defer ts.Close()
-	post := func(path, body string) int {
-		t.Helper()
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = resp.Body.Close()
-		return resp.StatusCode
-	}
 
 	g, err := sweep.GridSpec{Kind: sweep.GridThreshold, Ds: []int{3}, Ps: []float64{0.01}, Trials: 8, Seed: 3}.Normalize()
 	if err != nil {
@@ -203,7 +205,7 @@ func TestHTTPRejectsTrailingData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code := post("/grids", string(spec)+`{"kind":"circuit"}`); code != http.StatusBadRequest {
+	if code := postStatus(t, ts, "/grids", string(spec)+`{"kind":"circuit"}`); code != http.StatusBadRequest {
 		t.Errorf("grid spec with a second value = %d, want 400", code)
 	}
 	if keys := sched.st.Keys(); len(keys) != 0 {
@@ -227,7 +229,7 @@ func TestHTTPRejectsTrailingData(t *testing.T) {
 		{"/grids/" + id + "/cells/0", string(cell) + `{"trailing":1}`},
 		{"/grids/" + id + "/cells/0", string(cell) + "\n" + string(cell)},
 	} {
-		if code := post(tc.path, tc.body); code != http.StatusBadRequest {
+		if code := postStatus(t, ts, tc.path, tc.body); code != http.StatusBadRequest {
 			t.Errorf("POST %s %s = %d, want 400", tc.path, tc.body, code)
 		}
 	}
@@ -239,14 +241,80 @@ func TestHTTPRejectsTrailingData(t *testing.T) {
 	if resp, sr := postJob(t, ts, `{"kind":"estimate","tech":"rsfq"}`+"\n"); resp.StatusCode != http.StatusAccepted {
 		t.Errorf("job spec with a closing newline = %d %+v, want 202", resp.StatusCode, sr)
 	}
-	if code := post("/grids/"+id+"/lease", `{"worker":"w1","max":1}`+"\n"); code != http.StatusOK {
+	if code := postStatus(t, ts, "/grids/"+id+"/lease", `{"worker":"w1","max":1}`+"\n"); code != http.StatusOK {
 		t.Errorf("lease with a closing newline = %d, want 200", code)
 	}
-	if code := post("/grids/"+id+"/cells/0/renew", `{"worker":"w1"}`+"\n"); code != http.StatusOK {
+	if code := postStatus(t, ts, "/grids/"+id+"/cells/0/renew", `{"worker":"w1"}`+"\n"); code != http.StatusOK {
 		t.Errorf("renew with a closing newline = %d, want 200", code)
 	}
-	if code := post("/grids/"+id+"/cells/0", string(cell)+"\n"); code != http.StatusOK {
+	if code := postStatus(t, ts, "/grids/"+id+"/cells/0", string(cell)+"\n"); code != http.StatusOK {
 		t.Errorf("cell with a closing newline = %d, want 200", code)
+	}
+}
+
+// TestHTTPRejectsBadBodies: all four request bodies xqd decodes (job
+// spec, grid spec, lease, renew) reject a field their type lacks, so a
+// misspelled field is a 400 that leases, renews and stores nothing,
+// not a request that runs with that field's default; so is a grid spec
+// whose rounds exceed sweep's bound, which no worker could run. The
+// same bodies without the defect go through.
+func TestHTTPRejectsBadBodies(t *testing.T) {
+	sched := newT(t, Config{Workers: 1, LeaseTTL: 30 * time.Second})
+	defer drainT(t, sched)
+	ts := httptest.NewServer(NewServer(sched))
+	defer ts.Close()
+
+	g, err := sweep.GridSpec{Kind: sweep.GridThreshold, Ds: []int{3}, Ps: []float64{0.01, 0.03}, Trials: 8, Seed: 3}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := sched.Grids().Create(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cells, _, err := sched.Grids().Lease(id, "w1", 1); err != nil || len(cells) != 1 || cells[0].Cell.Index != 0 {
+		t.Fatalf("lease = %+v, %v", cells, err)
+	}
+	other := g
+	other.Seed = 4
+	spec, err := json.Marshal(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := func() map[string]string {
+		m := map[string]string{}
+		for _, k := range sched.st.Keys() {
+			v, _, err := sched.st.Get(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[k] = string(v)
+		}
+		return m
+	}
+	before := records()
+
+	rows := []struct{ path, body, clean string }{
+		{"/jobs", `{"kind":"estimate","tech":"rsfq","bogus":1}`, `{"kind":"estimate","tech":"rsfq"}`},
+		{"/grids", strings.TrimSuffix(string(spec), "}") + `,"bogus":1}`, string(spec)},
+		{"/grids/" + id + "/lease", `{"worker":"w2","maxx":8}`, `{"worker":"w2"}`},
+		{"/grids/" + id + "/cells/0/renew", `{"worker":"w1","ttl":60}`, `{"worker":"w1"}`},
+		{"/grids", `{"kind":"circuit","d":[3],"p":[0.01],"rounds":100000000}`, `{"kind":"circuit","d":[3],"p":[0.01],"rounds":1000}`},
+	}
+	for _, tc := range rows {
+		if code := postStatus(t, ts, tc.path, tc.body); code != http.StatusBadRequest {
+			t.Errorf("POST %s %s = %d, want 400", tc.path, tc.body, code)
+		}
+	}
+	if after := records(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("rejected bodies changed the store:\nbefore %v\nafter  %v", before, after)
+	}
+
+	// Without its defect, each body goes through.
+	for _, tc := range rows {
+		if code := postStatus(t, ts, tc.path, tc.clean); code >= 300 {
+			t.Errorf("POST %s %s = %d, want 2xx", tc.path, tc.clean, code)
+		}
 	}
 }
 

@@ -76,9 +76,7 @@ type submitResponse struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := decodeOne(dec, &spec); err != nil {
+	if err := decodeOne(r.Body, &spec); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
 		return
 	}
@@ -187,9 +185,7 @@ func (s *Server) handleGridCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec sweep.GridSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := decodeOne(dec, &spec); err != nil {
+	if err := decodeOne(r.Body, &spec); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad grid spec: %v", err))
 		return
 	}
@@ -239,7 +235,7 @@ func (s *Server) handleGridLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LeaseRequest
-	if err := decodeOne(json.NewDecoder(r.Body), &req); err != nil {
+	if err := decodeOne(r.Body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad lease request: %v", err))
 		return
 	}
@@ -284,7 +280,7 @@ func (s *Server) handleGridRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RenewRequest
-	if err := decodeOne(json.NewDecoder(r.Body), &req); err != nil {
+	if err := decodeOne(r.Body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad renew request: %v", err))
 		return
 	}
@@ -308,11 +304,15 @@ func (s *Server) handleGridResult(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(out)
 }
 
-// decodeOne decodes a request body that holds exactly one JSON value.
-// Only whitespace, such as a client's closing newline, may follow it:
-// a body carrying a second value or stray bytes is an error, not a
-// request for its first value.
-func decodeOne(dec *json.Decoder, v any) error {
+// decodeOne decodes a request body that holds exactly one JSON value
+// with no field v lacks: every request body is read this way, so a
+// misspelled field is an error, not a default. Only whitespace, such as
+// a client's closing newline, may follow the value: a body carrying a
+// second value or stray bytes is an error, not a request for its first
+// value.
+func decodeOne(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}

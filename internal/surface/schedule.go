@@ -2,65 +2,6 @@ package surface
 
 import "xqsim/internal/pauli"
 
-// ESMStep is one slot of the error-syndrome-measurement schedule.
-type ESMStep int
-
-// The eight schedule steps of one ESM round (Fig. 2(b)/(c)): ancilla
-// reset, the opening Hadamard layer, four entangling layers, the closing
-// Hadamard layer, and measurement. The physical schedule unit walks this
-// sequence, emitting one codeword array per step.
-const (
-	StepReset ESMStep = iota
-	StepHadamard1
-	StepCZ1
-	StepCZ2
-	StepCZ3
-	StepCZ4
-	StepHadamard2
-	StepMeasure
-	NumESMSteps
-)
-
-// String names the step.
-func (s ESMStep) String() string {
-	switch s {
-	case StepReset:
-		return "reset"
-	case StepHadamard1:
-		return "H1"
-	case StepCZ1, StepCZ2, StepCZ3, StepCZ4:
-		return "cz" + string(rune('1'+int(s-StepCZ1)))
-	case StepHadamard2:
-		return "H2"
-	case StepMeasure:
-		return "measure"
-	}
-	return "?"
-}
-
-// GateLatencyClass tells the time-control unit which Table-4 latency the
-// step consumes.
-type GateLatencyClass int
-
-// Latency classes.
-const (
-	Latency1Q GateLatencyClass = iota
-	Latency2Q
-	LatencyMeas
-)
-
-// LatencyClass returns the step's latency class.
-func (s ESMStep) LatencyClass() GateLatencyClass {
-	switch s {
-	case StepCZ1, StepCZ2, StepCZ3, StepCZ4:
-		return Latency2Q
-	case StepMeasure:
-		return LatencyMeas
-	default:
-		return Latency1Q
-	}
-}
-
 // CZTarget returns the data qubit an ancilla plaquette entangles with at
 // entangling layer k (0..3), or ok=false when the plaquette has no
 // neighbor in that direction (boundary plaquettes skip those layers).
@@ -94,39 +35,4 @@ func (c Code) CZTarget(st Stabilizer, k int) (Coord, bool) {
 		}
 	}
 	return Coord{}, false
-}
-
-// RoundSchedule expands one ESM round for a set of stabilizers into
-// per-step operation counts: how many ancilla and data qubits receive a
-// codeword at each step. The physical schedule unit uses these counts for
-// cycle and bandwidth accounting; the quantum backend applies the
-// equivalent stabilizer measurements directly (see DESIGN.md §5).
-type RoundSchedule struct {
-	// Ops[step] is the number of qubit operations issued in that step.
-	Ops [NumESMSteps]int
-}
-
-// ScheduleRound computes the round schedule for the given stabilizers.
-func (c Code) ScheduleRound(stabs []Stabilizer) RoundSchedule {
-	var rs RoundSchedule
-	n := len(stabs)
-	rs.Ops[StepReset] = n
-	rs.Ops[StepHadamard1] = n
-	rs.Ops[StepHadamard2] = n
-	rs.Ops[StepMeasure] = n
-	for _, st := range stabs {
-		for k := 0; k < 4; k++ {
-			if _, ok := c.CZTarget(st, k); ok {
-				rs.Ops[StepCZ1+ESMStep(k)] += 2 // ancilla + data
-			}
-		}
-	}
-	return rs
-}
-
-// RoundLatencyNs computes the wall-clock duration of one round from the
-// Table-4 gate latencies: two single-qubit layers, four two-qubit layers,
-// one measurement (reset folds into the measurement slot on hardware).
-func RoundLatencyNs(t1q, t2q, tmeas float64) float64 {
-	return 2*t1q + 4*t2q + tmeas
 }

@@ -54,51 +54,6 @@ func TestNoDataQubitContentionPerLayer(t *testing.T) {
 	}
 }
 
-func TestScheduleRoundCounts(t *testing.T) {
-	c := NewCode(3)
-	stabs := c.Stabilizers()
-	rs := c.ScheduleRound(stabs)
-	n := len(stabs)
-	if rs.Ops[StepReset] != n || rs.Ops[StepMeasure] != n {
-		t.Fatalf("reset/measure counts wrong: %+v", rs)
-	}
-	// Total CZ endpoints = 2 * sum of stabilizer weights.
-	weights := 0
-	for _, st := range stabs {
-		weights += len(st.Data)
-	}
-	czOps := rs.Ops[StepCZ1] + rs.Ops[StepCZ2] + rs.Ops[StepCZ3] + rs.Ops[StepCZ4]
-	if czOps != 2*weights {
-		t.Fatalf("cz ops = %d, want %d", czOps, 2*weights)
-	}
-}
-
-func TestStepMetadata(t *testing.T) {
-	if NumESMSteps != 8 {
-		t.Fatalf("ESM schedule must have 8 steps, has %d", NumESMSteps)
-	}
-	if StepCZ2.LatencyClass() != Latency2Q {
-		t.Error("CZ latency class wrong")
-	}
-	if StepMeasure.LatencyClass() != LatencyMeas {
-		t.Error("measure latency class wrong")
-	}
-	if StepReset.LatencyClass() != Latency1Q {
-		t.Error("reset latency class wrong")
-	}
-	for s := ESMStep(0); s < NumESMSteps; s++ {
-		if s.String() == "?" {
-			t.Errorf("step %d unnamed", s)
-		}
-	}
-}
-
-func TestRoundLatencyMatchesTable4(t *testing.T) {
-	if got := RoundLatencyNs(14, 26, 600); got != 732 {
-		t.Fatalf("round latency = %v, want 732", got)
-	}
-}
-
 func TestXZOrdersAreTransposed(t *testing.T) {
 	// The N and Z orders differ exactly in the middle two layers.
 	c := NewCode(5)

@@ -1,6 +1,7 @@
 package surface
 
 import (
+	"slices"
 	"testing"
 
 	"xqsim/internal/pauli"
@@ -250,6 +251,19 @@ func TestApplyMergeAndSplitDynamics(t *testing.T) {
 	l.EnableESM(0)
 	l.MapLogical(1, 2, InitPlus)
 	l.EnableESM(2)
+	// A mapped patch's static dynamics measure every regular check and
+	// no seam check (the PSU's mask-generator bits).
+	c := NewCode(3)
+	for _, st := range c.Stabilizers() {
+		if !StabilizerActive(c, st, l.Patch(0).Dynamic) {
+			t.Fatalf("static patch masks off regular check at %v", st.Anc)
+		}
+	}
+	for _, cs := range c.ConditionalStabilizers() {
+		if ConditionalActive(cs, l.Patch(0).Dynamic) {
+			t.Fatalf("seam check at %v on without a merge", cs.Anc)
+		}
+	}
 	region, err := l.MergeRegion([]int{0, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -259,6 +273,20 @@ func TestApplyMergeAndSplitDynamics(t *testing.T) {
 		p := l.Patch(idx)
 		if !p.Dynamic.MergeOn || !p.Dynamic.ESMOn {
 			t.Fatalf("patch %d not merged: %+v", idx, p.Dynamic)
+		}
+	}
+	// Both the ESM_on and merge_on lists hold exactly the three region
+	// patches while the merge lasts.
+	if got := l.ActiveESMPatches(); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("active patches during merge = %v", got)
+	}
+	if got := l.MergedPatches(); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Errorf("merged patches during merge = %v", got)
+	}
+	// Merging to the right opens exactly patch 0's right-side seam checks.
+	for _, cs := range c.ConditionalStabilizers() {
+		if ConditionalActive(cs, l.Patch(0).Dynamic) != (cs.Side == Right) {
+			t.Errorf("seam check at %v side %v: active = %v", cs.Anc, cs.Side, cs.Side != Right)
 		}
 	}
 	// Patch 0's right side faces the intermediate patch: must be Z&X.

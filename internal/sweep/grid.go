@@ -38,6 +38,16 @@ const DefaultGridTrials = 256
 // coordinator to track millions of durable records.
 const maxGridCells = 1 << 20
 
+// maxGridRounds bounds a spec's rounds. A circuit cell compiles its
+// whole memory circuit before sampling, so its memory grows linearly in
+// rounds: at 64 trials one cell peaks at 22 MB RSS for 1,000 rounds at
+// d=3, and at 474 MB (5.2 s on 2 vCPUs) for 1,000 rounds at d=15; 10^8
+// rounds at d=3 dies out of memory. A threshold cell's memory stays flat,
+// but at d=15 its 64 trials take about 1.2 ms more per round (decode
+// window). Every default (3 windows, or d ESM rounds up to
+// core.MaxDistance) is far below the bound.
+const maxGridRounds = 1000
+
 // GridSpec describes a parameter grid of independent cells: the cross
 // product of code distances and physical error rates, in the order
 // given. The JSON schema is pinned — it is the wire format for grid
@@ -58,7 +68,8 @@ type GridSpec struct {
 	// Ps are the physical error rates, in sweep order.
 	Ps []float64 `json:"p"`
 	// Rounds is the syndrome-round / decode-window count per trial;
-	// 0 selects the kind's default (3 for threshold, d for circuit).
+	// 0 selects the kind's default (3 for threshold, d for circuit). At
+	// most maxGridRounds.
 	Rounds int `json:"rounds"`
 	// Trials is the per-cell trial (threshold) or shot (circuit) count;
 	// 0 selects DefaultGridTrials.
@@ -92,8 +103,8 @@ func (g GridSpec) Normalize() (GridSpec, error) {
 			return g, fmt.Errorf("sweep: invalid physical error rate %g (want 0 < p < 1)", p)
 		}
 	}
-	if g.Rounds < 0 {
-		return g, fmt.Errorf("sweep: invalid rounds %d", g.Rounds)
+	if g.Rounds < 0 || g.Rounds > maxGridRounds {
+		return g, fmt.Errorf("sweep: invalid rounds %d (want 0 to %d)", g.Rounds, maxGridRounds)
 	}
 	if g.Trials == 0 {
 		g.Trials = DefaultGridTrials

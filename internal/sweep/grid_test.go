@@ -50,12 +50,17 @@ func TestGridNormalizeRejectsBadSpecs(t *testing.T) {
 		{Kind: GridThreshold, Ds: []int{3}, Ps: []float64{0}},    // p = 0
 		{Kind: GridThreshold, Ds: []int{3}, Ps: []float64{1}},    // p = 1
 		{Kind: GridThreshold, Ds: []int{3}, Ps: []float64{0.01}, Rounds: -1},
+		{Kind: GridCircuit, Ds: []int{3}, Ps: []float64{0.01}, Rounds: maxGridRounds + 1},
+		{Kind: GridCircuit, Ds: []int{3}, Ps: []float64{0.01}, Rounds: 100000000},
 		{Kind: GridThreshold, Ds: []int{3}, Ps: []float64{0.01}, Trials: -1},
 	}
 	for i, g := range cases {
 		if _, err := g.Normalize(); err == nil {
 			t.Errorf("case %d: Normalize(%+v) accepted an invalid spec", i, g)
 		}
+	}
+	if _, err := (GridSpec{Kind: GridCircuit, Ds: []int{3}, Ps: []float64{0.01}, Rounds: maxGridRounds}).Normalize(); err != nil {
+		t.Errorf("Normalize rejected %d rounds: %v", maxGridRounds, err)
 	}
 }
 
