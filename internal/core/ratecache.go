@@ -13,31 +13,38 @@ import (
 const refLQ, refPPRs = 4, 6
 
 // rateKey identifies one steady-state rate measurement. Rates are a pure
-// function of these four inputs (the reference workload shape is fixed),
-// so repeated measurements can be shared.
+// function of these three inputs (the reference workload shape is
+// fixed), so repeated measurements can be shared. The EDU's token-setup
+// scheme is not part of the key: it changes what a decode window costs,
+// never which syndromes arrive, so one reference run serves every
+// scheme.
 type rateKey struct {
 	d         int
 	physError float64
-	scheme    decoder.Scheme
 	seed      int64
 }
+
+// memoScheme is the scheme the memo's reference run is configured with.
+// Any would do: refRun.metricsUnder re-prices its metrics for the rest.
+const memoScheme = decoder.SchemePriority
 
 // rateEntry is a singleflight cell: the first caller to claim the key
 // runs the reference workload inside once; concurrent callers for the
 // same key block on it and then read the settled run. The run itself is
 // the entry's one stored form: MeasureRates derives its Rates on read,
-// and RunScalingWorkload hands out copies of its metrics.
+// and RunScalingWorkload hands out copies of its metrics re-priced for
+// the scheme asked.
 type rateEntry struct {
-	once  sync.Once
-	ref   microarch.Metrics
-	nPhys int
-	err   error
+	once sync.Once
+	run  refRun
+	err  error
 }
 
-// rateMemoCap bounds the rate memo. Each key holds about 3.2 KB (its
-// entry keeps the reference run's metrics), so a full memo is about
-// 3.3 MB; xqsweep -all needs four keys per seed and the code-distance
-// ablation five, far below the cap.
+// rateMemoCap bounds the rate memo. Each key holds about 3.1 KB (its
+// entry keeps the reference run's metrics and every scheme's window
+// prices), so a full memo is about 3.2 MB. Rates are scheme-free, so
+// xqsweep -all needs two keys per seed (d=7 and d=15) plus the
+// code-distance ablation's three other distances, far below the cap.
 const rateMemoCap = 1024
 
 // rateMemo is the process-wide MeasureRates memo. It holds at most
@@ -77,8 +84,10 @@ var (
 
 // MeasureRates runs the full pipeline (scaling mode, no tableau) on a
 // random-PPR workload at a reference scale and extracts the rates.
+// Rates are scheme-free: the scheme only prices decode windows, and no
+// rate reads a price, so every scheme gets the same Rates at one key.
 //
-// Results are memoized per (d, physError, scheme, seed): the sweep grids
+// Results are memoized per (d, physError, seed): the sweep grids
 // re-measure the same operating point many times (every figure starts
 // from the same d=15 reference run), and a rate measurement is by far the
 // most expensive step of a sweep. The memoization is concurrency-safe,
@@ -87,36 +96,37 @@ var (
 // MeasureRatesUncached to force a fresh run (e.g. when profiling the
 // pipeline itself).
 func MeasureRates(d int, physError float64, scheme decoder.Scheme, seed int64) Rates {
-	e := settledRates(rateKey{d: d, physError: physError, scheme: scheme, seed: seed})
+	e := settledRates(rateKey{d: d, physError: physError, seed: seed})
 	if e.err != nil {
 		//xqlint:ignore nopanic unreachable guard: the internal reference workload always compiles and runs; MeasureRates' dozen call sites have no error path
 		panic(e.err.Error())
 	}
-	return ratesOf(&e.ref, e.nPhys)
+	return ratesOf(&e.run.m, e.run.nPhys)
 }
 
 // MeasureRatesUncached bypasses the memoization and always runs the
-// pipeline. It does not populate the cache.
+// pipeline, configured for scheme. It does not populate the cache.
 func MeasureRatesUncached(d int, physError float64, scheme decoder.Scheme, seed int64) Rates {
-	m, nPhys, err := referenceRun(d, physError, scheme, seed, refLQ, refPPRs)
+	run, err := referenceRun(d, physError, scheme, seed, refLQ, refPPRs)
 	if err != nil {
 		//xqlint:ignore nopanic unreachable guard: the internal reference workload always compiles and runs; MeasureRates' dozen call sites have no error path
 		panic(err.Error())
 	}
-	return ratesOf(&m, nPhys)
+	return ratesOf(&run.m, run.nPhys)
 }
 
 // RunScalingWorkload returns the metrics of MeasureRates' reference run
-// for the same key — the traffic and activity breakdowns behind Fig. 16.
-// It reads through the rate memo, so a figure that needs both the rates
-// and the breakdown runs the pipeline once. The returned metrics are
-// the caller's own copy.
+// for the same (d, physError, seed), priced under scheme — the traffic
+// and activity breakdowns behind Fig. 16. They equal a fresh run under
+// scheme bit for bit. It reads through the rate memo, so a figure that
+// needs both the rates and the breakdown, under any schemes, runs the
+// pipeline once. The returned metrics are the caller's own copy.
 func RunScalingWorkload(d int, physError float64, scheme decoder.Scheme, seed int64) (*microarch.Metrics, error) {
-	e := settledRates(rateKey{d: d, physError: physError, scheme: scheme, seed: seed})
+	e := settledRates(rateKey{d: d, physError: physError, seed: seed})
 	if e.err != nil {
 		return nil, e.err
 	}
-	m := e.ref
+	m := e.run.metricsUnder(scheme)
 	return &m, nil
 }
 
@@ -126,7 +136,7 @@ func settledRates(key rateKey) *rateEntry {
 	entry := rateCache.entry(key)
 	entry.once.Do(func() {
 		rateMisses.Add(1)
-		entry.ref, entry.nPhys, entry.err = referenceRun(key.d, key.physError, key.scheme, key.seed, refLQ, refPPRs)
+		entry.run, entry.err = referenceRun(key.d, key.physError, memoScheme, key.seed, refLQ, refPPRs)
 	})
 	return entry
 }

@@ -226,11 +226,11 @@ func TestRatesScaleInvariance(t *testing.T) {
 	// reference scale; that is only sound if the per-qubit rates are
 	// scale-invariant. Measure at two workload sizes and compare.
 	rates := func(nLQ int) Rates {
-		m, nPhys, err := referenceRun(7, 0.001, decoder.SchemePriority, 3, nLQ, 4)
+		run, err := referenceRun(7, 0.001, decoder.SchemePriority, 3, nLQ, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ratesOf(&m, nPhys)
+		return ratesOf(&run.m, run.nPhys)
 	}
 	a, b := rates(3), rates(6)
 	rel := func(x, y float64) float64 {

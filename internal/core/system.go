@@ -214,7 +214,9 @@ func FutureSystem(d int, eduAt4K, patchSliding bool) *System {
 }
 
 // Rates are the microscopic steady-state rates measured from a pipeline
-// run; macroscopic metrics extrapolate from them.
+// run; macroscopic metrics extrapolate from them. They are scheme-free:
+// the EDU's token-setup scheme prices each decode window, and no rate
+// reads a price.
 type Rates struct {
 	// BitsPerQubitPerRound is the TCU->QCI codeword stream density.
 	BitsPerQubitPerRound float64
@@ -229,20 +231,48 @@ type Rates struct {
 	SmallFlowBitsPerQubitPerRound float64
 }
 
+// refRun is one reference run: its metrics, priced under the scheme it
+// ran with, every scheme's window prices, and the layout's
+// physical-qubit count.
+type refRun struct {
+	m      microarch.Metrics
+	prices [decoder.NumSchemes]microarch.SchemePrices
+	nPhys  int
+}
+
 // referenceRun compiles the random-PPR workload of nLQ logical qubits and
 // pprs rotations and runs it through the pipeline in scaling mode (no
-// tableau). It returns the run's metrics by value, so no caller keeps
-// the pipeline alive, and the layout's physical-qubit count.
-func referenceRun(d int, physError float64, scheme decoder.Scheme, seed int64, nLQ, pprs int) (microarch.Metrics, int, error) {
+// tableau) under scheme. It returns the run by value, so no caller keeps
+// the pipeline alive.
+func referenceRun(d int, physError float64, scheme decoder.Scheme, seed int64, nLQ, pprs int) (refRun, error) {
 	res, err := compiler.Compile(compiler.RandomPPR(nLQ, pprs, seed).SubstituteStabilizer())
 	if err != nil {
-		return microarch.Metrics{}, 0, fmt.Errorf("core: compile reference workload: %w", err)
+		return refRun{}, fmt.Errorf("core: compile reference workload: %w", err)
 	}
 	pl := microarch.NewPipeline(surface.NewPPRLayout(nLQ, d), PipelineConfig(d, physError, scheme, false, seed))
 	if err := pl.Run(res.Program); err != nil {
-		return microarch.Metrics{}, 0, fmt.Errorf("core: run reference workload: %w", err)
+		return refRun{}, fmt.Errorf("core: run reference workload: %w", err)
 	}
-	return pl.M, pl.B.Layout.PhysicalQubits(), nil
+	return refRun{m: pl.M, prices: pl.Prices, nPhys: pl.B.Layout.PhysicalQubits()}, nil
+}
+
+// metricsUnder returns the run's metrics as the same run under scheme s
+// counts them. The scheme enters a run only through each window's price,
+// which lands in the decode-cycle sum and maximum and in the EDU's
+// active cycles (the window sum plus retransmission backoff), so those
+// three take s's prices and the rest is kept. The re-pricing is exact
+// for a run without fault injection, whose decoder stalls would scale
+// with the price; the reference run injects none.
+func (r *refRun) metricsUnder(s decoder.Scheme) microarch.Metrics {
+	m := r.m
+	var p microarch.SchemePrices // an unknown scheme prices every window 0
+	if s.Known() {
+		p = r.prices[s]
+	}
+	edu := &m.Unit[microarch.UnitEDU]
+	edu.ActiveCycles = edu.ActiveCycles - m.DecodeCyclesSum + p.Sum
+	m.DecodeCyclesSum, m.DecodeCyclesMax = p.Sum, p.Max
+	return m
 }
 
 // ratesOf divides a reference run's counters by its nPhys physical

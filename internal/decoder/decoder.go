@@ -39,12 +39,17 @@ import (
 // Scheme selects the token-setup microarchitecture.
 type Scheme int
 
-// Token-setup schemes.
+// Token-setup schemes. NumSchemes counts them: a scheme in [0,
+// NumSchemes) indexes a WindowPrices result.
 const (
 	SchemeRoundRobin Scheme = iota
 	SchemePriority
 	SchemePatchSliding
+	NumSchemes
 )
+
+// Known reports whether s is one of the NumSchemes token-setup schemes.
+func (s Scheme) Known() bool { return s >= 0 && s < NumSchemes }
 
 // String names the scheme.
 func (s Scheme) String() string {
@@ -653,9 +658,10 @@ const SpikeOverheadCycles = 4
 // scalability evaluation (core.System.Evaluate) charges analytically.
 func SpikeWaitCycles(d int) int { return 4 * (d + 1) }
 
-// WindowCycles is the EDU's latency for one decode window of d ESM
-// rounds, given the window's Z-plaquette matches z and X-plaquette
-// matches x in token order:
+// WindowPrices is the EDU's latency for one decode window of d ESM
+// rounds under every token-setup scheme, indexed by Scheme, given the
+// window's Z-plaquette matches z and X-plaquette matches x in token
+// order:
 //
 //   - round-robin (baseline, Fig. 15a): the shared token circulates
 //     through every active cell once per ESM round of the window, plus
@@ -669,10 +675,10 @@ func SpikeWaitCycles(d int) int { return 4 * (d + 1) }
 //
 // activeCells is the number of EDU cells participating (all active
 // ancillas) and slides the number of window slides; each only enters
-// its own scheme's term. It is the one price of a window: the pipeline,
-// the memory experiment's fault injector and MatchingBackend all charge
-// it.
-func WindowCycles(s Scheme, d int, z, x []Match, activeCells, slides int) uint64 {
+// its own scheme's term. The schemes share the per-basis spike sums, so
+// one pass over the matches prices all three: a run can price every
+// scheme at the cost of one.
+func WindowPrices(d int, z, x []Match, activeCells, slides int) [NumSchemes]uint64 {
 	wait := SpikeWaitCycles(d)
 	spikes := func(ms []Match) int {
 		total := 0
@@ -681,20 +687,24 @@ func WindowCycles(s Scheme, d int, z, x []Match, activeCells, slides int) uint64
 		}
 		return total
 	}
-	perBasis := func(ms []Match) int {
-		return len(ms) + spikes(ms)
+	sz, sx := spikes(z), spikes(x)
+	priority := max(len(z)+sz, len(x)+sx)
+	var p [NumSchemes]uint64
+	p[SchemeRoundRobin] = uint64(d*activeCells + sz + sx)
+	p[SchemePriority] = uint64(priority)
+	p[SchemePatchSliding] = uint64(priority + slides)
+	return p
+}
+
+// WindowCycles is one decode window's price under scheme s (see
+// WindowPrices); an unknown scheme prices 0. It is the one price of a
+// window: the pipeline, the memory experiment's fault injector and
+// MatchingBackend all charge it.
+func WindowCycles(s Scheme, d int, z, x []Match, activeCells, slides int) uint64 {
+	if !s.Known() {
+		return 0
 	}
-	switch s {
-	case SchemeRoundRobin:
-		// spikes is additive over matches, so summing the two bases equals
-		// spiking the combined slice without materializing it.
-		return uint64(d*activeCells + spikes(z) + spikes(x))
-	case SchemePriority:
-		return uint64(max(perBasis(z), perBasis(x)))
-	case SchemePatchSliding:
-		return uint64(max(perBasis(z), perBasis(x)) + slides)
-	}
-	return 0
+	return WindowPrices(d, z, x, activeCells, slides)[s]
 }
 
 // ResidualLogicalError reports whether error plus correction flips the

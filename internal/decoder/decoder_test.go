@@ -221,6 +221,58 @@ func TestSchemeCycleOrdering(t *testing.T) {
 	}
 }
 
+// TestWindowPricesMatchPerSchemeFormula: the one-pass prices equal each
+// scheme's own formula, summed match by match, over random match lists
+// (empty ones included) and slide counts, and an unknown scheme prices
+// 0 without indexing out of range.
+func TestWindowPricesMatchPerSchemeFormula(t *testing.T) {
+	spike := func(d int, m Match) int { return 2*m.Steps + SpikeWaitCycles(d) + SpikeOverheadCycles }
+	formula := func(s Scheme, d int, z, x []Match, cells, slides int) uint64 {
+		rr, pz, px := d*cells, len(z), len(x)
+		for _, m := range z {
+			rr += spike(d, m)
+			pz += spike(d, m)
+		}
+		for _, m := range x {
+			rr += spike(d, m)
+			px += spike(d, m)
+		}
+		switch s {
+		case SchemeRoundRobin:
+			return uint64(rr)
+		case SchemePriority:
+			return uint64(max(pz, px))
+		case SchemePatchSliding:
+			return uint64(max(pz, px) + slides)
+		}
+		return 0
+	}
+	rng := rand.New(rand.NewSource(23))
+	matches := func() []Match {
+		ms := make([]Match, rng.Intn(6)) // 0..5: empty lists included
+		for i := range ms {
+			ms[i] = Match{Steps: rng.Intn(30), ToBoundary: rng.Intn(2) == 0}
+		}
+		return ms
+	}
+	for i := 0; i < 2000; i++ {
+		d := 3 + 2*rng.Intn(10)
+		z, x := matches(), matches()
+		cells, slides := rng.Intn(5000), rng.Intn(3)*rng.Intn(20)
+		prices := WindowPrices(d, z, x, cells, slides)
+		for s := Scheme(-1); s <= NumSchemes+4; s++ {
+			want := formula(s, d, z, x, cells, slides)
+			if got := WindowCycles(s, d, z, x, cells, slides); got != want {
+				t.Fatalf("case %d: WindowCycles(%v, d=%d, %d+%d matches, %d cells, %d slides) = %d, want %d",
+					i, s, d, len(z), len(x), cells, slides, got, want)
+			}
+			if s.Known() && prices[s] != want {
+				t.Fatalf("case %d: WindowPrices[%v] = %d, want %d", i, s, prices[s], want)
+			}
+		}
+	}
+}
+
 func TestSyndromeLinearity(t *testing.T) {
 	// Syndromes are linear: syndrome(a ++ b) == syndrome(a) XOR syndrome(b).
 	r := rand.New(rand.NewSource(23))

@@ -104,7 +104,8 @@ type Backend struct {
 	// chkSig[patch] is the dynamic-state signature chkList[patch] was
 	// resolved under (shared across patches via chkLists, keyed by
 	// signature — the templates are patch-independent); chkEpoch[patch]
-	// the lattice epoch it was last checked at.
+	// the patch's lattice epoch (surface.Lattice.PatchEpoch) when it was
+	// last checked.
 	chkSig   []uint32
 	chkEpoch []uint64
 	chkList  []*checkList          //xqlint:persistent stale entries are unreachable: Reset invalidates every chkSig
@@ -462,7 +463,7 @@ func (b *Backend) Reset(seed int64) {
 	b.quietEpoch, b.quietMeasured = 0, 0
 	for i := range b.chkSig {
 		b.chkSig[i] = sigInvalid
-		b.chkEpoch[i] = 0 // the lattice epoch starts at 1 and only grows
+		b.chkEpoch[i] = 0 // an active patch's epoch is positive: the lattice epoch starts at 1 and only grows
 		b.eventCount[i] = 0
 	}
 	b.dropNextRound = false
@@ -695,8 +696,8 @@ func (b *Backend) MeasureSyndromesRound(final bool) int {
 			b.activatePatch(patch)
 		}
 		was := b.synRow(b.condWasActive, patch)
-		if b.chkEpoch[patch] != epoch {
-			b.chkEpoch[patch] = epoch
+		if pe := b.Layout.PatchEpoch(patch); b.chkEpoch[patch] != pe {
+			b.chkEpoch[patch] = pe
 			dyn := b.Layout.Patch(patch).Dynamic
 			if sig := dynSig(dyn); sig != b.chkSig[patch] {
 				b.chkSig[patch] = sig
@@ -766,7 +767,7 @@ func selectBits(dst, mask []uint64, idx []int) {
 }
 
 // WindowDecode is the per-window decoding outcome that
-// decoder.WindowCycles prices. Matches are split per basis because
+// decoder.WindowPrices prices. Matches are split per basis because
 // Optimization #1's priority-encoder EDU decodes the X- and Z-cell arrays
 // in parallel, while the baseline round-robin token chain is shared.
 type WindowDecode struct {

@@ -531,7 +531,15 @@ func (p *Pipeline) execRunESM(cp *CompiledProgram, u *uop) {
 		p.M.MatchesSum++
 		p.M.MatchStepsSum += m.Steps
 	}
-	cycles := decoder.WindowCycles(p.Cfg.Scheme, p.Cfg.D, wd.MatchesZ, wd.MatchesX, wd.ActiveCells, wd.Windows)
+	prices := decoder.WindowPrices(p.Cfg.D, wd.MatchesZ, wd.MatchesX, wd.ActiveCells, wd.Windows)
+	for s, c := range prices {
+		p.Prices[s].Sum += c
+		p.Prices[s].Max = max(p.Prices[s].Max, c)
+	}
+	var cycles uint64 // an unknown scheme prices 0, as decoder.WindowCycles does
+	if p.Cfg.Scheme.Known() {
+		cycles = prices[p.Cfg.Scheme]
+	}
 	// Fault injection: a decoder stall spike multiplies the window's
 	// decode latency and backs syndromes up in the buffer; an overflow
 	// under backpressure idles the data qubits (extra decoherence rounds

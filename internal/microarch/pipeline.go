@@ -105,8 +105,8 @@ type Config struct {
 	Seed       int64
 	Functional bool // enable the stabilizer tableau (logical outcomes)
 
-	// Scheme is the EDU's token-setup scheme, which prices every decode
-	// window (decoder.WindowCycles).
+	// Scheme is the EDU's token-setup scheme, whose entry of
+	// decoder.WindowPrices each decode window is charged.
 	Scheme decoder.Scheme
 
 	// Faults configures deterministic fault injection (decoder stalls,
@@ -116,11 +116,25 @@ type Config struct {
 	Faults faults.Config
 }
 
+// SchemePrices is one token-setup scheme's raw decode-window prices
+// (decoder.WindowPrices, before any fault stretch) over a run: their sum
+// and the largest.
+type SchemePrices struct {
+	Sum, Max uint64
+}
+
 // Pipeline executes QISA programs on the full microarchitecture.
 type Pipeline struct {
 	Cfg Config
 	B   *Backend
 	M   Metrics
+
+	// Prices holds every scheme's window prices over the run, indexed by
+	// decoder.Scheme. The scheme changes what a window costs, never which
+	// syndromes arrive, so a run without fault injection priced under
+	// Cfg.Scheme reads every other scheme's decode cycles off these. They
+	// sit beside M so that Metrics keeps its layout.
+	Prices [decoder.NumSchemes]SchemePrices
 
 	// LMU architectural state.
 	byproduct    pauli.Product // byproduct register (phase-free)
@@ -169,6 +183,7 @@ func NewPipeline(layout *surface.PPRLayout, cfg Config) *Pipeline {
 func (p *Pipeline) Reset(seed int64) {
 	p.Cfg.Seed = seed
 	p.M = Metrics{}
+	p.Prices = [decoder.NumSchemes]SchemePrices{}
 	for q := range p.byproduct.Ops {
 		p.byproduct.Ops[q] = pauli.I
 		p.pauliListReg.Ops[q] = pauli.I

@@ -300,6 +300,7 @@ func TestHTTPRejectsBadBodies(t *testing.T) {
 		{"/grids/" + id + "/lease", `{"worker":"w2","maxx":8}`, `{"worker":"w2"}`},
 		{"/grids/" + id + "/cells/0/renew", `{"worker":"w1","ttl":60}`, `{"worker":"w1"}`},
 		{"/grids", `{"kind":"circuit","d":[3],"p":[0.01],"rounds":100000000}`, `{"kind":"circuit","d":[3],"p":[0.01],"rounds":1000}`},
+		{"/grids", `{"kind":"circuit","d":[3],"p":[0.01],"trials":100000000}`, `{"kind":"circuit","d":[3],"p":[0.01],"trials":1000000}`},
 	}
 	for _, tc := range rows {
 		if code := postStatus(t, ts, tc.path, tc.body); code != http.StatusBadRequest {

@@ -109,6 +109,9 @@ type Patch struct {
 	Row, Col int
 	Static   Static
 	Dynamic  Dynamic
+	// epoch is the lattice epoch of the last write to Dynamic (see
+	// Lattice.PatchEpoch).
+	epoch uint64
 }
 
 // Lattice is the grid of surface-code patches managed by the control
@@ -127,7 +130,8 @@ type Lattice struct {
 	mergeScratch  []bool
 	activeScratch []int
 	// esmEpoch increments on every mutation that can change the active-ESM
-	// set; activeEpoch records the epoch activeScratch was built at, so
+	// set, and every patch the mutation writes is stamped with the new
+	// value; activeEpoch records the epoch activeScratch was built at, so
 	// the round-loop callers of ActiveESMPatches pay the lattice scan only
 	// when the set actually changed.
 	esmEpoch    uint64
@@ -326,6 +330,7 @@ func (l *Lattice) MergeRegion(targets []int) ([]int, error) {
 // in-region patch becomes a Z&X seam; other sides keep their static
 // boundary type.
 func (l *Lattice) ApplyMerge(region []int) {
+	l.esmEpoch++
 	if len(l.mergeScratch) < l.NumPatches() {
 		l.mergeScratch = make([]bool, l.NumPatches())
 	}
@@ -335,6 +340,7 @@ func (l *Lattice) ApplyMerge(region []int) {
 	}
 	for _, idx := range region {
 		p := &l.Patches[idx]
+		p.epoch = l.esmEpoch
 		p.Dynamic.MergeOn = true
 		p.Dynamic.ESMOn = true
 		for s := Left; s <= Bottom; s++ {
@@ -350,15 +356,16 @@ func (l *Lattice) ApplyMerge(region []int) {
 	for _, idx := range region {
 		inRegion[idx] = false
 	}
-	l.esmEpoch++
 }
 
 // ApplySplit reverts the dynamic information of the region to the
 // unmerged state (SPLIT_INFO): mapped patches stay ESM_on with their
 // static boundary types; intermediate patches stop participating.
 func (l *Lattice) ApplySplit(region []int) {
+	l.esmEpoch++
 	for _, idx := range region {
 		p := &l.Patches[idx]
+		p.epoch = l.esmEpoch
 		p.Dynamic.MergeOn = false
 		if p.Static.Type == Mapped {
 			p.Dynamic.ESMOn = true
@@ -372,18 +379,18 @@ func (l *Lattice) ApplySplit(region []int) {
 			}
 		}
 	}
-	l.esmEpoch++
 }
 
 // EnableESM marks a freshly mapped patch as participating in the ESM with
 // its static boundary types (the state right after LQI).
 func (l *Lattice) EnableESM(idx int) {
+	l.esmEpoch++
 	p := &l.Patches[idx]
+	p.epoch = l.esmEpoch
 	p.Dynamic.ESMOn = true
 	for s := Left; s <= Bottom; s++ {
 		p.Dynamic.ESM[s] = esmFromBasis(l.Code.BoundaryBasis(s))
 	}
-	l.esmEpoch++
 }
 
 // ActiveESMPatches lists patches with ESM_on set. The returned slice is
@@ -407,19 +414,25 @@ func (l *Lattice) ActiveESMPatches() []int {
 
 // ESMEpoch returns a counter that increments on every mutation that can
 // change any patch's ESM participation (merges, splits, ESM enable or
-// disable, layout reset). Callers caching per-patch derived state can
-// compare epochs instead of re-reading dynamic fields every round.
+// disable, layout reset). It starts at 1 and only grows.
 func (l *Lattice) ESMEpoch() uint64 { return l.esmEpoch }
+
+// PatchEpoch returns the ESMEpoch of the last mutation that wrote patch
+// idx's dynamic information, or 0 if none has. Callers caching state
+// derived from one patch's Dynamic compare its epoch, so a mutation
+// elsewhere on the lattice costs them nothing.
+func (l *Lattice) PatchEpoch(idx int) uint64 { return l.Patches[idx].epoch }
 
 // DisableESM removes a patch from syndrome extraction entirely — the
 // state after a destructive logical measurement discards it.
 func (l *Lattice) DisableESM(idx int) {
+	l.esmEpoch++
 	p := &l.Patches[idx]
+	p.epoch = l.esmEpoch
 	p.Dynamic.ESMOn = false
 	for s := Left; s <= Bottom; s++ {
 		p.Dynamic.ESM[s] = ESMNone
 	}
-	l.esmEpoch++
 }
 
 // MergedPatches lists patches with merge_on set.
@@ -495,12 +508,13 @@ func NewPPRLayout(nLQ, d int) *PPRLayout {
 // reuse one layout across shots; a reset layout is indistinguishable
 // from a new one.
 func (l *PPRLayout) Reset() {
+	l.esmEpoch++
 	for i := range l.Patches {
 		p := &l.Patches[i]
 		p.Static = Static{Type: Intermediate, LQ: -1, ZSide: Top, XSide: Left}
 		p.Dynamic = Dynamic{}
+		p.epoch = l.esmEpoch
 	}
-	l.esmEpoch++
 	for i := range l.lqToPatch {
 		l.lqToPatch[i] = -1
 	}

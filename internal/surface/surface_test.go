@@ -320,6 +320,62 @@ func TestApplyMergeAndSplitDynamics(t *testing.T) {
 	}
 }
 
+// TestPatchEpochStampsWrittenPatches: every mutation of the dynamic
+// information moves the lattice epoch on and stamps exactly the patches
+// it writes with a new epoch, so a cache keyed on PatchEpoch misses no
+// change and pays nothing for a change elsewhere.
+func TestPatchEpochStampsWrittenPatches(t *testing.T) {
+	l := NewPPRLayout(2, 3)
+	epochs := func() []uint64 {
+		out := make([]uint64, l.NumPatches())
+		for i := range out {
+			out[i] = l.PatchEpoch(i)
+		}
+		return out
+	}
+	for i, e := range epochs() {
+		if home := i == 0 || i == 2; (e > 0) != home {
+			t.Fatalf("fresh layout: patch %d epoch %d", i, e)
+		}
+	}
+	region, err := l.MergeRegion([]int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, l.NumPatches())
+	for i := range all {
+		all[i] = i
+	}
+	steps := []struct {
+		name    string
+		mutate  func()
+		written []int
+	}{
+		{"merge", func() { l.ApplyMerge(region) }, region},
+		{"split", func() { l.ApplySplit(region) }, region},
+		{"disable", func() { l.DisableESM(2) }, []int{2}},
+		{"enable", func() { l.EnableESM(2) }, []int{2}},
+		{"reset", l.Reset, all},
+	}
+	for _, s := range steps {
+		before, prev := epochs(), l.ESMEpoch()
+		s.mutate()
+		now := l.ESMEpoch()
+		if now <= prev {
+			t.Fatalf("%s: lattice epoch %d after %d", s.name, now, prev)
+		}
+		for i, e := range epochs() {
+			if slices.Contains(s.written, i) {
+				if e <= prev || e > now {
+					t.Fatalf("%s: written patch %d epoch %d, want one in (%d, %d]", s.name, i, e, prev, now)
+				}
+			} else if e != before[i] {
+				t.Fatalf("%s: untouched patch %d epoch %d, was %d", s.name, i, e, before[i])
+			}
+		}
+	}
+}
+
 func TestPPRLayoutAccounting(t *testing.T) {
 	// Paper Table 3 anchors: 3 LQ @ d=3 -> 15 patches, 480 physical qubits;
 	// 2 LQ (QFT) @ d=5 -> 15 patches, 1080 physical qubits.

@@ -48,6 +48,15 @@ const maxGridCells = 1 << 20
 // core.MaxDistance) is far below the bound.
 const maxGridRounds = 1000
 
+// maxGridTrials bounds a spec's trials. A cell's memory stays flat in
+// trials (a d=3 circuit cell asked for 10^8 held 7.8 MB RSS while it
+// ran), but its time grows linearly: on 2 vCPUs a d=3 circuit cell takes 0.45 s at
+// 10^6 trials and a d=15 one 0.81 s at 6,400 trials, so 10^6 trials at
+// d=15 take about 2 minutes and 10^8 over 3 hours, one lease renewal
+// after another. Every grid built here (the 256 default, 64 to 2,048 in
+// the benchmarks, scripts and tests) is far below the bound.
+const maxGridTrials = 1000000
+
 // GridSpec describes a parameter grid of independent cells: the cross
 // product of code distances and physical error rates, in the order
 // given. The JSON schema is pinned — it is the wire format for grid
@@ -72,7 +81,7 @@ type GridSpec struct {
 	// most maxGridRounds.
 	Rounds int `json:"rounds"`
 	// Trials is the per-cell trial (threshold) or shot (circuit) count;
-	// 0 selects DefaultGridTrials.
+	// 0 selects DefaultGridTrials. At most maxGridTrials.
 	Trials int `json:"trials"`
 	// Seed is the base seed every cell seed is mixed from.
 	Seed int64 `json:"seed"`
@@ -109,8 +118,8 @@ func (g GridSpec) Normalize() (GridSpec, error) {
 	if g.Trials == 0 {
 		g.Trials = DefaultGridTrials
 	}
-	if g.Trials < 0 {
-		return g, fmt.Errorf("sweep: invalid trials %d", g.Trials)
+	if g.Trials < 0 || g.Trials > maxGridTrials {
+		return g, fmt.Errorf("sweep: invalid trials %d (want 0 to %d)", g.Trials, maxGridTrials)
 	}
 	if n := len(g.Ds) * len(g.Ps); n > maxGridCells {
 		return g, fmt.Errorf("sweep: grid has %d cells, max %d", n, maxGridCells)

@@ -53,6 +53,8 @@ func TestGridNormalizeRejectsBadSpecs(t *testing.T) {
 		{Kind: GridCircuit, Ds: []int{3}, Ps: []float64{0.01}, Rounds: maxGridRounds + 1},
 		{Kind: GridCircuit, Ds: []int{3}, Ps: []float64{0.01}, Rounds: 100000000},
 		{Kind: GridThreshold, Ds: []int{3}, Ps: []float64{0.01}, Trials: -1},
+		{Kind: GridCircuit, Ds: []int{3}, Ps: []float64{0.01}, Trials: maxGridTrials + 1},
+		{Kind: GridCircuit, Ds: []int{3}, Ps: []float64{0.01}, Trials: 100000000},
 	}
 	for i, g := range cases {
 		if _, err := g.Normalize(); err == nil {
@@ -61,6 +63,9 @@ func TestGridNormalizeRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := (GridSpec{Kind: GridCircuit, Ds: []int{3}, Ps: []float64{0.01}, Rounds: maxGridRounds}).Normalize(); err != nil {
 		t.Errorf("Normalize rejected %d rounds: %v", maxGridRounds, err)
+	}
+	if _, err := (GridSpec{Kind: GridCircuit, Ds: []int{3}, Ps: []float64{0.01}, Trials: maxGridTrials}).Normalize(); err != nil {
+		t.Errorf("Normalize rejected %d trials: %v", maxGridTrials, err)
 	}
 }
 
