@@ -14,9 +14,8 @@ import (
 // init, never written afterwards) or sync machinery (sync.Map,
 // sync.Pool, atomics — safe by construction). Any other write to a
 // package-level variable owned by a simulation package is a finding,
-// wherever the write appears; mutations that are genuinely guarded
-// (blockCacheMu-style) are annotated
-// //xqlint:ignore globalmut <which lock guards this>.
+// wherever the write appears; mutations that are genuinely guarded by a
+// lock are annotated //xqlint:ignore globalmut <which lock guards this>.
 var globalmutAnalyzer = &Analyzer{
 	Name: "globalmut",
 	Doc:  "no writes to package-level variables of simulation packages outside declaration and init",

@@ -77,8 +77,10 @@ func (b Budget) MaxCrossGbps() float64 {
 // technology/temperature assignment, microarchitecture options, and the
 // EDU token-setup scheme.
 type System struct {
-	Name   string
-	Tech   map[microarch.Unit]tech.Kind
+	Name string
+	// Tech is each unit's technology, indexed by microarch.Unit; the zero
+	// value, tech.CMOS300K, is the 300 K CMOS default.
+	Tech   [microarch.NumUnits]tech.Kind
 	Scheme decoder.Scheme
 	Opts   estimator.Options
 	D      int
@@ -96,26 +98,15 @@ func (s *System) budget() Budget {
 
 // TempOf returns a unit's stage (implied by its technology).
 func (s *System) TempOf(u microarch.Unit) Temperature {
-	if u == microarch.UnitQCI {
-		return T4K
-	}
-	if k, ok := s.Tech[u]; ok && k.Cryogenic() {
+	if u == microarch.UnitQCI || s.Tech[u].Cryogenic() {
 		return T4K
 	}
 	return T300K
 }
 
-// techOf returns a unit's technology (300 K CMOS by default).
-func (s *System) techOf(u microarch.Unit) tech.Kind {
-	if k, ok := s.Tech[u]; ok {
-		return k
-	}
-	return tech.CMOS300K
-}
-
 // freqOf returns the unit's clock frequency per Table 4.
 func (s *System) freqOf(u microarch.Unit) float64 {
-	switch s.techOf(u) {
+	switch s.Tech[u] {
 	case tech.RSFQ:
 		return config.FreqRSFQGHz
 	case tech.ERSFQ:
@@ -137,7 +128,6 @@ func CurrentSystem(d int, eduAccelerated bool) *System {
 	}
 	return &System{
 		Name:   "current-300K-CMOS",
-		Tech:   map[microarch.Unit]tech.Kind{},
 		Scheme: scheme,
 		Opts:   estimator.DefaultOptions(d),
 		D:      d,
@@ -149,7 +139,7 @@ func CurrentSystem(d int, eduAccelerated bool) *System {
 func NearFutureRSFQ(d int, optimized bool) *System {
 	s := &System{
 		Name: "near-future-RSFQ",
-		Tech: map[microarch.Unit]tech.Kind{
+		Tech: [microarch.NumUnits]tech.Kind{
 			microarch.UnitPSU: tech.RSFQ,
 			microarch.UnitTCU: tech.RSFQ,
 		},
@@ -170,7 +160,7 @@ func NearFutureRSFQ(d int, optimized bool) *System {
 func NearFutureCMOS4K(d int, voltageScaled bool) *System {
 	s := &System{
 		Name: "near-future-4K-CMOS",
-		Tech: map[microarch.Unit]tech.Kind{
+		Tech: [microarch.NumUnits]tech.Kind{
 			microarch.UnitPSU: tech.CMOS4K,
 			microarch.UnitTCU: tech.CMOS4K,
 		},
@@ -191,7 +181,7 @@ func NearFutureCMOS4K(d int, voltageScaled bool) *System {
 func FutureSystem(d int, eduAt4K, patchSliding bool) *System {
 	s := &System{
 		Name: "future-ERSFQ",
-		Tech: map[microarch.Unit]tech.Kind{
+		Tech: [microarch.NumUnits]tech.Kind{
 			microarch.UnitPSU: tech.ERSFQ,
 			microarch.UnitTCU: tech.ERSFQ,
 		},
@@ -407,7 +397,7 @@ func (s *System) Evaluate(nPhys int, r Rates) Report {
 		if s.TempOf(u) != T4K {
 			continue
 		}
-		e := estimator.EstimateUnit(u, scale, s.techOf(u), s.Opts)
+		e := estimator.EstimateUnit(u, scale, s.Tech[u], s.Opts)
 		rep.Power4KW += e.TotalW()
 		rep.Area4KCm2 += e.AreaCm2
 	}

@@ -290,18 +290,24 @@ func TestMatchingSteadyStateAllocs(t *testing.T) {
 
 // TestMemoFollowsReachableSubsets pins the exact matcher's memory to the
 // subsets its recurrence reaches: solving a k-member cluster fills
-// exactly F(k+2)-1 memo entries (every reached subset but the empty one)
-// in a table under 3*F(k+2) slots, never the 2^k a full subset table
-// takes. The count is exact because heavyWindow's clusters hold no
-// dominated pair, so no partner is pruned (TestMemoSkipsDominatedPairs
-// covers clusters that do).
+// exactly the subsets boundedReach walks to (9,355 at k=20), never more
+// than the F(k+2)-1 nonempty subsets of the unpruned recurrence, in a
+// table under 3*F(k+2) slots, never the 2^k a full subset table takes.
+// heavyWindow's clusters hold no dominated pair, so only the lower bound
+// prunes here (TestMemoSkipsDominatedPairs covers clusters with both
+// rules). The clusters are solved largest first through one Scratch, so
+// each one starts from the memo slots a larger cluster left behind.
 func TestMemoFollowsReachableSubsets(t *testing.T) {
 	c := surface.NewCode(15)
 	var sc Scratch
 	var res Result
 	fib := []int{1, 2} // fib[k] = F(k+2)
-	for k := 1; k <= maxExactCluster; k++ {
-		fib = append(fib, fib[k]+fib[k-1])
+	for k := 2; k <= maxExactCluster; k++ {
+		fib = append(fib, fib[k-1]+fib[k-2])
+	}
+	// pinned[k] is the bounded walk's count on heavyWindow(c, k).
+	pinned := []int{0, 1, 2, 4, 6, 12, 14, 33, 35, 88, 90, 232, 234, 609, 611, 1573, 1592, 3935, 3969, 8589, 9355}
+	for k := maxExactCluster; k >= 1; k-- {
 		bm := heavyWindow(c, k)
 		DecodePatchInto(c, pauli.Z, bm, &sc, &res)
 		if got := clusterSizes(&sc); !reflect.DeepEqual(got, []int{k}) {
@@ -310,13 +316,12 @@ func TestMemoFollowsReachableSubsets(t *testing.T) {
 		if n := dominatedPairs(c, sc.cells); n != 0 {
 			t.Fatalf("k=%d: window holds %d dominated pairs", k, n)
 		}
-		filled := 0
-		for _, e := range sc.memo {
-			if e.set != 0 {
-				filled++
-			}
+		reached := boundedReach(c, pauli.Z, bm.AppendCells(nil))
+		filled := memoFilled(&sc)
+		if filled != len(reached) || len(sc.claimed) != filled || filled != pinned[k] {
+			t.Fatalf("k=%d: %d memo entries filled (%d claimed), want the %d subsets the bounded walk reaches (pinned %d)", k, filled, len(sc.claimed), len(reached), pinned[k])
 		}
-		if reach := reachableSubsets[k]; reach != fib[k] || filled != reach-1 {
+		if reach := reachableSubsets[k]; reach != fib[k] || filled > reach-1 {
 			t.Fatalf("k=%d: %d memo entries filled, table says %d reachable, F(k+2) = %d", k, filled, reach, fib[k])
 		}
 		if len(sc.memo) >= 3*fib[k] {
@@ -326,6 +331,17 @@ func TestMemoFollowsReachableSubsets(t *testing.T) {
 			t.Fatalf("k=%d: diverged from the reference", k)
 		}
 	}
+}
+
+// memoFilled counts the occupied slots of sc's memo table.
+func memoFilled(sc *Scratch) int {
+	filled := 0
+	for _, e := range sc.memo {
+		if e.set != 0 {
+			filled++
+		}
+	}
+	return filled
 }
 
 // dominatedPairs counts the pairs of cells whose distance is at least
@@ -343,13 +359,91 @@ func dominatedPairs(c surface.Code, cells []surface.Coord) int {
 	return n
 }
 
+// subsetCosts solves the matching recurrence over all 2^k subsets of one
+// cluster's cells (scan order) by brute force, trying every partner:
+// cost[S] is the minimum total chain length that resolves S.
+func subsetCosts(c surface.Code, basis pauli.Pauli, cells []surface.Coord) []int32 {
+	k := len(cells)
+	cost := make([]int32, 1<<uint(k))
+	for s := 1; s < len(cost); s++ {
+		i := bits.TrailingZeros32(uint32(s))
+		rest := s &^ (1 << uint(i))
+		best := int32(boundaryDist(c, basis, cells[i])) + cost[rest]
+		for j := i + 1; j < k; j++ {
+			if rest&(1<<uint(j)) != 0 {
+				best = min(best, int32(plaquetteDist(cells[i], cells[j]))+cost[rest&^(1<<uint(j))])
+			}
+		}
+		cost[s] = best
+	}
+	return cost
+}
+
+// boundedReach walks the subsets the exact matcher reaches on one
+// cluster, independently of Scratch and with subset costs from
+// subsetCosts. From each subset s it steps to s minus its lowest member
+// i, then tries i's higher partners j in order, skipping a dominated
+// pair (dist(i,j) >= bdist(i)+bdist(j)) and any j with 2·dist(i,j) +
+// G(s−i−j) >= 2·best, where best is the cheapest candidate so far (the
+// boundary first) and G sums min(2·bdist, distance to the nearest other
+// member) over a subset.
+func boundedReach(c surface.Code, basis pauli.Pauli, cells []surface.Coord) map[uint32]bool {
+	k := len(cells)
+	cost := subsetCosts(c, basis, cells)
+	bd := make([]int32, k)
+	lb := make([]int32, k)
+	for i, a := range cells {
+		bd[i] = int32(boundaryDist(c, basis, a))
+		lb[i] = 2 * bd[i]
+		for j, b := range cells {
+			if j != i {
+				lb[i] = min(lb[i], int32(plaquetteDist(a, b)))
+			}
+		}
+	}
+	sumLB := func(s uint32) int32 {
+		var g int32
+		for ; s != 0; s &= s - 1 {
+			g += lb[bits.TrailingZeros32(s)]
+		}
+		return g
+	}
+	reached := map[uint32]bool{}
+	var walk func(s uint32)
+	walk = func(s uint32) {
+		if s == 0 || reached[s] {
+			return
+		}
+		reached[s] = true
+		i := bits.TrailingZeros32(s)
+		rest := s &^ (1 << uint(i))
+		walk(rest)
+		best := bd[i] + cost[rest]
+		for j := i + 1; j < k; j++ {
+			d := int32(plaquetteDist(cells[i], cells[j]))
+			if rest&(1<<uint(j)) == 0 || d >= bd[i]+bd[j] {
+				continue
+			}
+			sub := rest &^ (1 << uint(j))
+			if 2*d+sumLB(sub) >= 2*best {
+				continue
+			}
+			walk(sub)
+			best = min(best, d+cost[sub])
+		}
+	}
+	walk(1<<uint(k) - 1)
+	return reached
+}
+
 // TestMemoSkipsDominatedPairs decodes a d=15 window whose 18 syndromes
 // (the first Z plaquettes in columns 2-5, 2-5 steps from the boundary)
 // form one cluster holding dominated pairs. The matcher pairs each
-// subset's lowest member only with profitable partners, so the memo
-// fills exactly the subsets that walk reaches, counted here by brute
-// force, which is fewer than the F(k+2)-1 of the full recurrence; the
-// Result still equals the reference matcher's.
+// subset's lowest member only with profitable partners that can still
+// beat the best candidate under the lower bound, so the memo fills
+// exactly the subsets boundedReach walks to: 219, where pruning
+// dominated pairs alone reaches 3,885 and the full recurrence
+// F(20)-1 = 6,764. The Result still equals the reference matcher's.
 func TestMemoSkipsDominatedPairs(t *testing.T) {
 	const k = 18
 	c := surface.NewCode(15)
@@ -372,38 +466,67 @@ func TestMemoSkipsDominatedPairs(t *testing.T) {
 		t.Fatal("window holds no dominated pair")
 	}
 
-	reached := map[uint32]bool{}
-	var walk func(s uint32)
-	walk = func(s uint32) {
-		if s == 0 || reached[s] {
-			return
-		}
-		reached[s] = true
-		i := bits.TrailingZeros32(s)
-		rest := s &^ (1 << uint(i))
-		walk(rest)
-		for j := i + 1; j < k; j++ {
-			a, b := cells[i], cells[j]
-			if rest&(1<<uint(j)) != 0 && plaquetteDist(a, b) < boundaryDist(c, pauli.Z, a)+boundaryDist(c, pauli.Z, b) {
-				walk(rest &^ (1 << uint(j)))
-			}
-		}
+	reached := boundedReach(c, pauli.Z, cells)
+	if filled := memoFilled(&sc); filled != len(reached) || len(sc.claimed) != filled {
+		t.Fatalf("%d memo entries filled (%d claimed), want the %d subsets the bounded walk reaches", filled, len(sc.claimed), len(reached))
 	}
-	walk(1<<k - 1)
-
-	filled := 0
-	for _, e := range sc.memo {
-		if e.set != 0 {
-			filled++
-		}
-	}
-	if filled != len(reached) {
-		t.Fatalf("%d memo entries filled, want the %d subsets the pruned walk reaches", filled, len(reached))
-	}
-	if full := reachableSubsets[k] - 1; len(reached) >= full {
-		t.Fatalf("pruned walk reaches %d subsets, not below the full recurrence's %d", len(reached), full)
+	if len(reached) != 219 {
+		t.Fatalf("bounded walk reaches %d subsets, want 219", len(reached))
 	}
 	if want := ReferenceDecodePatch(c, pauli.Z, synFromBitmap(bm)); !resultsEqual(want, res) {
 		t.Fatal("diverged from the reference")
+	}
+}
+
+// TestLowerBoundAdmissible checks the bound the exact matcher prunes
+// with on random d=15 clusters of up to 20 members (the generator of
+// TestBitmapEquivalenceFromErrors' heavy windows): for every subset S of
+// every cluster, the sum of the Scratch's per-member bounds over S is at
+// most twice S's minimum matching cost, solved by brute force.
+func TestLowerBoundAdmissible(t *testing.T) {
+	r := rand.New(rand.NewSource(1515))
+	c := surface.NewCode(15)
+	var sc Scratch
+	var res Result
+	bm := NewSyndromeBitmap(c)
+	sizes := map[int]bool{}
+	for trial := 0; trial < 150; trial++ {
+		basis := []pauli.Pauli{pauli.Z, pauli.X}[r.Intn(2)]
+		var errs []surface.Coord
+		for i := 0; i < 4+r.Intn(14); i++ {
+			errs = append(errs, surface.Coord{Row: r.Intn(15), Col: r.Intn(15)})
+		}
+		bm.FromMap(SyndromeOf(c, basis, errs))
+		sc.cells = bm.AppendCells(sc.cells[:0])
+		for g, groups := 0, sc.prepare(c, basis); g < groups; g++ {
+			sc.member = sc.member[:0]
+			var cells []surface.Coord
+			for i := range sc.cells {
+				if sc.group[i] == int32(g) {
+					sc.member = append(sc.member, int32(i))
+					cells = append(cells, sc.cells[i])
+				}
+			}
+			k := len(cells)
+			if k > maxExactCluster {
+				continue
+			}
+			decodeClusterInto(c, basis, &sc, &res)
+			sizes[k] = true
+			cost := subsetCosts(c, basis, cells)
+			sum := make([]int32, len(cost))
+			for s := 1; s < len(cost); s++ {
+				i := bits.TrailingZeros32(uint32(s))
+				sum[s] = sum[s&^(1<<uint(i))] + sc.lb[i]
+				if sum[s] > 2*cost[s] {
+					t.Fatalf("trial %d, %d-member cluster, subset %#x: G = %d > 2·cost = %d", trial, k, s, sum[s], 2*cost[s])
+				}
+			}
+		}
+	}
+	for k := 1; k <= maxExactCluster; k++ {
+		if !sizes[k] {
+			t.Fatalf("no %d-member cluster drawn", k)
+		}
 	}
 }

@@ -23,7 +23,8 @@
 // DecodePatchInto threads a reusable Scratch through clustering, the
 // exact matcher (a memoized recurrence over the at most F(k+2) member
 // subsets a k-syndrome cluster reaches, fewer once dominated pairings
-// are pruned), and path reconstruction. The map-based
+// and pairings a lower bound rules out are pruned), and path
+// reconstruction. The map-based
 // DecodePatch remains as a convenience wrapper producing identical
 // results (see TestBitmapEquivalence).
 package decoder
@@ -286,11 +287,18 @@ type Scratch struct {
 	// exact-matched cluster can profitably pair with:
 	// dist(i,j) < bdist(i)+bdist(j).
 	nbr [maxExactCluster]uint32
+	// lb[i] is member i's share of the matcher's lower bound:
+	// min(2·bdist(i), distance to the nearest other member). Summed over
+	// any member subset S it is at most 2·cost(S) (see solve).
+	lb [maxExactCluster]int32
 	// memo is the exact matcher's open-addressed table of solved
 	// subsets, sized per cluster to the reachable-subset count (never
 	// 2^k) and keyed by a multiplicative hash of the subset.
 	memo      []memoEntry
 	memoShift uint32 // 32 - log2(len(memo))
+	// claimed lists the memo slots the last cluster filled: the next
+	// cluster frees only these, not the whole table.
+	claimed []int32
 }
 
 // grow returns s resized to n, reusing capacity.
@@ -412,7 +420,8 @@ func FitsExactMatcher(c surface.Code, basis pauli.Pauli, syn *SyndromeBitmap) bo
 // cost(S−lowest−j)), ties going to the boundary and then to the lowest j.
 // The recurrence is evaluated top-down from the full cluster and
 // memoized, so only the subsets it reaches are ever solved: at most
-// F(k+2), fewer when the cluster holds dominated pairs (see solve).
+// F(k+2), fewer once dominated pairs and pairings the lower bound
+// sc.lb rules out are skipped (see solve).
 // ReferenceDecodePatch fills the same recurrence bottom-up over all 2^k
 // subsets, and every reached subset gets the same cost and choice there.
 func decodeClusterInto(c surface.Code, basis pauli.Pauli, sc *Scratch, res *Result) {
@@ -425,7 +434,13 @@ func decodeClusterInto(c surface.Code, basis pauli.Pauli, sc *Scratch, res *Resu
 		return
 	}
 	// A power-of-two table at least 1.5x the reachable count keeps
-	// linear probes short; it is cleared in O(its size) per cluster.
+	// linear probes short. Freeing the previous cluster's slots leaves
+	// the whole backing array free, whatever size this table takes.
+	all := sc.memo[:cap(sc.memo)]
+	for _, h := range sc.claimed {
+		all[h] = memoEntry{}
+	}
+	sc.claimed = sc.claimed[:0]
 	reach := reachableSubsets[k]
 	logSize := bits.Len32(uint32(reach + reach/2))
 	size := 1 << uint(logSize)
@@ -433,23 +448,30 @@ func decodeClusterInto(c surface.Code, basis pauli.Pauli, sc *Scratch, res *Resu
 		sc.memo = make([]memoEntry, size)
 	}
 	sc.memo = sc.memo[:size]
-	clear(sc.memo)
 	sc.memoShift = uint32(32 - logSize)
 
 	n := len(sc.cells)
 	for a := 0; a < k; a++ {
-		ma := int(sc.member[a])
 		sc.nbr[a] = 0
+		sc.lb[a] = 2 * sc.bdist[sc.member[a]]
+	}
+	var g int32
+	for a := 0; a < k; a++ {
+		ma := int(sc.member[a])
 		for b := a + 1; b < k; b++ {
 			mb := int(sc.member[b])
-			if sc.dist[ma*n+mb] < sc.bdist[ma]+sc.bdist[mb] {
+			d := sc.dist[ma*n+mb]
+			if d < sc.bdist[ma]+sc.bdist[mb] {
 				sc.nbr[a] |= 1 << uint(b)
 			}
+			sc.lb[a] = min(sc.lb[a], d)
+			sc.lb[b] = min(sc.lb[b], d)
 		}
+		g += sc.lb[a]
 	}
 
 	full := uint32(1)<<uint(k) - 1
-	sc.cost(full)
+	sc.cost(full, g)
 	for s := full; s != 0; {
 		i := bits.TrailingZeros32(s)
 		mi := int(sc.member[i])
@@ -478,8 +500,9 @@ func (sc *Scratch) slot(s uint32) int {
 	return h
 }
 
-// cost returns cost(s), solving s on its first reach.
-func (sc *Scratch) cost(s uint32) int32 {
+// cost returns cost(s), solving s on its first reach; g is G(s), the
+// sum of sc.lb over s.
+func (sc *Scratch) cost(s uint32, g int32) int32 {
 	if s == 0 {
 		return 0
 	}
@@ -487,31 +510,48 @@ func (sc *Scratch) cost(s uint32) int32 {
 	if sc.memo[h].set == s {
 		return sc.memo[h].cost
 	}
-	return sc.solve(s, h)
+	return sc.solve(s, h, g)
 }
 
-// solve computes and memoizes cost(s) and its choice into free slot h.
-// The slot is claimed before the recursion so later inserts cannot take
-// it; the recursion only descends to strictly smaller subsets, so no
-// claimed entry is read before it is filled.
+// solve computes and memoizes cost(s) and its choice into free slot h;
+// g is G(s). The slot is claimed before the recursion so later inserts
+// cannot take it; the recursion only descends to strictly smaller
+// subsets, so no claimed entry is read before it is filled.
 //
-// Only the profitable partners sc.nbr[i] are tried. A dominated pair,
-// dist(i,j) >= bdist(i)+bdist(j), can never strictly beat sending i to
-// the boundary, because cost(s−i) <= bdist(j)+cost(s−i−j) (j on the
-// boundary is one way to resolve s−i). Under the strict-< rule the
-// skipped candidates never win, so every subset still reached keeps the
-// cost and choice of the full recurrence; fewer subsets are reached.
-func (sc *Scratch) solve(s uint32, h int) int32 {
+// Two rules skip a partner j of s's lowest member i without changing
+// any reached subset's cost or choice, because under the strict-< rule
+// neither skipped candidate could win:
+//
+//   - Only the profitable partners sc.nbr[i] are tried. A dominated
+//     pair, dist(i,j) >= bdist(i)+bdist(j), can never strictly beat
+//     sending i to the boundary, because cost(s−i) <= bdist(j)+
+//     cost(s−i−j) (j on the boundary is one way to resolve s−i).
+//   - j is skipped when 2·dist(i,j) + G(s−i−j) >= 2·best. G is
+//     admissible, G(S) <= 2·cost(S): in a minimum matching of S each
+//     member either terminates on the boundary (bdist >= lb/2) or
+//     shares a chain of length dist >= lb with its partner. So pairing
+//     with j costs at least the best candidate already found, and
+//     cost(s−i−j) need not be solved.
+//
+// Fewer subsets are reached than the F(k+2) of the full recurrence.
+func (sc *Scratch) solve(s uint32, h int, g int32) int32 {
 	sc.memo[h].set = s
+	sc.claimed = append(sc.claimed, int32(h))
 	i := bits.TrailingZeros32(s)
 	rest := s &^ (1 << uint(i))
+	gRest := g - sc.lb[i]
 	mi := int(sc.member[i])
-	best := sc.bdist[mi] + sc.cost(rest)
+	best := sc.bdist[mi] + sc.cost(rest, gRest)
 	bestJ := int32(-1)
 	n := len(sc.cells)
 	for r := rest & sc.nbr[i]; r != 0; r &= r - 1 {
 		j := bits.TrailingZeros32(r)
-		pair := sc.dist[mi*n+int(sc.member[j])] + sc.cost(rest&^(1<<uint(j)))
+		d := sc.dist[mi*n+int(sc.member[j])]
+		gPair := gRest - sc.lb[j]
+		if 2*d+gPair >= 2*best {
+			continue
+		}
+		pair := d + sc.cost(rest&^(1<<uint(j)), gPair)
 		if pair < best {
 			best, bestJ = pair, int32(j)
 		}

@@ -11,8 +11,13 @@ import (
 // stabilizer ancillas and asserts the bit-packed production decoder
 // (DecodePatch / DecodePatchInto) returns Results identical to the
 // frozen reference matcher, and that the reported correction's own
-// syndrome cancels the input syndrome exactly.
+// syndrome cancels the input syndrome exactly. Each input is decoded
+// both through a fresh Scratch and through one that has just solved a
+// 20-member d=15 cluster, so the memo slots a larger cluster left behind
+// must not leak into the input's solve.
 func FuzzDecodePatch(f *testing.F) {
+	big := surface.NewCode(15)
+	heavy := heavyWindow(big, maxExactCluster)
 	f.Add(byte(0), byte(0), []byte{})
 	f.Add(byte(0), byte(1), []byte{0x01})
 	f.Add(byte(1), byte(0), []byte{0xff, 0x0f})
@@ -53,6 +58,12 @@ func FuzzDecodePatch(f *testing.F) {
 		DecodePatchInto(c, basis, bm, &sc, &res)
 		if !resultsEqual(want, res) {
 			t.Fatalf("d=%d basis=%v syn=%v: DecodePatchInto diverged:\nref %+v\ngot %+v", d, basis, syn, want, res)
+		}
+		var used Scratch
+		DecodePatchInto(big, pauli.Z, heavy, &used, &res)
+		DecodePatchInto(c, basis, bm, &used, &res)
+		if !resultsEqual(want, res) {
+			t.Fatalf("d=%d basis=%v syn=%v: DecodePatchInto after a larger cluster diverged:\nref %+v\ngot %+v", d, basis, syn, want, res)
 		}
 
 		resyn := SyndromeOf(c, basis, got.Flips)

@@ -100,7 +100,7 @@ func unitStats(u microarch.Unit, s Scale, o Options) synth.UnitStats {
 	case microarch.UnitPFU:
 		return synth.PFU(s.NData)
 	case microarch.UnitLMU:
-		return synth.LMU(s.NPatches, s.D)
+		return synth.LMU(s.NPatches)
 	default:
 		// The QCI is a passive interface endpoint with no synthesized
 		// logic; EstimateAll iterates QID..LMU only, so reaching this is

@@ -342,11 +342,11 @@ func Fig19(ctx context.Context, seed int64) (Result, error) {
 	res.Anchors["decode limit (EDU at 300K)"] = [2]float64{9800, float64(base.ConstraintLimit(rPr, decodeOK))}
 	res.Anchors["power limit with ERSFQ EDU"] = [2]float64{8100, float64(edu4k.ConstraintLimit(rPr, powerOK))}
 	res.Anchors["decode limit with ERSFQ EDU"] = [2]float64{105000, float64(edu4k.ConstraintLimit(rPr, decodeOK))}
-	res.Anchors["final sustainable scale"] = [2]float64{59000, float64(final.MaxQubits(rPS))}
+	scale := final.MaxQubits(rPS)
+	res.Anchors["final sustainable scale"] = [2]float64{59000, float64(scale)}
 
 	// Optimization #4's EDU power factor, evaluated at the final design
 	// scale where the sliding window's constant cell array is amortized.
-	scale := final.MaxQubits(rPS)
 	eB := edu4k.Evaluate(scale, rPr)
 	eP := final.Evaluate(scale, rPS)
 	psuTcu := core.FutureSystem(d, false, false).Evaluate(scale, rPr).Power4KW
@@ -463,7 +463,9 @@ func Sensitivity(ctx context.Context, seed int64) (Result, error) {
 
 	var power Series
 	power.Name = "max-qubits-vs-4K-budget-W"
-	for _, w := range []float64{0.75, 1.0, 1.5, 3.0, 6.0, 12.0} {
+	// Points 2 and 4 are the anchors: Table 4's 1.5 W and a 6 W future
+	// refrigerator.
+	for _, w := range []float64{0.75, 1.0, config.Power4KBudgetW, 3.0, 6.0, 12.0} {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
@@ -475,14 +477,8 @@ func Sensitivity(ctx context.Context, seed int64) (Result, error) {
 		power.Y = append(power.Y, float64(sys.MaxQubits(r)))
 	}
 	res.Series = append(res.Series, power)
-
-	base := core.FutureSystem(d, true, true)
-	res.Anchors["scale at 1.5W (Table 4)"] = [2]float64{59000, float64(base.MaxQubits(r))}
-	big := core.FutureSystem(d, true, true)
-	b := core.DefaultBudget()
-	b.Power4KW = 6.0
-	big.Budget = b
-	res.Anchors["scale at a 6W future refrigerator"] = [2]float64{0, float64(big.MaxQubits(r))}
+	res.Anchors["scale at 1.5W (Table 4)"] = [2]float64{59000, power.Y[2]}
+	res.Anchors["scale at a 6W future refrigerator"] = [2]float64{0, power.Y[4]}
 	res.Notes = append(res.Notes,
 		"the paper gives no numbers for Section 6.2; the 6W row demonstrates the parameter-override capability")
 	return res, nil

@@ -50,31 +50,32 @@ func StatsOf(nl *netlist.Netlist) BlockStats {
 	return BlockStats{Name: nl.Name, JJ: jj, CMOSGates: cmos, Depth: s.PipelineDepth}
 }
 
-// blockCache avoids regenerating canonical blocks. The mutex makes it
-// safe under the parallel sweep grids, which evaluate design points (and
-// hence synthesize blocks) from several goroutines at once.
+// The converted costs of the eleven blocks the unit models instantiate,
+// each computed on first use and then read with no lock: generation is
+// pure, so every caller (the parallel sweep grids evaluate design points
+// from several goroutines at once) sees the same value.
 var (
-	blockCacheMu sync.Mutex
-	blockCache   = map[string]BlockStats{}
+	maskGeneratorStats = blockStats("mask_generator", CanonicalMaskGenerator)
+	ndroRAMStats       = blockStats("ndro_ram", CanonicalNDRORAM)
+	demuxStats         = blockStats("demux", CanonicalDemultiplexer)
+	eduSpikeStats      = blockStats("edu_spike", CanonicalEDUCellSpikeLogic)
+	eduDirStats        = blockStats("edu_dir", CanonicalEDUCellDirLogic)
+	pfUnitStats        = blockStats("pf_unit", CanonicalPFUnit)
+	psuLaneStats       = blockStats("psu_lane", func() *netlist.Netlist { return PSULane(26) })
+	tcuSimpleStats     = blockStats("tcu_lane_simple", func() *netlist.Netlist { return TCULane(26, true) })
+	tcuFIFOStats       = blockStats("tcu_lane_fifo", func() *netlist.Netlist { return TCULane(26, false) })
+	eduStateStats      = blockStats("edu_state", EDUStateMachine)
+	lmuSPUStats        = blockStats("lmu_spu", func() *netlist.Netlist { return SelectiveProductUnit(8) })
 )
 
-func cached(name string, gen func() *netlist.Netlist) BlockStats {
-	blockCacheMu.Lock()
-	if s, ok := blockCache[name]; ok {
-		blockCacheMu.Unlock()
+// blockStats returns a function that converts gen's netlist once and
+// returns its stats under name.
+func blockStats(name string, gen func() *netlist.Netlist) func() BlockStats {
+	return sync.OnceValue(func() BlockStats {
+		s := StatsOf(gen())
+		s.Name = name
 		return s
-	}
-	blockCacheMu.Unlock()
-	// Generate outside the lock: block generation is pure, so a racing
-	// duplicate generation is harmless and cheaper than serializing all
-	// synthesis behind one mutex.
-	s := StatsOf(gen())
-	s.Name = name
-	blockCacheMu.Lock()
-	//xqlint:ignore globalmut memoization guarded by blockCacheMu; values are pure functions of the name
-	blockCache[name] = s
-	blockCacheMu.Unlock()
-	return s
+	})
 }
 
 // UnitStats aggregates a full hardware unit's size at a given scale.
@@ -126,12 +127,12 @@ func PSU(nPhys, nPatches int, opt PSUOptions) UnitStats {
 	if gens < 1 {
 		gens = 1
 	}
-	u.add(cached("mask_generator", CanonicalMaskGenerator), gens)
-	u.add(cached("demux", CanonicalDemultiplexer), gens)
-	u.add(cached("psu_lane", func() *netlist.Netlist { return PSULane(26) }), nPhys)
+	u.add(maskGeneratorStats(), gens)
+	u.add(demuxStats(), gens)
+	u.add(psuLaneStats(), nPhys)
 	// pchinfo srmem: double-buffered 64-bit entry per patch (8 canonical
 	// 4x8 NDRO slices).
-	u.addMem(cached("ndro_ram", CanonicalNDRORAM), nPatches*2)
+	u.addMem(ndroRAMStats(), nPatches*2)
 	return u
 }
 
@@ -147,12 +148,12 @@ type TCUOptions struct {
 func TCU(nPhys int, opt TCUOptions) UnitStats {
 	var u UnitStats
 	if opt.SimpleBuffer {
-		u.add(cached("tcu_lane_simple", func() *netlist.Netlist { return TCULane(26, true) }), nPhys)
+		u.add(tcuSimpleStats(), nPhys)
 	} else {
-		u.add(cached("tcu_lane_fifo", func() *netlist.Netlist { return TCULane(26, false) }), nPhys)
+		u.add(tcuFIFOStats(), nPhys)
 	}
 	// Global timing buffer and counter.
-	u.addMem(cached("ndro_ram", CanonicalNDRORAM), 8)
+	u.addMem(ndroRAMStats(), 8)
 	return u
 }
 
@@ -170,13 +171,13 @@ type EDUOptions struct {
 // state machine, and d rounds of syndrome storage.
 func eduCell(d int) UnitStats {
 	var u UnitStats
-	u.add(cached("edu_spike", CanonicalEDUCellSpikeLogic), 1)
-	u.add(cached("edu_dir", CanonicalEDUCellDirLogic), 1)
-	u.add(cached("edu_state", func() *netlist.Netlist { return EDUStateMachine() }), 1)
+	u.add(eduSpikeStats(), 1)
+	u.add(eduDirStats(), 1)
+	u.add(eduStateStats(), 1)
 	// ESM_srmem slice: d syndrome bits plus the lattice-surgery
 	// pchinfo_buffer (one canonical 4x8 slice covers 32 bits).
 	slices := (d+31)/32 + 2
-	u.addMem(cached("ndro_ram", CanonicalNDRORAM), slices)
+	u.addMem(ndroRAMStats(), slices)
 	return u
 }
 
@@ -198,9 +199,9 @@ func EDU(nAnc, nPatches int, opt EDUOptions) UnitStats {
 		u.MemJJ += window.MemJJ * 6 * cellsPerPatch
 		// Global ESM_srmem: d bits per ancilla.
 		slices := (nAnc*d + 31) / 32
-		u.addMem(cached("ndro_ram", CanonicalNDRORAM), slices)
+		u.addMem(ndroRAMStats(), slices)
 		// Window multiplexers/demultiplexers per patch column.
-		u.add(cached("demux", CanonicalDemultiplexer), max(nPatches/3, 1))
+		u.add(demuxStats(), max(nPatches/3, 1))
 	} else {
 		cell := eduCell(d)
 		u.add(statsScale(cell, nAnc), 1)
@@ -212,17 +213,16 @@ func EDU(nAnc, nPatches int, opt EDUOptions) UnitStats {
 // PFU sizes the Pauli frame unit: one pf_unit lane per data qubit.
 func PFU(nData int) UnitStats {
 	var u UnitStats
-	u.add(cached("pf_unit", CanonicalPFUnit), nData)
+	u.add(pfUnitStats(), nData)
 	return u
 }
 
 // LMU sizes the logical measure unit: selective product units per patch,
 // the measurement RAMs, byproduct register, and condition checker.
-func LMU(nPatches, d int) UnitStats {
+func LMU(nPatches int) UnitStats {
 	var u UnitStats
-	u.add(cached("lmu_spu", func() *netlist.Netlist { return SelectiveProductUnit(8) }), max(nPatches/4, 1))
-	u.addMem(cached("ndro_ram", CanonicalNDRORAM), 4+nPatches/8)
-	_ = d
+	u.add(lmuSPUStats(), max(nPatches/4, 1))
+	u.addMem(ndroRAMStats(), 4+nPatches/8)
 	return u
 }
 
@@ -230,32 +230,25 @@ func LMU(nPatches, d int) UnitStats {
 // the decoder logic.
 func PIU(nPatches int) UnitStats {
 	var u UnitStats
-	u.addMem(cached("ndro_ram", CanonicalNDRORAM), 2*max(nPatches/4, 1))
-	u.add(cached("edu_dir", CanonicalEDUCellDirLogic), 2) // pchdyn_decoder comparators
+	u.addMem(ndroRAMStats(), 2*max(nPatches/4, 1))
+	u.add(eduDirStats(), 2) // pchdyn_decoder comparators
 	return u
 }
 
 // PDU sizes the patch decode unit (maptable plus decoder).
 func PDU(nLQ int) UnitStats {
 	var u UnitStats
-	u.addMem(cached("ndro_ram", CanonicalNDRORAM), max(nLQ/8, 1))
+	u.addMem(ndroRAMStats(), max(nLQ/8, 1))
 	return u
 }
 
 // QID sizes the instruction decoder (small fixed logic).
 func QID() UnitStats {
 	var u UnitStats
-	u.add(cached("edu_state", func() *netlist.Netlist { return EDUStateMachine() }), 4)
+	u.add(eduStateStats(), 4)
 	return u
 }
 
 func statsScale(u UnitStats, n int) BlockStats {
 	return BlockStats{JJ: u.JJ * n, CMOSGates: u.CMOSGates * n, Depth: u.Depth}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

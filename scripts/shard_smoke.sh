@@ -6,7 +6,8 @@
 #   2. run the same grid as 3 shards and -merge them; `cmp` against the
 #      reference — must be byte-identical
 #   3. serve the grid through xqd with a 1s lease TTL, `kill -9` a
-#      work-stealing worker mid-grid, and let a second worker finish;
+#      work-stealing worker once GET /grids/{id} shows it holding leases
+#      on the unfinished grid, and let a second worker finish;
 #      assert the dead worker's leases were reclaimed (the second
 #      worker logs re-leased cells) and the fetched merged bytes still
 #      `cmp` equal to the reference
@@ -55,15 +56,40 @@ done
 ID=$("$WORK/xqsweep" $GRID_FLAGS -submit "$URL" 2>/dev/null)
 [ -n "$ID" ] || { echo "grid submission returned no id" >&2; exit 1; }
 
-# The doomed worker leases a big batch so some cells are still leased
-# (incomplete) when it dies; the heavy d=7 cells take ~0.5s each, so a
-# kill shortly after startup always lands mid-grid.
-"$WORK/xqsweep" -worker "$URL" -grid-id "$ID" -worker-name doomed -lease-batch 8 >"$WORK/w1.log" 2>&1 &
+# The doomed worker leases the whole grid in one batch, so until its
+# last push every unfinished cell is leased to it. Poll the grid and
+# kill the worker as soon as it holds leases on an unfinished grid: the
+# kill then leaves live leases for the finisher to reclaim however fast
+# the cells run, and no fixed sleep has to guess their speed.
+"$WORK/xqsweep" -worker "$URL" -grid-id "$ID" -worker-name doomed -lease-batch 20 >"$WORK/w1.log" 2>&1 &
 W1=$!
-sleep 0.5
-kill -9 "$W1" 2>/dev/null || true
+grid_status() { curl -sf "$URL/grids/$ID"; }
+field() { sed -n "s/.*\"$1\":\([0-9]*\).*/\1/p"; }
+killed=""
+for _ in $(seq 1 2000); do
+  st=$(grid_status) || { echo "GET /grids/$ID failed" >&2; exit 1; }
+  if [ "$(echo "$st" | field leased)" -gt 0 ] && [ "$(echo "$st" | field complete)" -lt "$(echo "$st" | field cells)" ]; then
+    kill -9 "$W1" 2>/dev/null || true
+    killed=1
+    break
+  fi
+  kill -0 "$W1" 2>/dev/null || break # the worker exited on its own
+  sleep 0.005
+done
 wait "$W1" 2>/dev/null || true
-echo "killed worker 'doomed' 0.5s into the grid"
+[ -n "$killed" ] || {
+  echo "never saw the doomed worker hold a lease on an unfinished grid; last status: $st" >&2
+  cat "$WORK/w1.log" >&2
+  exit 1
+}
+st=$(grid_status)
+complete=$(echo "$st" | field complete)
+cells=$(echo "$st" | field cells)
+if [ "$complete" -ge "$cells" ]; then
+  echo "the kill landed after the grid completed ($complete/$cells cells): nothing is left to reclaim" >&2
+  exit 1
+fi
+echo "killed worker 'doomed' mid-grid: $complete/$cells cells complete, $(echo "$st" | field leased) still leased to it"
 
 "$WORK/xqsweep" -worker "$URL" -grid-id "$ID" -worker-name finisher >"$WORK/w2.log" 2>&1
 grep -q "re-leased (attempt" "$WORK/w2.log" || {
