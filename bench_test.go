@@ -232,29 +232,6 @@ func BenchmarkMeasureRatesCached(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMaskSharing sweeps Optimization #2's sharing degree
-// (PSU power per qubit and the RSFQ scaling limit vs the knee at the
-// paper's 14x point).
-func BenchmarkAblationMaskSharing(b *testing.B) {
-	var r xqsim.ExperimentResult
-	must := mustResult(b)
-	for i := 0; i < b.N; i++ {
-		r = must(xqsim.AblationMaskSharing(context.Background(), 1))
-	}
-	reportAnchors(b, r, map[string]string{"limit at the paper's 14x point": "limit-at-14x"})
-}
-
-// BenchmarkAblationCodeDistance sweeps the code distance of the final
-// design (Table 4 fixes d=15).
-func BenchmarkAblationCodeDistance(b *testing.B) {
-	var r xqsim.ExperimentResult
-	must := mustResult(b)
-	for i := 0; i < b.N; i++ {
-		r = must(xqsim.AblationCodeDistance(context.Background(), 1))
-	}
-	reportAnchors(b, r, map[string]string{"physical scale at d=15": "scale-at-d15"})
-}
-
 // BenchmarkSensitivity runs the Section-6.2 parameter study (scale vs 4 K
 // cooling budget).
 func BenchmarkSensitivity(b *testing.B) {

@@ -132,18 +132,6 @@ func benchmarks(ctx context.Context) []struct {
 				b.Log("unreachable sink")
 			}
 		}},
-		{"syndrome-density-d5", func(b *testing.B) {
-			// One compiled density cell, reused: per-op cost is sampling
-			// and counting 64 shots, not circuit compilation.
-			s, err := surface.NewCode(5).NewSyndromeDensitySampler(5, 0.001, 0.002, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = s.Density(64)
-			}
-		}},
 		{"decode-patch-d7", func(b *testing.B) {
 			code := surface.NewCode(7)
 			syn := decoder.NewSyndromeBitmap(code)

@@ -78,6 +78,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *n < 1 {
 		return usage(fmt.Errorf("-n must be at least 1 physical qubit, got %d", *n))
 	}
+	if err := core.CheckPhysQubits(*n); err != nil {
+		return usage(err)
+	}
 	if err := core.CheckCode(*d, 0); err != nil {
 		return usage(err)
 	}

@@ -29,6 +29,9 @@ func TestRun(t *testing.T) {
 		{"unknown technology", nil, []string{"-tech", "duct-tape"}, 2, "", `unknown technology "duct-tape" (have 300k-cmos, 4k-cmos, rsfq, ersfq)`},
 		{"negative qubits", nil, []string{"-n", "-5"}, 2, "", "-n must be at least 1 physical qubit, got -5"},
 		{"no qubits", nil, []string{"-n", "0"}, 2, "", "got 0"},
+		{"too many qubits", nil, []string{"-n", "134217729"}, 2, "", "physical qubit count must be in [0, 134217728], got 134217729"},
+		{"max int qubits", nil, []string{"-n", "9223372036854775807"}, 2, "", "got 9223372036854775807"},
+		{"qubit bound", nil, []string{"-tech", "300k-cmos", "-n", "134217728"}, 0, "300K-CMOS at 134217728 physical qubits", ""},
 		{"even distance", nil, []string{"-d", "4"}, 2, "", "code distance must be odd and in [3, 101], got 4"},
 		{"zero distance", nil, []string{"-d", "0"}, 2, "", "got 0"},
 		{"negative distance", nil, []string{"-d", "-3"}, 2, "", "got -3"},

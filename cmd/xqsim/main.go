@@ -77,6 +77,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		_, _ = fmt.Fprintln(stderr, "xqsim:", err)
 		return 2
 	}
+	if err := core.CheckPhysQubits(*nphys); err != nil {
+		_, _ = fmt.Fprintln(stderr, "xqsim:", err)
+		return 2
+	}
 	// An unknown -workload exits 1, like an unknown -system; inputs its
 	// generator cannot build are usage errors.
 	w, err := core.Workload{Kind: *workload, LQ: *lq, PPRs: *pprs, Product: *product, Seed: *seed}.Canonical()
@@ -117,7 +121,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	sys, scheme, err := buildSystem(*system, *d)
+	sys, err := buildSystem(*system, *d)
 	if err != nil {
 		return fail(err)
 	}
@@ -180,7 +184,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return cli.ExitInterrupted
 	}
 
-	rates := xqsim.MeasureRates(*d, *p, scheme, *seed)
+	rates := xqsim.MeasureRates(*d, *p, sys.Scheme, *seed)
 	n := *nphys
 	if n == 0 {
 		n = xqsim.NewPPRLayout(circ.NLQ, *d).PhysicalQubits()
@@ -221,26 +225,26 @@ func writeTrace(circ xqsim.Circuit, d int, p float64, seed int64, path string) e
 	return f.Close()
 }
 
-func buildSystem(name string, d int) (*xqsim.System, xqsim.Scheme, error) {
+func buildSystem(name string, d int) (*xqsim.System, error) {
 	switch name {
 	case "current":
-		return xqsim.CurrentSystem(d, false), xqsim.SchemeRoundRobin, nil
+		return xqsim.CurrentSystem(d, false), nil
 	case "current-opt1":
-		return xqsim.CurrentSystem(d, true), xqsim.SchemePriority, nil
+		return xqsim.CurrentSystem(d, true), nil
 	case "nf-rsfq":
-		return xqsim.NearFutureRSFQ(d, false), xqsim.SchemePriority, nil
+		return xqsim.NearFutureRSFQ(d, false), nil
 	case "nf-rsfq-opt":
-		return xqsim.NearFutureRSFQ(d, true), xqsim.SchemePriority, nil
+		return xqsim.NearFutureRSFQ(d, true), nil
 	case "nf-cmos":
-		return xqsim.NearFutureCMOS4K(d, false), xqsim.SchemePriority, nil
+		return xqsim.NearFutureCMOS4K(d, false), nil
 	case "nf-cmos-vs":
-		return xqsim.NearFutureCMOS4K(d, true), xqsim.SchemePriority, nil
+		return xqsim.NearFutureCMOS4K(d, true), nil
 	case "future":
-		return xqsim.FutureSystem(d, false, false), xqsim.SchemePriority, nil
+		return xqsim.FutureSystem(d, false, false), nil
 	case "future-edu4k":
-		return xqsim.FutureSystem(d, true, false), xqsim.SchemePriority, nil
+		return xqsim.FutureSystem(d, true, false), nil
 	case "future-final":
-		return xqsim.FutureSystem(d, true, true), xqsim.SchemePatchSliding, nil
+		return xqsim.FutureSystem(d, true, true), nil
 	}
-	return nil, 0, fmt.Errorf("unknown system %q", name)
+	return nil, fmt.Errorf("unknown system %q", name)
 }

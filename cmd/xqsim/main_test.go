@@ -101,6 +101,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"bad product", nil, []string{"-workload", "ppr", "-product", "Q"}, 2, `product "Q" is not a string`},
 		{"empty product", nil, []string{"-workload", "ppr", "-product", ""}, 2, "at least 1 logical qubit, got 0"},
 		{"too many rotations", nil, []string{"-pprs", "1000000000"}, 2, "rotations, got 1000000000"},
+		{"negative physical qubits", nil, []string{"-n", "-5"}, 2, "physical qubit count must be in [0, 134217728], got -5"},
+		{"too many physical qubits", nil, []string{"-n", "134217729"}, 2, "physical qubit count must be in [0, 134217728], got 134217729"},
+		{"max int physical qubits", nil, []string{"-n", "9223372036854775807"}, 2, "got 9223372036854775807"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,6 +127,9 @@ func TestRunExitCodes(t *testing.T) {
 			}
 			if !strings.Contains(errb.String(), tc.msg) {
 				t.Fatalf("stderr %q does not say %q", errb.String(), tc.msg)
+			}
+			if tc.code == 2 && out.Len() != 0 {
+				t.Fatalf("a usage error printed to stdout:\n%s", out.String())
 			}
 		})
 	}

@@ -429,3 +429,62 @@ func TestCompileGoldenDisassembly(t *testing.T) {
 		}
 	}
 }
+
+// S, T and Z are Builder gates only the gate-fidelity tests build.
+
+// S appends the phase gate: PPR(pi/4, Z).
+func (b *Builder) S(q int) *Builder { return b.rot1(ftqc.AnglePi4, false, q, pauli.Z) }
+
+// T appends PPR(pi/8, Z) (the non-Clifford T gate up to phase).
+func (b *Builder) T(q int) *Builder { return b.rot1(ftqc.AnglePi8, false, q, pauli.Z) }
+
+// Z appends a Pauli Z.
+func (b *Builder) Z(q int) *Builder { return b.rot1(ftqc.AnglePi2, false, q, pauli.Z) }
+
+// ProtocolSample executes the circuit once through the lattice-surgery
+// protocol on the dense logical machine, returning the byproduct-corrected
+// final readout bits packed into an integer. It exercises exactly the
+// classical rules the hardware LMU implements and serves as the
+// logical-level oracle for the full pipeline.
+func ProtocolSample(c Circuit, seed int64) int {
+	n := c.NLQ + 2
+	m := ftqc.NewSVMachine(n, seed)
+	for q, mark := range dataInits(c) {
+		switch mark {
+		case isa.MarkPlus:
+			m.S.H(q)
+		case isa.MarkMagic:
+			m.S.PrepareResource(q, ftqc.AnglePi8.ResourceTheta())
+		case isa.MarkNone, isa.MarkZero:
+			// |0> is the machine's initial state; nothing to prepare.
+		}
+	}
+	tr := ftqc.NewTracker(n)
+	for _, rot := range c.Rotations {
+		ext := ftqc.Rotation{P: Extend(rot.P, n), Angle: rot.Angle, Neg: rot.Neg}
+		ftqc.ExecutePPR(m, tr, ext, c.NLQ, c.NLQ+1)
+	}
+	key := 0
+	for q := 0; q < c.NLQ; q++ {
+		pr := pauli.NewProduct(n)
+		pr.Ops[q] = pauli.Z
+		raw := m.MeasureProduct(pr)
+		if ftqc.InterpretFinalZ(tr, q, raw) {
+			key |= 1 << uint(q)
+		}
+	}
+	return key
+}
+
+// SampledDistribution draws shots through ProtocolSample and returns the
+// empirical distribution over final readouts.
+func SampledDistribution(c Circuit, shots int, seed int64) []float64 {
+	out := make([]float64, 1<<uint(c.NLQ))
+	for s := 0; s < shots; s++ {
+		out[ProtocolSample(c, seed+int64(s)*7919)]++
+	}
+	for i := range out {
+		out[i] /= float64(shots)
+	}
+	return out
+}

@@ -58,17 +58,8 @@ func (b *Builder) H(q int) *Builder {
 		rot1(ftqc.AnglePi4, false, q, pauli.Z)
 }
 
-// S appends the phase gate: PPR(pi/4, Z).
-func (b *Builder) S(q int) *Builder { return b.rot1(ftqc.AnglePi4, false, q, pauli.Z) }
-
-// T appends PPR(pi/8, Z) (the non-Clifford T gate up to phase).
-func (b *Builder) T(q int) *Builder { return b.rot1(ftqc.AnglePi8, false, q, pauli.Z) }
-
 // X appends a Pauli X (a tracked pi/2 rotation).
 func (b *Builder) X(q int) *Builder { return b.rot1(ftqc.AnglePi2, false, q, pauli.X) }
-
-// Z appends a Pauli Z.
-func (b *Builder) Z(q int) *Builder { return b.rot1(ftqc.AnglePi2, false, q, pauli.Z) }
 
 // CZ appends a controlled-Z:
 // exp(-i pi/4 Z_a) exp(-i pi/4 Z_b) exp(+i pi/4 Z_a Z_b) up to phase.

@@ -209,8 +209,9 @@ func (c *FrameMemoryCell) Rate(ctx context.Context, shots int) (float64, error) 
 // sampling through a FrameMemoryCell compiled once and cloned per
 // worker — no per-shot []bool is ever materialized.
 //
-// This is the circuit-level counterpart of LogicalErrorRate (which
-// drives the microarchitectural backend's phenomenological model).
+// This is the circuit-level counterpart of MemoryExperiment.ErrorRate
+// (which drives the microarchitectural backend's phenomenological
+// model).
 // Shot k of seed s is fixed by the frame sampler's determinism
 // contract, so the rate is a pure count: identical under any worker
 // scheduling, and any single shot replays via stab.FrameSampler.

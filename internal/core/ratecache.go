@@ -43,8 +43,7 @@ type rateEntry struct {
 // rateMemoCap bounds the rate memo. Each key holds about 3.1 KB (its
 // entry keeps the reference run's metrics and every scheme's window
 // prices), so a full memo is about 3.2 MB. Rates are scheme-free, so
-// xqsweep -all needs two keys per seed (d=7 and d=15) plus the
-// code-distance ablation's three other distances, far below the cap.
+// xqsweep -all needs two keys per seed (d=7 and d=15), far below the cap.
 const rateMemoCap = 1024
 
 // rateMemo is the process-wide MeasureRates memo. It holds at most

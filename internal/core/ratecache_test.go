@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xqsim/internal/decoder"
+	"xqsim/internal/faults"
 	"xqsim/internal/microarch"
 )
 
@@ -268,12 +269,12 @@ func TestScalingWorkloadSharesRateRun(t *testing.T) {
 // trial independent of scheduling, and the rate is a pure count.
 func TestLogicalErrorRateSchedulingInvariant(t *testing.T) {
 	const trials = 40
-	par, err := LogicalErrorRate(context.Background(), 3, 0.01, 3, trials, 900004)
+	par, _, err := NewMemoryExperiment(3).ErrorRate(context.Background(), 0.01, 3, trials, 900004, faults.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := runtime.GOMAXPROCS(1)
-	ser, err := LogicalErrorRate(context.Background(), 3, 0.01, 3, trials, 900004)
+	ser, _, err := NewMemoryExperiment(3).ErrorRate(context.Background(), 0.01, 3, trials, 900004, faults.Config{})
 	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)

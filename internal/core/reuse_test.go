@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"xqsim/internal/compiler"
+	"xqsim/internal/decoder"
 	"xqsim/internal/faults"
 	"xqsim/internal/ftqc"
+	"xqsim/internal/microarch"
+	"xqsim/internal/pauli"
+	"xqsim/internal/surface"
 )
 
 // TestShotRunnerMatchesFresh pins the shot-reuse determinism contract at
@@ -140,8 +145,8 @@ func TestMemoryRunnerSteadyStateAllocs(t *testing.T) {
 }
 
 // TestMemoryExperimentReuseAcrossCells checks that a pool reused across
-// a (p, faults) grid reports exactly what independent single-cell calls
-// (LogicalErrorRateFaults builds a fresh experiment per call) report.
+// a (p, faults) grid reports exactly what a fresh experiment per cell
+// reports.
 func TestMemoryExperimentReuseAcrossCells(t *testing.T) {
 	ctx := context.Background()
 	exp := NewMemoryExperiment(3)
@@ -159,7 +164,7 @@ func TestMemoryExperimentReuseAcrossCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRate, wantTot, err := LogicalErrorRateFaults(ctx, 3, cell.p, 3, 40, 31, cell.fcfg)
+		wantRate, wantTot, err := NewMemoryExperiment(3).ErrorRate(ctx, cell.p, 3, 40, 31, cell.fcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,4 +174,43 @@ func TestMemoryExperimentReuseAcrossCells(t *testing.T) {
 				cell.p, gotRate, gotTot, wantRate, wantTot)
 		}
 	}
+}
+
+// memoryTrial runs one threshold-experiment trial: prepare |0_L>, run
+// `windows` decode windows with fault injection, and report whether the
+// final Z readout flipped. A panic inside the backend is converted into
+// an error naming the trial and its seed.
+//
+// It builds a fresh backend per trial — the reference implementation the
+// reusable MemoryRunner is tested against (TestMemoryRunnerMatchesFresh).
+func memoryTrial(d int, p float64, windows int, trialSeed int64, fcfg faults.Config) (fail bool, tot faults.Totals, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: memory trial panicked: %v (replay with seed %d)", r, trialSeed)
+		}
+	}()
+	layout := surface.NewPPRLayout(1, d)
+	b := microarch.NewBackend(layout, p, trialSeed, true)
+	inj := faults.NewInjector(fcfg, trialSeed)
+	b.PrepareZero(0)
+	for w := 0; w < windows; w++ {
+		for r := 0; r < d; r++ {
+			b.InjectRoundNoise()
+			if inj.Round().DropEvents {
+				b.DropNextRoundEvents()
+			}
+			b.MeasureSyndromesRound(r == d-1)
+		}
+		wd := b.FinishWindow()
+		// The injector prices the window at the same decode cost the full
+		// pipeline would; under backpressure overflow the data qubits
+		// idle (and decohere) for the excess rounds.
+		wo := inj.Window(decoder.WindowCycles(decoder.SchemePriority, d, wd.MatchesZ, wd.MatchesX, wd.ActiveCells, wd.Windows), d)
+		for i := 0; i < wo.BackpressureRounds; i++ {
+			b.InjectRoundNoise()
+		}
+	}
+	pr := pauli.NewProduct(b.NumLQ())
+	pr.Ops[0] = pauli.Z
+	return b.MeasureProduct(pr), inj.Totals(), nil
 }

@@ -170,11 +170,11 @@ func TestRunShotsInvalidFaultConfig(t *testing.T) {
 
 func TestLogicalErrorRateFaultsDeterministic(t *testing.T) {
 	fcfg := faults.Config{StallProb: 1, StallFactor: 4, BufferRounds: 3, Policy: faults.PolicyDropOldest}
-	a, totA, err := LogicalErrorRateFaults(context.Background(), 3, 0.01, 3, 80, 31, fcfg)
+	a, totA, err := NewMemoryExperiment(3).ErrorRate(context.Background(), 0.01, 3, 80, 31, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, totB, err := LogicalErrorRateFaults(context.Background(), 3, 0.01, 3, 80, 31, fcfg)
+	b, totB, err := NewMemoryExperiment(3).ErrorRate(context.Background(), 0.01, 3, 80, 31, fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +192,11 @@ func TestLogicalErrorRateDegradesUnderDrops(t *testing.T) {
 	// fault-free rate (and should clearly exceed it at this operating
 	// point).
 	const trials = 300
-	clean, err := LogicalErrorRate(context.Background(), 3, 0.015, 3, trials, 41)
+	clean, _, err := NewMemoryExperiment(3).ErrorRate(context.Background(), 0.015, 3, trials, 41, faults.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty, _, err := LogicalErrorRateFaults(context.Background(), 3, 0.015, 3, trials, 41,
+	faulty, _, err := NewMemoryExperiment(3).ErrorRate(context.Background(), 0.015, 3, trials, 41,
 		faults.Config{StallProb: 1, StallFactor: 4, BufferRounds: 3, Policy: faults.PolicyDropOldest})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestLogicalErrorRateDegradesUnderDrops(t *testing.T) {
 func TestLogicalErrorRateCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := LogicalErrorRate(ctx, 3, 0.01, 3, 100, 7); err == nil {
+	if _, _, err := NewMemoryExperiment(3).ErrorRate(ctx, 0.01, 3, 100, 7, faults.Config{}); err == nil {
 		t.Fatal("canceled trial pool returned no error")
 	}
 }

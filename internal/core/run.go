@@ -60,7 +60,22 @@ const (
 	// d=15, 16 times the largest direct scaling run (64 logical qubits,
 	// 195,072 physical, past the paper's 59K-qubit final design).
 	MaxWorkloadLQ = 1024
+	// MaxPhysQubits bounds a physical-qubit count the estimator models,
+	// 2^27 (134 M). System.ConstraintLimit searches no further, so no
+	// figure evaluates past it, and the estimated power and area turn
+	// negative near 1.2·10^15 qubits (RSFQ, ERSFQ) and 2.2·10^16 (CMOS).
+	MaxPhysQubits = 1 << 27
 )
+
+// CheckPhysQubits reports whether n is a physical-qubit count the
+// estimator models: 0 <= n <= MaxPhysQubits, where each driver reads 0
+// as its default size.
+func CheckPhysQubits(n int) error {
+	if n < 0 || n > MaxPhysQubits {
+		return fmt.Errorf("core: physical qubit count must be in [0, %d], got %d", MaxPhysQubits, n)
+	}
+	return nil
+}
 
 // CheckCode reports whether d and physError describe a code the
 // simulator runs: d odd (surface.NewCode's rotated layout) and in
@@ -445,45 +460,6 @@ func (s *System) SuccessRate(nPhys, windows int, r Rates) float64 {
 // experiment (a prime, like shotSeedStride).
 const trialSeedStride = 6151
 
-// memoryTrial runs one threshold-experiment trial: prepare |0_L>, run
-// `windows` decode windows with fault injection, and report whether the
-// final Z readout flipped. A panic inside the backend is converted into
-// an error naming the trial and its seed.
-//
-// It builds a fresh backend per trial — the reference implementation the
-// reusable MemoryRunner is tested against (TestMemoryRunnerMatchesFresh).
-func memoryTrial(d int, p float64, windows int, trialSeed int64, fcfg faults.Config) (fail bool, tot faults.Totals, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("core: memory trial panicked: %v (replay with seed %d)", r, trialSeed)
-		}
-	}()
-	layout := surface.NewPPRLayout(1, d)
-	b := microarch.NewBackend(layout, p, trialSeed, true)
-	inj := faults.NewInjector(fcfg, trialSeed)
-	b.PrepareZero(0)
-	for w := 0; w < windows; w++ {
-		for r := 0; r < d; r++ {
-			b.InjectRoundNoise()
-			if inj.Round().DropEvents {
-				b.DropNextRoundEvents()
-			}
-			b.MeasureSyndromesRound(r == d-1)
-		}
-		wd := b.FinishWindow()
-		// The injector prices the window at the same decode cost the full
-		// pipeline would; under backpressure overflow the data qubits
-		// idle (and decohere) for the excess rounds.
-		wo := inj.Window(decoder.WindowCycles(decoder.SchemePriority, d, wd.MatchesZ, wd.MatchesX, wd.ActiveCells, wd.Windows), d)
-		for i := 0; i < wo.BackpressureRounds; i++ {
-			b.InjectRoundNoise()
-		}
-	}
-	pr := pauli.NewProduct(b.NumLQ())
-	pr.Ops[0] = pauli.Z
-	return b.MeasureProduct(pr), inj.Totals(), nil
-}
-
 // MemoryRunner holds the reusable state of one threshold-experiment
 // worker: a single-patch backend, a fault injector, and the readout
 // product. Trial rewinds them to the trial's derived seed, and the
@@ -527,7 +503,8 @@ func (r *MemoryRunner) SetFaults(fcfg faults.Config) {
 }
 
 // Trial runs one threshold-experiment trial at the given derived seed,
-// reproducing memoryTrial's fresh-construction result exactly.
+// reproducing a freshly built backend's result exactly
+// (TestMemoryRunnerMatchesFresh).
 func (r *MemoryRunner) Trial(windows int, trialSeed int64) (fail bool, tot faults.Totals, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -575,9 +552,13 @@ type MemoryExperiment struct {
 func NewMemoryExperiment(d int) *MemoryExperiment { return &MemoryExperiment{d: d} }
 
 // ErrorRate measures the logical error rate of one (p, fcfg) cell over
-// `trials` trials with per-trial derived seeds, exactly as
-// LogicalErrorRateFaults reports it. The experiment must not be used
-// from multiple goroutines at once (it parallelizes internally).
+// `trials` trials with per-trial derived seeds: prepare |0_L>, run
+// `windows` decode windows under the injected faults, and count readout
+// flips, the standard threshold experiment. Trials run across the worker
+// pool, and the rate and fault totals are pure counts, so they are
+// identical under any scheduling; canceling ctx aborts between trials.
+// The experiment must not be used from multiple goroutines at once (it
+// parallelizes internally).
 func (e *MemoryExperiment) ErrorRate(ctx context.Context, p float64, windows, trials int, seed int64, fcfg faults.Config) (float64, faults.Totals, error) {
 	if err := fcfg.Validate(); err != nil {
 		return 0, faults.Totals{}, err
@@ -617,27 +598,4 @@ func (e *MemoryExperiment) ErrorRate(ctx context.Context, p float64, windows, tr
 		sum.faults.Add(t.faults)
 	}
 	return float64(sum.fails) / float64(trials), sum.faults, nil
-}
-
-// LogicalErrorRate measures the per-window logical X-error rate of a
-// single-patch quantum memory at distance d and physical error rate p, by
-// direct simulation of the backend: prepare |0_L>, run `windows` decode
-// windows, and count readout flips. This is the standard threshold
-// experiment; internal/sweep.ThresholdStudy sweeps it across distances.
-// Trials are independent simulations with per-trial seeds, so they run
-// across GOMAXPROCS workers; the returned rate is a pure count and thus
-// identical to the serial loop's regardless of scheduling. Canceling ctx
-// aborts between trials with the context's error.
-func LogicalErrorRate(ctx context.Context, d int, p float64, windows, trials int, seed int64) (float64, error) {
-	rate, _, err := LogicalErrorRateFaults(ctx, d, p, windows, trials, seed, faults.Config{})
-	return rate, err
-}
-
-// LogicalErrorRateFaults is LogicalErrorRate under an injected fault
-// environment; it additionally returns the fault totals summed across all
-// trials (an integer reduction, so deterministic under any scheduling).
-// This is the probe behind the degradation curves: logical error rate
-// versus injected decoder-stall or link-corruption rate.
-func LogicalErrorRateFaults(ctx context.Context, d int, p float64, windows, trials int, seed int64, fcfg faults.Config) (float64, faults.Totals, error) {
-	return NewMemoryExperiment(d).ErrorRate(ctx, p, windows, trials, seed, fcfg)
 }

@@ -193,25 +193,6 @@ func (c *StreamMemoryCell) failsIn(start, n int) int {
 	return c.fails
 }
 
-// Run streams the first `shots` shots and returns the result. Repeated
-// calls rewind the sampler and return the identical result.
-func (c *StreamMemoryCell) Run(ctx context.Context, shots int) (StreamMemoryResult, error) {
-	if shots <= 0 {
-		return StreamMemoryResult{}, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return StreamMemoryResult{}, err
-	}
-	c.stats = decoder.StreamStats{}
-	fails := c.failsIn(0, shots)
-	return StreamMemoryResult{
-		Rate:  float64(fails) / float64(shots),
-		Shots: shots,
-		Fails: fails,
-		Stats: c.stats,
-	}, nil
-}
-
 // StreamLogicalErrorRate measures the logical Z-memory error rate of a
 // distance-d patch with the syndrome stream replayed in real time through
 // a windowed decode backend. With BudgetCycles 0 (no latency pressure) it

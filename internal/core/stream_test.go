@@ -155,3 +155,22 @@ func TestStreamMemoryCellRunRepeats(t *testing.T) {
 		t.Fatalf("result = %+v", a)
 	}
 }
+
+// Run streams the first `shots` shots and returns the result. Repeated
+// calls rewind the sampler and return the identical result.
+func (c *StreamMemoryCell) Run(ctx context.Context, shots int) (StreamMemoryResult, error) {
+	if shots <= 0 {
+		return StreamMemoryResult{}, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return StreamMemoryResult{}, err
+	}
+	c.stats = decoder.StreamStats{}
+	fails := c.failsIn(0, shots)
+	return StreamMemoryResult{
+		Rate:  float64(fails) / float64(shots),
+		Shots: shots,
+		Fails: fails,
+		Stats: c.stats,
+	}, nil
+}

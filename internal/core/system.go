@@ -35,14 +35,6 @@ const (
 	T4K
 )
 
-// String names the stage.
-func (t Temperature) String() string {
-	if t == T4K {
-		return "4K"
-	}
-	return "300K"
-}
-
 // Budget holds the environment parameters of the analysis (Table 4 by
 // default). Section 6.2 of the paper points out that future refrigerators
 // and interconnects shift these; overriding them here explores such
@@ -423,7 +415,7 @@ func (s *System) ConstraintLimit(r Rates, pass func(Report) bool) int {
 		return 0
 	}
 	lo, hi := 64, 128
-	for pass(s.Evaluate(hi, r)) && hi < 1<<27 {
+	for pass(s.Evaluate(hi, r)) && hi < MaxPhysQubits {
 		lo = hi
 		hi *= 2
 	}
@@ -436,12 +428,4 @@ func (s *System) ConstraintLimit(r Rates, pass func(Report) bool) int {
 		}
 	}
 	return lo
-}
-
-// String renders the report compactly.
-func (r Report) String() string {
-	return fmt.Sprintf(
-		"n=%d bw=%.1fGbps decode=%.0fns cross=%.1fGbps(%.2fW) p4k=%.3fW area=%.1fcm2 ok=%v",
-		r.NPhys, r.InstBandwidthGbps, r.DecodeLatencyNs, r.CrossTransferGbps,
-		r.CrossHeatW, r.Power4KW, r.Area4KCm2, r.OK())
 }

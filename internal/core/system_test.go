@@ -107,6 +107,21 @@ func TestFutureLimits(t *testing.T) {
 	}
 }
 
+// TestFinalDesignAcrossDistances: the final ERSFQ design (Opt #4's
+// patch-sliding EDU at 4 K) sustains at least 5,000 physical qubits at
+// every code distance from 7 to 19, not only at Table 4's d=15.
+func TestFinalDesignAcrossDistances(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures rates with a pipeline run per distance")
+	}
+	for _, d := range []int{7, 9, 11, 15, 19} {
+		r := MeasureRates(d, config.PhysErrorRate, decoder.SchemePatchSliding, 1)
+		if n := FutureSystem(d, true, true).MaxQubits(r); n < 5000 {
+			t.Errorf("final design collapsed at d=%d: %d qubits", d, n)
+		}
+	}
+}
+
 func TestReportViolations(t *testing.T) {
 	_, rPr, _ := rates(t)
 	cur := CurrentSystem(config.CodeDistance, true)
@@ -120,9 +135,6 @@ func TestReportViolations(t *testing.T) {
 	ok := cur.Evaluate(500, rPr)
 	if !ok.OK() || len(ok.Violations()) != 0 {
 		t.Fatalf("500 qubits should be fine: %v", ok)
-	}
-	if ok.String() == "" {
-		t.Error("report string empty")
 	}
 }
 
@@ -157,9 +169,6 @@ func TestTemperatureAssignments(t *testing.T) {
 	fut := FutureSystem(d, true, true)
 	if fut.TempOf(microarch.UnitEDU) != T4K {
 		t.Error("future system EDU should be at 4K")
-	}
-	if T4K.String() != "4K" || T300K.String() != "300K" {
-		t.Error("temperature names")
 	}
 }
 

@@ -65,18 +65,6 @@ func (b *SyndromeBitmap) Set(p surface.Coord) {
 	b.Words[i>>6] |= 1 << uint(i&63)
 }
 
-// Clear marks plaquette p trivial.
-func (b *SyndromeBitmap) Clear(p surface.Coord) {
-	i := b.index(p)
-	b.Words[i>>6] &^= 1 << uint(i&63)
-}
-
-// Get reports whether plaquette p is non-trivial.
-func (b *SyndromeBitmap) Get(p surface.Coord) bool {
-	i := b.index(p)
-	return b.Words[i>>6]&(1<<uint(i&63)) != 0
-}
-
 // Xor folds other's bits into b (symmetric difference). Both bitmaps
 // must be sized for the same code. This is the detection-event
 // accumulation of the streaming decoder: XORing per-round events
@@ -88,15 +76,6 @@ func (b *SyndromeBitmap) Xor(other *SyndromeBitmap) {
 	for i := range b.Words {
 		b.Words[i] ^= other.Words[i]
 	}
-}
-
-// Count returns the number of non-trivial plaquettes.
-func (b *SyndromeBitmap) Count() int {
-	n := 0
-	for _, w := range b.Words {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // AppendCells appends the non-trivial plaquettes to dst in row-major scan

@@ -136,3 +136,22 @@ func TestValidationAIST(t *testing.T) {
 		}
 	}
 }
+
+// TestMaskSharingLowersPSUPower: Opt #2 shares one mask generator among
+// 8·share qubits, so the RSFQ PSU's power per qubit falls strictly as the
+// sharing degree grows past the paper's 14x choice.
+func TestMaskSharingLowersPSUPower(t *testing.T) {
+	const d = 15
+	scale := ScaleFor(20000, d)
+	prev := 0.0
+	for i, share := range []int{1, 2, 4, 8, 14, 20, 28} {
+		opts := DefaultOptions(d)
+		opts.PSU = synth.PSUOptions{QubitsPerMaskGen: 8 * share}
+		opts.TCU = synth.TCUOptions{SimpleBuffer: true}
+		perQubit := EstimateUnit(microarch.UnitPSU, scale, tech.RSFQ, opts).TotalW() / float64(scale.NPhys)
+		if i > 0 && perQubit >= prev {
+			t.Fatalf("PSU power per qubit %g W at %dx sharing, not below %g W", perQubit, share, prev)
+		}
+		prev = perQubit
+	}
+}

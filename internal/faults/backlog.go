@@ -86,9 +86,6 @@ func (t *BacklogTracker) ConsumeDrop() bool {
 // Backlog returns the rounds currently queued.
 func (t *BacklogTracker) Backlog() int { return t.backlog }
 
-// PendingDrops returns the drops scheduled but not yet consumed.
-func (t *BacklogTracker) PendingDrops() int { return t.pendingDrops }
-
 // Totals returns the accumulated drop/backpressure accounting.
 func (t *BacklogTracker) Totals() Totals { return t.totals }
 

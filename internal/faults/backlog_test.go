@@ -88,3 +88,6 @@ func TestBacklogTrackerReset(t *testing.T) {
 		t.Fatal("Reset lost the configuration")
 	}
 }
+
+// PendingDrops returns the drops scheduled but not yet consumed.
+func (t *BacklogTracker) PendingDrops() int { return t.pendingDrops }

@@ -1,7 +1,7 @@
 // Package faults implements the simulator's deterministic fault-injection
 // layer: a seed-driven schedule of control-processor faults threaded
 // through the cycle-level pipeline (internal/microarch) and the memory
-// experiment (internal/core.LogicalErrorRateFaults), so degradation
+// experiment (internal/core.MemoryExperiment.ErrorRate), so degradation
 // curves — logical error rate and success rate versus injected fault
 // rate — can be measured end-to-end instead of only scored analytically.
 //
@@ -124,7 +124,7 @@ func (c Config) Validate() error {
 }
 
 // Totals accumulates the fault accounting of one run. The pipeline copies
-// them into microarch.Metrics; LogicalErrorRateFaults sums them across
+// them into microarch.Metrics; MemoryExperiment.ErrorRate sums them across
 // trials (integer sums, so the reduction is order-independent and the
 // totals stay deterministic under parallel scheduling).
 type Totals struct {

@@ -314,3 +314,33 @@ func TestDisassembleAssemblePropertyRandomPrograms(t *testing.T) {
 		}
 	}
 }
+
+// --- ISA-level scalability analysis (Section 3.1) ---
+//
+// The QISA is deliberately logical-qubit-level: a physical-qubit-level
+// ISA must address each physical qubit individually and its instruction
+// stream grows with the qubit count, which is exactly the addressing
+// overhead the paper's Section 3.1 rejects. The two estimators below
+// quantify that design rationale.
+
+// PhysicalAddrBits returns the address width a physical-qubit-level ISA
+// needs for nPhys qubits.
+func PhysicalAddrBits(nPhys int) int {
+	bits := 1
+	for 1<<uint(bits) < nPhys {
+		bits++
+	}
+	return bits
+}
+
+// PhysicalESMStreamBits models the instruction stream a physical-level
+// ISA needs for `rounds` ESM rounds over nPhys qubits: every qubit
+// receives opsPerRound addressed instructions (address + 8-bit opcode).
+func PhysicalESMStreamBits(nPhys, rounds, opsPerRound int) int {
+	return rounds * opsPerRound * nPhys * (PhysicalAddrBits(nPhys) + 8)
+}
+
+// LogicalESMStreamBits is the QISA's cost for the same operation: a
+// single 64-bit RUN_ESM instruction regardless of scale (the hardware
+// expands it; Section 3.2.4).
+func LogicalESMStreamBits() int { return 64 }

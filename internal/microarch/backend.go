@@ -647,12 +647,6 @@ func (b *Backend) InjectRoundNoise() {
 	}
 }
 
-// MeasureSyndromes runs one round of syndrome extraction over the active
-// patches, accumulating detection events into the current window. It
-// returns the number of ancilla measurements taken (for traffic
-// accounting).
-func (b *Backend) MeasureSyndromes() int { return b.MeasureSyndromesRound(false) }
-
 // DropNextRoundEvents marks the next syndrome round as lost to a fault:
 // its measurements happen (the physical schedule is unaffected) but the
 // detection events they would contribute are discarded, exactly as if
@@ -911,14 +905,4 @@ func (b *Backend) DiscardLogical(lq int) {
 	b.unquiet(patch)
 	b.Layout.UnmapLogical(lq)
 	b.Layout.DisableESM(patch)
-}
-
-// InjectLogicalError deterministically applies a physical error chain that
-// flips logical basis of qubit lq (for fault-injection tests): a full
-// logical operator string written into the truth frame.
-func (b *Backend) InjectLogicalError(lq int, basis pauli.Pauli) {
-	patch := b.patchOf(lq)
-	for i, off := range b.lsOff[basis] {
-		b.flipErr(patch, off, b.lsOps[basis][i])
-	}
 }

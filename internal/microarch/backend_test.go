@@ -243,3 +243,19 @@ func TestScalingModeNoTableau(t *testing.T) {
 	// Magic preparation is accepted without a tableau.
 	b.PrepareResource(b.Layout.MagicLQ, ftqc.AnglePi8)
 }
+
+// MeasureSyndromes runs one round of syndrome extraction over the active
+// patches, accumulating detection events into the current window. It
+// returns the number of ancilla measurements taken (for traffic
+// accounting).
+func (b *Backend) MeasureSyndromes() int { return b.MeasureSyndromesRound(false) }
+
+// InjectLogicalError deterministically applies a physical error chain that
+// flips logical basis of qubit lq (for fault-injection tests): a full
+// logical operator string written into the truth frame.
+func (b *Backend) InjectLogicalError(lq int, basis pauli.Pauli) {
+	patch := b.patchOf(lq)
+	for i, off := range b.lsOff[basis] {
+		b.flipErr(patch, off, b.lsOps[basis][i])
+	}
+}

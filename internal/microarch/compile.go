@@ -3,7 +3,6 @@ package microarch
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"xqsim/internal/config"
 	"xqsim/internal/decoder"
@@ -682,54 +681,4 @@ func (p *Pipeline) execLQM(cp *CompiledProgram, u *uop) {
 		p.M.Unit[UnitPFU].ActiveCycles++
 	}
 	p.M.VirtualNs += config.TMeasNs
-}
-
-// Dump renders the lowered stream in a stable human-readable form; the
-// golden-stream regression test pins it for a representative program.
-func (cp *CompiledProgram) Dump() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "compiled nLQ=%d d=%d uops=%d\n", cp.NLQ, cp.D, len(cp.uops))
-	for i := range cp.uops {
-		u := &cp.uops[i]
-		fmt.Fprintf(&sb, "%3d %-14s pc=%-3d n=%d", i, u.op.String(), u.pc, u.count)
-		switch u.kind {
-		case uopLQI, uopLQM:
-			sb.WriteString(" targets=[")
-			for j, t := range cp.targets[u.tgt0:u.tgt1] {
-				if j > 0 {
-					sb.WriteByte(' ')
-				}
-				fmt.Fprintf(&sb, "%d:%s", t.LQ, t.Mark)
-			}
-			sb.WriteByte(']')
-			if u.kind == uopLQM {
-				fmt.Fprintf(&sb, " mreg=%d", u.mreg)
-			}
-			if u.flags != 0 {
-				fmt.Fprintf(&sb, " flags=%#x", uint8(u.flags))
-			}
-		case uopMerge:
-			fmt.Fprintf(&sb, " prod=%s region=%v targets=%d",
-				cp.products[u.prod], cp.regions[u.region], u.aux)
-		case uopSplit, uopInitIntmd:
-			fmt.Fprintf(&sb, " region=%v", cp.regions[u.region])
-		case uopMeasIntmd:
-			fmt.Fprintf(&sb, " region=%v intmd=%d", cp.regions[u.region], u.aux)
-		case uopRunESM:
-			fmt.Fprintf(&sb, " active=%d", u.active)
-			if u.ps1 > u.ps0 {
-				fmt.Fprintf(&sb, " measure=%v intmd=%v", cp.prodSeq[u.ps0:u.ps1], cp.regions[u.intmd])
-			}
-		case uopInterpret:
-			fmt.Fprintf(&sb, " prod=%s mreg=%d weight=%d",
-				cp.products[u.prod], u.mreg, u.aux)
-			if u.flags != 0 {
-				fmt.Fprintf(&sb, " flags=%#x", uint8(u.flags))
-			}
-		default:
-			sb.WriteString(" ?")
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

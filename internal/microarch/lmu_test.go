@@ -190,3 +190,10 @@ func TestVirtualTimeAdvances(t *testing.T) {
 		t.Fatalf("ESM time = %v, want %v", pl.M.ESMTimeNs, want)
 	}
 }
+
+// Lookup returns register r's value plus whether it was ever written (the
+// two-result map idiom).
+func (f *MregFile) Lookup(r uint16) (value, ok bool) {
+	w, b := r>>6, uint64(1)<<(r&63)
+	return f.val[w]&b != 0, f.set[w]&b != 0
+}

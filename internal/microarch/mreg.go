@@ -36,13 +36,6 @@ func (f *MregFile) Get(r uint16) bool {
 	return f.val[r>>6]>>(r&63)&1 != 0
 }
 
-// Lookup returns register r's value plus whether it was ever written (the
-// two-result map idiom).
-func (f *MregFile) Lookup(r uint16) (value, ok bool) {
-	w, b := r>>6, uint64(1)<<(r&63)
-	return f.val[w]&b != 0, f.set[w]&b != 0
-}
-
 // Len counts the written registers.
 func (f *MregFile) Len() int {
 	n := 0

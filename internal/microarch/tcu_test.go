@@ -245,3 +245,6 @@ func TestTraceRecordsInstructions(t *testing.T) {
 		t.Fatal("trace recorded while disabled")
 	}
 }
+
+// Trace returns the recorded events.
+func (p *Pipeline) Trace() []TraceEvent { return p.trace }

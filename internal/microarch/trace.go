@@ -15,12 +15,9 @@ type TraceEvent struct {
 	ActiveP   int     `json:"active_patches"`
 }
 
-// EnableTrace turns on per-instruction tracing; events accumulate in
-// Trace().
+// EnableTrace turns on per-instruction tracing; WriteTrace serializes
+// the recorded events.
 func (p *Pipeline) EnableTrace() { p.traceOn = true }
-
-// Trace returns the recorded events.
-func (p *Pipeline) Trace() []TraceEvent { return p.trace }
 
 // traceStep appends one event (no-op unless tracing is enabled).
 func (p *Pipeline) traceStep(index int, op string) {

@@ -93,9 +93,6 @@ func (n *Netlist) Add(k Kind, inputs ...int) int {
 // MarkOutput declares a primary output.
 func (n *Netlist) MarkOutput(net int) { n.Outputs = append(n.Outputs, net) }
 
-// NumNets returns the total net count.
-func (n *Netlist) NumNets() int { return n.nextNet }
-
 // Counts tallies gates by kind.
 func (n *Netlist) Counts() [NumKinds]int {
 	var out [NumKinds]int
@@ -189,11 +186,6 @@ type SFQStats struct {
 	ClockSplitters int // fanout-2 splitters in the clock tree
 	PTLBuffers     int // timing-adjustment wire elements
 	PipelineDepth  int
-}
-
-// TotalGates is every element in the converted netlist.
-func (s SFQStats) TotalGates() int {
-	return s.LogicGates + s.StorageGates + s.BalanceDFFs + s.DataSplitters + s.ClockSplitters + s.PTLBuffers
 }
 
 // ConvertSFQ performs the paper's SFQ-specific gate insertion on the

@@ -162,3 +162,11 @@ func BenchmarkConvertSFQ(b *testing.B) {
 		n.ConvertSFQ()
 	}
 }
+
+// NumNets returns the total net count.
+func (n *Netlist) NumNets() int { return n.nextNet }
+
+// TotalGates is every element in the converted netlist.
+func (s SFQStats) TotalGates() int {
+	return s.LogicGates + s.StorageGates + s.BalanceDFFs + s.DataSplitters + s.ClockSplitters + s.PTLBuffers
+}

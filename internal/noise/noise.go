@@ -17,7 +17,7 @@ import (
 )
 
 // Model is a sparse Bernoulli sampler with a fixed per-site probability.
-// All entry points (AppendSites, Skip, Hit, CountHits) consume trials
+// All entry points (AppendSites, Skip, Hit) consume trials
 // from one geometric countdown that carries across calls, so the number
 // of random draws is proportional to the number of *hits*, not the
 // number of trials — and AppendSites(n) consumes exactly the trials n
@@ -46,17 +46,11 @@ func NewModel(p float64, seed int64) *Model {
 	return m
 }
 
-// SampleSites returns the indices in [0, n) hit by an error this round,
-// in increasing order. The expected cost is O(n*p + 1).
-func (m *Model) SampleSites(n int) []int {
-	return m.AppendSites(nil, n)
-}
-
 // AppendSites appends the indices in [0, n) hit by an error this round to
-// dst (in increasing order) and returns the extended slice. It draws the
-// exact random stream SampleSites would, so callers can reuse one buffer
-// across rounds without changing any sampled outcome. Unconsumed countdown
-// carries into the model's next trial, whichever entry point draws it.
+// dst (in increasing order) and returns the extended slice, so callers
+// reuse one buffer across rounds; the expected cost is O(n*p + 1).
+// Unconsumed countdown carries into the model's next trial, whichever
+// entry point draws it.
 func (m *Model) AppendSites(dst []int, n int) []int {
 	//xqlint:ignore floateq exact sentinel: P is never rounded; 0.0 means noise disabled
 	if m.P == 0 || n == 0 {
@@ -142,25 +136,6 @@ func (m *Model) Hit() bool {
 	return false
 }
 
-// CountHits samples Binomial(n, p) sparsely (returns only the count).
-func (m *Model) CountHits(n int) int {
-	//xqlint:ignore floateq exact sentinel: P is never rounded; 0.0 means noise disabled
-	if m.P == 0 || n == 0 {
-		return 0
-	}
-	if m.gap < 0 {
-		m.gap = m.skip()
-	}
-	count := 0
-	i := m.gap
-	for i < n {
-		count++
-		i += 1 + m.skip()
-	}
-	m.gap = i - n
-	return count
-}
-
 func (m *Model) skip() int {
 	u := m.rng.Float64()
 	//xqlint:ignore floateq exact sentinel: rejects the one Float64 value where log(u) diverges
@@ -173,7 +148,3 @@ func (m *Model) skip() int {
 	}
 	return int(g)
 }
-
-// Rand exposes the model's RNG for correlated auxiliary draws (e.g. which
-// Pauli hit a site).
-func (m *Model) Rand() *xrand.Rand { return m.rng }

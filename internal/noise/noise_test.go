@@ -23,7 +23,7 @@ func TestZeroProbability(t *testing.T) {
 		t.Fatal("p=0 Skip reported a hit")
 	}
 	// None of them touched the stream.
-	if got, want := m.Rand().Uint64(), xrand.New(1).Uint64(); got != want {
+	if got, want := m.rng.Uint64(), xrand.New(1).Uint64(); got != want {
 		t.Fatalf("p=0 drew from the stream: next word %x, fresh %x", got, want)
 	}
 }
@@ -214,4 +214,28 @@ func TestSkipMatchesAppendSites(t *testing.T) {
 			}
 		}
 	}
+}
+
+// SampleSites returns the indices in [0, n) hit by an error this round,
+// in increasing order. The expected cost is O(n*p + 1).
+func (m *Model) SampleSites(n int) []int {
+	return m.AppendSites(nil, n)
+}
+
+// CountHits samples Binomial(n, p) sparsely (returns only the count).
+func (m *Model) CountHits(n int) int {
+	if m.P == 0 || n == 0 {
+		return 0
+	}
+	if m.gap < 0 {
+		m.gap = m.skip()
+	}
+	count := 0
+	i := m.gap
+	for i < n {
+		count++
+		i += 1 + m.skip()
+	}
+	m.gap = i - n
+	return count
 }

@@ -36,9 +36,6 @@ func (p Pauli) String() string {
 	return "?"
 }
 
-// Valid reports whether p is one of the four Pauli operators.
-func (p Pauli) Valid() bool { return p <= Y }
-
 // ParsePauli converts a one-letter name to a Pauli.
 func ParsePauli(b byte) (Pauli, bool) {
 	switch b {
@@ -216,9 +213,6 @@ func NewFrame(n int) Frame { return Frame{Ops: make([]Pauli, n)} }
 
 // Update multiplies the recorded error on qubit q by p (phase-free).
 func (f Frame) Update(q int, p Pauli) { f.Ops[q] ^= p }
-
-// Get returns the recorded Pauli on qubit q.
-func (f Frame) Get(q int) Pauli { return f.Ops[q] }
 
 // FlipsMeasurement reports whether the frame on qubit q flips a measurement
 // in the given basis: an X-type record flips a Z-basis measurement and a

@@ -304,3 +304,9 @@ func TestQuickMulClosure(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Valid reports whether p is one of the four Pauli operators.
+func (p Pauli) Valid() bool { return p <= Y }
+
+// Get returns the recorded Pauli on qubit q.
+func (f Frame) Get(q int) Pauli { return f.Ops[q] }

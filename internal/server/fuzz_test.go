@@ -36,6 +36,7 @@ func FuzzJobSpec(f *testing.F) {
 		`{"kind":"simulate","workload":"ppr","product":"Q"}`,
 		`{"kind":"simulate","workload":"qaoa","lq":0}`,
 		`{"kind":"simulate","workload":"random","lq":-2,"pprs":10000}`,
+		`{"kind":"estimate","tech":"rsfq","nphys":9223372036854775807}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -296,6 +296,7 @@ func TestHTTPRejectsBadBodies(t *testing.T) {
 
 	rows := []struct{ path, body, clean string }{
 		{"/jobs", `{"kind":"estimate","tech":"rsfq","bogus":1}`, `{"kind":"estimate","tech":"rsfq"}`},
+		{"/jobs", `{"kind":"estimate","tech":"300k-cmos","nphys":9223372036854775807}`, `{"kind":"estimate","tech":"300k-cmos","nphys":134217728}`},
 		{"/grids", strings.TrimSuffix(string(spec), "}") + `,"bogus":1}`, string(spec)},
 		{"/grids/" + id + "/lease", `{"worker":"w2","maxx":8}`, `{"worker":"w2"}`},
 		{"/grids/" + id + "/cells/0/renew", `{"worker":"w1","ttl":60}`, `{"worker":"w1"}`},

@@ -137,6 +137,9 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		if s.NPhys <= 0 {
 			s.NPhys = 10000
 		}
+		if err := core.CheckPhysQubits(s.NPhys); err != nil {
+			return s, err
+		}
 		if s.D <= 0 {
 			s.D = 15
 		}

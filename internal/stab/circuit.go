@@ -211,14 +211,6 @@ func NewFrameSampler(c *Circuit, seed int64) *FrameSampler {
 	return &FrameSampler{c: c, ref: noiselessReference(c, seed), seed: seed}
 }
 
-// Reference returns a copy of the noiseless reference record. The copy
-// keeps callers from aliasing internal state, so hot loops should call
-// it once outside the loop — or use RefBit, which does not allocate.
-func (fs *FrameSampler) Reference() []bool { return append([]bool(nil), fs.ref...) }
-
-// RefBit returns bit i of the reference record without allocating.
-func (fs *FrameSampler) RefBit(i int) bool { return fs.ref[i] }
-
 // Sample draws the record of the cursor's shot index and advances the
 // cursor.
 func (fs *FrameSampler) Sample() []bool {

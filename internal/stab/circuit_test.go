@@ -268,3 +268,11 @@ func BenchmarkFrameSamplerBatchESM(b *testing.B) {
 		b.Log("unreachable sink")
 	}
 }
+
+// Reference returns a copy of the noiseless reference record. The copy
+// keeps callers from aliasing internal state, so hot loops should call
+// it once outside the loop — or use RefBit, which does not allocate.
+func (fs *FrameSampler) Reference() []bool { return append([]bool(nil), fs.ref...) }
+
+// RefBit returns bit i of the reference record without allocating.
+func (fs *FrameSampler) RefBit(i int) bool { return fs.ref[i] }

@@ -116,14 +116,6 @@ type FrameProgram struct {
 	ops   []frameOp
 }
 
-// Measurements returns the record length of one shot.
-func (p *FrameProgram) Measurements() int { return p.meas }
-
-// NoiseSites returns the number of noise channels in the source
-// circuit, i.e. the exclusive upper bound of the site axis of the
-// determinism contract.
-func (p *FrameProgram) NoiseSites() int { return p.sites }
-
 // CompileFrame lowers the circuit into a FrameProgram. It returns an
 // error (rather than compiling a diverging program) for circuits the
 // frame decomposition cannot represent faithfully: out-of-range qubit
@@ -276,9 +268,6 @@ func (bs *BatchFrameSampler) Reference() []bool { return append([]bool(nil), bs.
 
 // RefBit returns bit i of the reference record without allocating.
 func (bs *BatchFrameSampler) RefBit(i int) bool { return bs.ref[i] }
-
-// Shot returns the shot index the next Sample* call starts at.
-func (bs *BatchFrameSampler) Shot() int { return bs.next }
 
 // Seek positions the cursor so the next Sample* call starts at shot.
 // Records are a pure function of (seed, shot), so seeking is exact and

@@ -103,3 +103,14 @@ func TestNoiseStreamSeedDistinct(t *testing.T) {
 		}
 	}
 }
+
+// Measurements returns the record length of one shot.
+func (p *FrameProgram) Measurements() int { return p.meas }
+
+// NoiseSites returns the number of noise channels in the source
+// circuit, i.e. the exclusive upper bound of the site axis of the
+// determinism contract.
+func (p *FrameProgram) NoiseSites() int { return p.sites }
+
+// Shot returns the shot index the next Sample* call starts at.
+func (bs *BatchFrameSampler) Shot() int { return bs.next }

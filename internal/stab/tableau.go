@@ -87,9 +87,6 @@ func (t *Tableau) Reinit(seed int64) {
 	t.rng.Seed(seed)
 }
 
-// N returns the number of qubits.
-func (t *Tableau) N() int { return t.n }
-
 // xrow/zrow view one row of the slab.
 func (t *Tableau) xrow(row int) []uint64 { return t.x[row*t.words : (row+1)*t.words] }
 func (t *Tableau) zrow(row int) []uint64 { return t.z[row*t.words : (row+1)*t.words] }

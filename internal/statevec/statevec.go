@@ -51,15 +51,6 @@ func (s *State) Clone() *State {
 // Amplitude returns the amplitude of the given basis index.
 func (s *State) Amplitude(idx int) complex128 { return s.amps[idx] }
 
-// Probabilities returns |amp|^2 for every basis state.
-func (s *State) Probabilities() []float64 {
-	out := make([]float64, len(s.amps))
-	for i, a := range s.amps {
-		out[i] = real(a)*real(a) + imag(a)*imag(a)
-	}
-	return out
-}
-
 // apply1 applies a single-qubit unitary [[a,b],[c,d]] to qubit q.
 func (s *State) apply1(q int, a, b, c, d complex128) {
 	bit := 1 << uint(q)
@@ -264,13 +255,6 @@ func (s *State) MeasureProduct(pr pauli.Product) bool {
 	out := s.rng.Float64() >= p
 	s.CollapseProduct(pr, out)
 	return out
-}
-
-// MeasureZ measures qubit q in the Z basis.
-func (s *State) MeasureZ(q int) bool {
-	pr := pauli.NewProduct(s.n)
-	pr.Ops[q] = pauli.Z
-	return s.MeasureProduct(pr)
 }
 
 // MarginalDistribution returns the probability of each assignment of the

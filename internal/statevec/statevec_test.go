@@ -259,3 +259,19 @@ func TestNormPreservation(t *testing.T) {
 		t.Fatalf("norm = %v", norm)
 	}
 }
+
+// Probabilities returns |amp|^2 for every basis state.
+func (s *State) Probabilities() []float64 {
+	out := make([]float64, len(s.amps))
+	for i, a := range s.amps {
+		out[i] = real(a)*real(a) + imag(a)*imag(a)
+	}
+	return out
+}
+
+// MeasureZ measures qubit q in the Z basis.
+func (s *State) MeasureZ(q int) bool {
+	pr := pauli.NewProduct(s.n)
+	pr.Ops[q] = pauli.Z
+	return s.MeasureProduct(pr)
+}

@@ -377,14 +377,6 @@ func (s *Store) RecoveredBytes() int64 {
 	return s.recoveredBytes
 }
 
-// FullScan reports whether Open had to replay the whole log instead of
-// using the index snapshot.
-func (s *Store) FullScan() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fullScan
-}
-
 // Close refreshes the index snapshot and closes the log. The store is
 // unusable afterwards.
 func (s *Store) Close() error {

@@ -229,3 +229,11 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("directory holds %v, want only f.json and blocker", entries)
 	}
 }
+
+// FullScan reports whether Open had to replay the whole log instead of
+// using the index snapshot.
+func (s *Store) FullScan() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fullScan
+}

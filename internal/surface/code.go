@@ -158,23 +158,6 @@ func (s Side) String() string {
 	return "None"
 }
 
-// Opposite returns the facing side.
-func (s Side) Opposite() Side {
-	switch s {
-	case Left:
-		return Right
-	case Right:
-		return Left
-	case Top:
-		return Bottom
-	case Bottom:
-		return Top
-	case NoSide:
-		return NoSide
-	}
-	return NoSide
-}
-
 // BoundaryBasis returns the boundary type of a side in the canonical
 // orientation: top/bottom are Z-boundaries (logical Z terminates there),
 // left/right are X-boundaries.

@@ -1,8 +1,6 @@
 package surface
 
 import (
-	"math/bits"
-
 	"xqsim/internal/pauli"
 	"xqsim/internal/stab"
 )
@@ -96,97 +94,4 @@ func (c Code) MemoryCircuit(rounds int, p2q, pMeas float64) *stab.Circuit {
 		circ.MeasureZ(q)
 	}
 	return circ
-}
-
-// SyndromeDensitySampler is the compiled, reusable form of
-// SyndromeDensity: the ESM circuit is built and compiled into the
-// bit-sliced batch sampler once, and every Density call rewinds the
-// stream and recounts — so repeated cells (benchmark iterations, sweep
-// grids) cost zero heap allocations after construction.
-type SyndromeDensitySampler struct {
-	rounds, stabs int
-	bs            *stab.BatchFrameSampler
-	events, total int
-	// fn is the column callback bound once at construction, so Density
-	// never materializes a new closure.
-	fn func(base, lanes int, cols []uint64)
-}
-
-// NewSyndromeDensitySampler compiles the rounds-round ESM circuit with
-// depolarizing strength p2q after every two-qubit gate and readout flip
-// probability pMeas, seeded for the sampler's determinism contract.
-func (c Code) NewSyndromeDensitySampler(rounds int, p2q, pMeas float64, seed int64) (*SyndromeDensitySampler, error) {
-	bs, err := stab.NewBatchFrameSampler(c.ESMCircuit(rounds, p2q, pMeas), seed)
-	if err != nil {
-		return nil, err
-	}
-	s := &SyndromeDensitySampler{rounds: rounds, stabs: len(c.Stabilizers()), bs: bs}
-	s.fn = s.accumulate
-	return s, nil
-}
-
-// accumulate counts detection events (outcome changes between
-// consecutive rounds) in one 64-lane record block as column popcounts.
-func (s *SyndromeDensitySampler) accumulate(_, lanes int, cols []uint64) {
-	for r := 1; r < s.rounds; r++ {
-		row, prev := r*s.stabs, (r-1)*s.stabs
-		for i := 0; i < s.stabs; i++ {
-			// Lanes past the chunk are zero in both columns.
-			s.events += bits.OnesCount64(cols[row+i] ^ cols[prev+i])
-			s.total += lanes
-		}
-	}
-}
-
-// Density samples the first `shots` shots of the stream and returns the
-// fraction of non-trivial detection events per ancilla per round after
-// the first round. Repeated calls rewind and return the identical value.
-func (s *SyndromeDensitySampler) Density(shots int) float64 {
-	s.events, s.total = 0, 0
-	s.bs.Seek(0)
-	s.bs.SampleColumns(shots, s.fn)
-	if s.total == 0 {
-		return 0
-	}
-	return float64(s.events) / float64(s.total)
-}
-
-// SyndromeDensity samples the ESM circuit and returns the fraction of
-// non-trivial detection events (outcome changes between consecutive
-// rounds) per ancilla per round after the first round. Shots are drawn
-// through the bit-sliced batch sampler and events counted as column
-// popcounts, 64 shots per word. Repeated cells should compile a
-// SyndromeDensitySampler once instead.
-func (c Code) SyndromeDensity(rounds, shots int, p2q, pMeas float64, seed int64) float64 {
-	s, err := c.NewSyndromeDensitySampler(rounds, p2q, pMeas, seed)
-	if err != nil {
-		// Unreachable for builder-generated circuits; keep the scalar
-		// oracle as the fallback rather than failing.
-		return scalarSyndromeDensity(c.ESMCircuit(rounds, p2q, pMeas), rounds, len(c.Stabilizers()), shots, seed)
-	}
-	return s.Density(shots)
-}
-
-// scalarSyndromeDensity is the one-shot-at-a-time implementation, kept
-// as SyndromeDensity's fallback and as the oracle the bit-sliced column
-// path is tested against (the determinism contract makes the two
-// exactly equal, not just statistically close).
-func scalarSyndromeDensity(circ *stab.Circuit, rounds, stabs, shots int, seed int64) float64 {
-	fs := stab.NewFrameSampler(circ, seed)
-	events, total := 0, 0
-	for s := 0; s < shots; s++ {
-		rec := fs.Sample()
-		for r := 1; r < rounds; r++ {
-			for i := 0; i < stabs; i++ {
-				if rec[r*stabs+i] != rec[(r-1)*stabs+i] {
-					events++
-				}
-				total++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(events) / float64(total)
 }

@@ -11,7 +11,7 @@ func TestESMCircuitNoiselessDeterministic(t *testing.T) {
 	// With no noise, detection events never fire after the first round:
 	// stabilizer outcomes repeat exactly.
 	c := NewCode(3)
-	if density := c.SyndromeDensity(4, 20, 0, 0, 1); density != 0 {
+	if density := scalarSyndromeDensity(c.ESMCircuit(4, 0, 0), 4, len(c.Stabilizers()), 20, 1); density != 0 {
 		t.Fatalf("noiseless detection density = %v, want 0", density)
 	}
 }
@@ -37,7 +37,7 @@ func TestESMCircuitNoiseBridge(t *testing.T) {
 	// sit within [2p, 30p] (Tomita & Svore's regime).
 	c := NewCode(5)
 	p := 0.002
-	density := c.SyndromeDensity(6, 150, p, p, 7)
+	density := scalarSyndromeDensity(c.ESMCircuit(6, p, p), 6, len(c.Stabilizers()), 150, 7)
 	if density < 2*p || density > 30*p {
 		t.Fatalf("circuit-level detection density %v out of the phenomenological regime for p=%v", density, p)
 	}
@@ -87,27 +87,6 @@ func TestESMCircuitDetectsInjectedError(t *testing.T) {
 	// the interior qubit (1,1) at d=3).
 	if flipped != 2 {
 		t.Fatalf("flipped plaquettes = %d, want 2", flipped)
-	}
-}
-
-// TestSyndromeDensityMatchesScalarOracle: the bit-sliced column path
-// and the scalar fallback count the same shots, so the densities are
-// exactly equal (the determinism contract, not a statistical bound).
-func TestSyndromeDensityMatchesScalarOracle(t *testing.T) {
-	c := NewCode(3)
-	const rounds, shots = 4, 70 // partial final block
-	stabs := len(c.Stabilizers())
-	for seed := int64(1); seed <= 3; seed++ {
-		got := c.SyndromeDensity(rounds, shots, 0.01, 0.02, seed)
-		circ := c.ESMCircuit(rounds, 0.01, 0.02)
-		want := scalarSyndromeDensity(circ, rounds, stabs, shots, seed)
-		//xqlint:ignore floateq both are the same integer event count over the same total
-		if got != want {
-			t.Fatalf("seed %d: batch density %v != scalar oracle %v", seed, got, want)
-		}
-	}
-	if d := scalarSyndromeDensity(c.ESMCircuit(1, 0.01, 0.02), 1, stabs, 10, 1); d != 0 {
-		t.Fatalf("single-round density = %v, want 0 (no consecutive rounds)", d)
 	}
 }
 
@@ -192,40 +171,26 @@ func TestMemoryCircuitReadoutConsistency(t *testing.T) {
 	check(0.02, 192)
 }
 
-// TestSyndromeDensitySamplerMatchesSyndromeDensity: the reusable
-// compiled sampler rewinds its stream per Density call, so every call
-// equals the one-shot API exactly, across repeated and varying calls.
-func TestSyndromeDensitySamplerMatchesSyndromeDensity(t *testing.T) {
-	c := NewCode(5)
-	s, err := c.NewSyndromeDensitySampler(5, 0.002, 0.004, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := c.SyndromeDensity(5, 64, 0.002, 0.004, 3)
-	for i := 0; i < 3; i++ {
-		//xqlint:ignore floateq identical deterministic streams must produce identical counts
-		if got := s.Density(64); got != want {
-			t.Fatalf("call %d: sampler density %v != SyndromeDensity %v", i, got, want)
+// scalarSyndromeDensity samples shots of an ESM circuit of the given
+// rounds one at a time and returns the fraction of non-trivial detection
+// events (outcome changes between consecutive rounds) per ancilla per
+// round after the first.
+func scalarSyndromeDensity(circ *stab.Circuit, rounds, stabs, shots int, seed int64) float64 {
+	fs := stab.NewFrameSampler(circ, seed)
+	events, total := 0, 0
+	for s := 0; s < shots; s++ {
+		rec := fs.Sample()
+		for r := 1; r < rounds; r++ {
+			for i := 0; i < stabs; i++ {
+				if rec[r*stabs+i] != rec[(r-1)*stabs+i] {
+					events++
+				}
+				total++
+			}
 		}
 	}
-	//xqlint:ignore floateq identical deterministic streams must produce identical counts
-	if got, w := s.Density(130), c.SyndromeDensity(5, 130, 0.002, 0.004, 3); got != w {
-		t.Fatalf("partial-block shots: sampler density %v != SyndromeDensity %v", got, w)
+	if total == 0 {
+		return 0
 	}
-}
-
-// TestSyndromeDensitySamplerSteadyStateAllocs pins the reused density
-// cell at zero heap allocations after warmup.
-func TestSyndromeDensitySamplerSteadyStateAllocs(t *testing.T) {
-	s, err := NewCode(3).NewSyndromeDensitySampler(3, 0.002, 0.004, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() { _ = s.Density(64) }
-	for i := 0; i < 4; i++ {
-		run()
-	}
-	if avg := testing.AllocsPerRun(16, run); avg != 0 {
-		t.Fatalf("steady-state density allocates %.1f times, want 0", avg)
-	}
+	return float64(events) / float64(total)
 }

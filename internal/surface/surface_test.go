@@ -129,9 +129,6 @@ func TestBoundaryBasisConvention(t *testing.T) {
 	if c.BoundaryBasis(Left) != pauli.X || c.BoundaryBasis(Right) != pauli.X {
 		t.Error("left/right should be X-boundaries")
 	}
-	if Left.Opposite() != Right || Top.Opposite() != Bottom {
-		t.Error("Opposite broken")
-	}
 }
 
 func TestInvalidDistancePanics(t *testing.T) {

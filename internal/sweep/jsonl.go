@@ -77,31 +77,6 @@ func JSONValue(r Result) ([]byte, error) {
 	return b, nil
 }
 
-// ResultFromJSON decodes a pinned-schema JSONL value back into a
-// Result. JSONValue∘ResultFromJSON is lossless up to nil-vs-empty
-// slices.
-func ResultFromJSON(b []byte) (Result, error) {
-	var in jsonlResult
-	if err := json.Unmarshal(b, &in); err != nil {
-		return Result{}, fmt.Errorf("sweep: decode result: %w", err)
-	}
-	r := Result{
-		ID:      in.ID,
-		Title:   in.Title,
-		Series:  make([]Series, 0, len(in.Series)),
-		Anchors: make(map[string][2]float64, len(in.Anchors)),
-		Notes:   in.Notes,
-	}
-	for _, s := range in.Series {
-		r.Series = append(r.Series, Series{Name: s.Name, X: s.X, Y: s.Y})
-	}
-	//xqlint:ignore maprange per-key copy into another map; order cannot matter
-	for k, v := range in.Anchors {
-		r.Anchors[k] = [2]float64{v.Paper, v.Measured}
-	}
-	return r, nil
-}
-
 // WriteJSONL writes one pinned-schema JSON value per Result, newline
 // terminated.
 func WriteJSONL(w io.Writer, results []Result) error {

@@ -3,6 +3,8 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -116,4 +118,28 @@ func TestJSONValueDeterministic(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("same experiment produced different bytes:\n%s\n%s", b1, b2)
 	}
+}
+
+// ResultFromJSON decodes a pinned-schema JSONL value back into a
+// Result, the inverse the round-trip tests check JSONValue against:
+// JSONValue∘ResultFromJSON is lossless up to nil-vs-empty slices.
+func ResultFromJSON(b []byte) (Result, error) {
+	var in jsonlResult
+	if err := json.Unmarshal(b, &in); err != nil {
+		return Result{}, fmt.Errorf("sweep: decode result: %w", err)
+	}
+	r := Result{
+		ID:      in.ID,
+		Title:   in.Title,
+		Series:  make([]Series, 0, len(in.Series)),
+		Anchors: make(map[string][2]float64, len(in.Anchors)),
+		Notes:   in.Notes,
+	}
+	for _, s := range in.Series {
+		r.Series = append(r.Series, Series{Name: s.Name, X: s.X, Y: s.Y})
+	}
+	for k, v := range in.Anchors {
+		r.Anchors[k] = [2]float64{v.Paper, v.Measured}
+	}
+	return r, nil
 }

@@ -162,8 +162,7 @@ func Fig12() Result {
 // transfer limits with and without Optimization #1.
 func Fig14(ctx context.Context, seed int64) (Result, error) {
 	d := config.CodeDistance
-	rRR := core.MeasureRates(d, config.PhysErrorRate, decoder.SchemeRoundRobin, seed)
-	rPr := core.MeasureRates(d, config.PhysErrorRate, decoder.SchemePriority, seed)
+	rates := core.MeasureRates(d, config.PhysErrorRate, decoder.SchemePriority, seed)
 	base := core.CurrentSystem(d, false)
 	opt := core.CurrentSystem(d, true)
 	decodeOK := func(r core.Report) bool { return r.DecodeOK }
@@ -181,18 +180,18 @@ func Fig14(ctx context.Context, seed int64) (Result, error) {
 	if err := core.ParallelFor(ctx, len(grid), core.Workers(len(grid)), func(_, i int) error {
 		n := grid[i]
 		x := float64(n)
-		repB := base.Evaluate(n, rRR)
+		repB := base.Evaluate(n, rates)
 		latB.X[i], latB.Y[i] = x, repB.DecodeLatencyNs
-		latO.X[i], latO.Y[i] = x, opt.Evaluate(n, rPr).DecodeLatencyNs
+		latO.X[i], latO.Y[i] = x, opt.Evaluate(n, rates).DecodeLatencyNs
 		heat.X[i], heat.Y[i] = x, repB.CrossHeatW
 		return nil
 	}); err != nil {
 		return Result{}, err
 	}
 	res.Series = []Series{latB, latO, heat}
-	res.Anchors["decode limit baseline"] = [2]float64{250, float64(base.ConstraintLimit(rRR, decodeOK))}
-	res.Anchors["decode limit with Opt#1"] = [2]float64{9800, float64(opt.ConstraintLimit(rPr, decodeOK))}
-	res.Anchors["300K-4K transfer limit"] = [2]float64{1700, float64(base.ConstraintLimit(rRR, transferOK))}
+	res.Anchors["decode limit baseline"] = [2]float64{250, float64(base.ConstraintLimit(rates, decodeOK))}
+	res.Anchors["decode limit with Opt#1"] = [2]float64{9800, float64(opt.ConstraintLimit(rates, decodeOK))}
+	res.Anchors["300K-4K transfer limit"] = [2]float64{1700, float64(base.ConstraintLimit(rates, transferOK))}
 	return res, nil
 }
 
@@ -309,8 +308,7 @@ func Fig18() Result {
 // Fig19 reproduces the future-system scalability.
 func Fig19(ctx context.Context, seed int64) (Result, error) {
 	d := config.CodeDistance
-	rPr := core.MeasureRates(d, config.PhysErrorRate, decoder.SchemePriority, seed)
-	rPS := core.MeasureRates(d, config.PhysErrorRate, decoder.SchemePatchSliding, seed)
+	rates := core.MeasureRates(d, config.PhysErrorRate, decoder.SchemePriority, seed)
 	powerOK := func(rep core.Report) bool { return rep.PowerOK }
 	decodeOK := func(rep core.Report) bool { return rep.DecodeOK }
 
@@ -330,26 +328,26 @@ func Fig19(ctx context.Context, seed int64) (Result, error) {
 	if err := core.ParallelFor(ctx, len(grid), core.Workers(len(grid)), func(_, i int) error {
 		n := grid[i]
 		x := float64(n)
-		pw.X[i], pw.Y[i] = x, base.Evaluate(n, rPr).Power4KW
-		pe.X[i], pe.Y[i] = x, edu4k.Evaluate(n, rPr).Power4KW
-		pf.X[i], pf.Y[i] = x, final.Evaluate(n, rPS).Power4KW
+		pw.X[i], pw.Y[i] = x, base.Evaluate(n, rates).Power4KW
+		pe.X[i], pe.Y[i] = x, edu4k.Evaluate(n, rates).Power4KW
+		pf.X[i], pf.Y[i] = x, final.Evaluate(n, rates).Power4KW
 		return nil
 	}); err != nil {
 		return Result{}, err
 	}
 	res.Series = []Series{pw, pe, pf}
-	res.Anchors["ERSFQ power limit (EDU at 300K)"] = [2]float64{102000, float64(base.ConstraintLimit(rPr, powerOK))}
-	res.Anchors["decode limit (EDU at 300K)"] = [2]float64{9800, float64(base.ConstraintLimit(rPr, decodeOK))}
-	res.Anchors["power limit with ERSFQ EDU"] = [2]float64{8100, float64(edu4k.ConstraintLimit(rPr, powerOK))}
-	res.Anchors["decode limit with ERSFQ EDU"] = [2]float64{105000, float64(edu4k.ConstraintLimit(rPr, decodeOK))}
-	scale := final.MaxQubits(rPS)
+	res.Anchors["ERSFQ power limit (EDU at 300K)"] = [2]float64{102000, float64(base.ConstraintLimit(rates, powerOK))}
+	res.Anchors["decode limit (EDU at 300K)"] = [2]float64{9800, float64(base.ConstraintLimit(rates, decodeOK))}
+	res.Anchors["power limit with ERSFQ EDU"] = [2]float64{8100, float64(edu4k.ConstraintLimit(rates, powerOK))}
+	res.Anchors["decode limit with ERSFQ EDU"] = [2]float64{105000, float64(edu4k.ConstraintLimit(rates, decodeOK))}
+	scale := final.MaxQubits(rates)
 	res.Anchors["final sustainable scale"] = [2]float64{59000, float64(scale)}
 
 	// Optimization #4's EDU power factor, evaluated at the final design
 	// scale where the sliding window's constant cell array is amortized.
-	eB := edu4k.Evaluate(scale, rPr)
-	eP := final.Evaluate(scale, rPS)
-	psuTcu := core.FutureSystem(d, false, false).Evaluate(scale, rPr).Power4KW
+	eB := edu4k.Evaluate(scale, rates)
+	eP := final.Evaluate(scale, rates)
+	psuTcu := core.FutureSystem(d, false, false).Evaluate(scale, rates).Power4KW
 	res.Anchors["Opt#4 EDU power reduction (x)"] = [2]float64{18.8,
 		(eB.Power4KW - psuTcu) / (eP.Power4KW - psuTcu)}
 	return res, nil
@@ -482,96 +480,6 @@ func Sensitivity(ctx context.Context, seed int64) (Result, error) {
 	res.Notes = append(res.Notes,
 		"the paper gives no numbers for Section 6.2; the 6W row demonstrates the parameter-override capability")
 	return res, nil
-}
-
-// AblationMaskSharing sweeps Optimization #2's sharing degree: PSU power
-// per qubit and the resulting near-future RSFQ scaling limit versus
-// qubits-per-mask-generator. The paper picks 14x (112 qubits per
-// generator); the sweep shows the knee.
-func AblationMaskSharing(ctx context.Context, seed int64) (Result, error) {
-	d := config.CodeDistance
-	r := core.MeasureRates(d, config.PhysErrorRate, decoder.SchemePriority, seed)
-	res := Result{
-		ID:      "ablation-masksharing",
-		Title:   "Optimization #2 ablation: PSU sharing degree",
-		Anchors: map[string][2]float64{},
-	}
-	var power, limit Series
-	power.Name, limit.Name = "psu-uW-per-qubit", "rsfq-limit-qubits"
-	scale := estimator.ScaleFor(20000, d)
-	powerOK := func(rep core.Report) bool { return rep.PowerOK }
-	for _, share := range []int{1, 2, 4, 8, 14, 20, 28} {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		opts := estimator.DefaultOptions(d)
-		opts.PSU = synth.PSUOptions{QubitsPerMaskGen: 8 * share}
-		opts.TCU = synth.TCUOptions{SimpleBuffer: true}
-		e := estimator.EstimateUnit(microarch.UnitPSU, scale, tech.RSFQ, opts)
-		power.X = append(power.X, float64(share))
-		power.Y = append(power.Y, e.TotalW()/float64(scale.NPhys)*1e6)
-
-		sys := core.NearFutureRSFQ(d, true)
-		sys.Opts.PSU = opts.PSU
-		limit.X = append(limit.X, float64(share))
-		limit.Y = append(limit.Y, float64(sys.ConstraintLimit(r, powerOK)))
-	}
-	res.Series = []Series{power, limit}
-	res.Anchors["limit at the paper's 14x point"] = [2]float64{4600, limit.Y[4]}
-	return res, nil
-}
-
-// AblationCodeDistance sweeps the code distance: the final ERSFQ design's
-// sustainable physical scale and the logical-qubit capacity it buys.
-// Larger d costs 2*(d+1)^2 physical qubits per patch and heavier decoding
-// but suppresses logical errors; the paper fixes d=15 (Table 4).
-func AblationCodeDistance(ctx context.Context, seed int64) (Result, error) {
-	res := Result{
-		ID:      "ablation-distance",
-		Title:   "code-distance ablation for the final design",
-		Anchors: map[string][2]float64{},
-	}
-	ds := []int{7, 9, 11, 15, 19}
-	phys := gridSeries("max-physical-qubits", len(ds))
-	logical := gridSeries("logical-qubit-capacity", len(ds))
-	// Each distance needs its own full-pipeline rate measurement — the
-	// dominant cost of this sweep — so the points run concurrently.
-	if err := core.ParallelFor(ctx, len(ds), core.Workers(len(ds)), func(_, i int) error {
-		d := ds[i]
-		r := core.MeasureRates(d, config.PhysErrorRate, decoder.SchemePatchSliding, seed)
-		sys := core.FutureSystem(d, true, true)
-		n := sys.MaxQubits(r)
-		phys.X[i], phys.Y[i] = float64(d), float64(n)
-		logical.X[i], logical.Y[i] = float64(d), float64(estimator.ScaleFor(n, d).NLQ)
-		return nil
-	}); err != nil {
-		return Result{}, err
-	}
-	res.Series = []Series{phys, logical}
-	res.Anchors["physical scale at d=15"] = [2]float64{59000, phys.Y[3]}
-	return res, nil
-}
-
-// AblationCodewordWidth sweeps the per-qubit codeword width: the 300K-4K
-// transfer limit of the current system scales inversely with the stream
-// density (the paper's 26-bit word places it at ~1,700 qubits).
-func AblationCodewordWidth() Result {
-	res := Result{
-		ID:      "ablation-cwdbits",
-		Title:   "codeword-width ablation: transfer limit vs stream density",
-		Anchors: map[string][2]float64{},
-	}
-	var limit Series
-	limit.Name = "transfer-limit-qubits"
-	for _, bits := range []int{8, 16, 26, 32, 48} {
-		perQubitRound := float64(bits * config.ESMStepsPerRound)
-		crossover := config.MaxCrossBandwidthGbps() * config.ESMRoundNs() / perQubitRound
-		limit.X = append(limit.X, float64(bits))
-		limit.Y = append(limit.Y, crossover)
-	}
-	res.Series = []Series{limit}
-	res.Anchors["limit at 26 bits"] = [2]float64{1700, limit.Y[2]}
-	return res
 }
 
 // ThresholdStudy measures the quantum memory's logical error rate per

@@ -182,46 +182,6 @@ func TestSensitivity(t *testing.T) {
 	}
 }
 
-func TestAblationMaskSharing(t *testing.T) {
-	r := must(t)(AblationMaskSharing(context.Background(), 1))
-	power := r.Series[0]
-	// PSU power per qubit must fall monotonically with sharing.
-	for i := 1; i < len(power.Y); i++ {
-		if power.Y[i] >= power.Y[i-1] {
-			t.Fatalf("PSU power not monotone in sharing: %v", power.Y)
-		}
-	}
-	checkAnchor(t, r, "limit at the paper's 14x point", 0.25)
-}
-
-func TestAblationCodeDistance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("distance ablation reruns the pipeline per d")
-	}
-	r := must(t)(AblationCodeDistance(context.Background(), 1))
-	phys := r.Series[0]
-	if len(phys.Y) != 5 {
-		t.Fatalf("points = %d", len(phys.Y))
-	}
-	for i, y := range phys.Y {
-		if y < 5000 {
-			t.Fatalf("final design collapsed at d=%v: %v qubits", phys.X[i], y)
-		}
-	}
-	checkAnchor(t, r, "physical scale at d=15", 0.15)
-}
-
-func TestAblationCodewordWidth(t *testing.T) {
-	r := AblationCodewordWidth()
-	lim := r.Series[0]
-	for i := 1; i < len(lim.Y); i++ {
-		if lim.Y[i] >= lim.Y[i-1] {
-			t.Fatal("transfer limit must fall with wider codewords")
-		}
-	}
-	checkAnchor(t, r, "limit at 26 bits", 0.05)
-}
-
 func TestMarkdownReport(t *testing.T) {
 	results := []Result{Fig10(), Fig18()}
 	md := Markdown(results)

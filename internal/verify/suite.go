@@ -228,15 +228,10 @@ func checkSeedStream(baseSeed int64, name string) *xrand.Rand {
 	return xrand.New(baseSeed ^ int64(h.Sum64()))
 }
 
-// Run executes the suite at the given depth. only restricts it to the
+// RunCtx executes the suite at the given depth. only restricts it to the
 // named checks when non-empty. The first failure of each check stops
 // that check (later trials of a broken layer add noise, not signal) but
-// the remaining checks still run.
-func Run(d Depth, baseSeed int64, only map[string]bool) Report {
-	return RunCtx(context.Background(), d, baseSeed, only)
-}
-
-// RunCtx is Run with cancellation: the context is checked between
+// the remaining checks still run. The context is checked between
 // trials, so an interrupted suite returns the partial report (every
 // trial completed so far) instead of dying mid-check. Completed trials
 // are unaffected by where the cancellation lands — each trial's seed is

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -12,7 +13,7 @@ import (
 // TestSuiteQuick is the harness' own tier-1 gate: the full differential
 // suite at quick depth against the production simulators.
 func TestSuiteQuick(t *testing.T) {
-	rep := Run(Quick, 20260805, nil)
+	rep := RunCtx(context.Background(), Quick, 20260805, nil)
 	if !rep.OK() {
 		for _, f := range rep.Failures {
 			t.Errorf("%v", f)

@@ -201,3 +201,26 @@ func TestMixDeterministic(t *testing.T) {
 		t.Fatalf("Mix() not deterministic: %d vs %d", a, b)
 	}
 }
+
+// BernoulliDraws returns how many Uint64 draws BernoulliWord(m)
+// consumes: 0 for the degenerate masks, otherwise one per significant
+// bit of m down from the top of the quantization (trailing zero bits of
+// m need no randomness).
+func BernoulliDraws(m uint32) int {
+	if m == 0 || m >= ProbOne {
+		return 0
+	}
+	return ProbBits - bits.TrailingZeros32(m)
+}
+
+// Bernoulli fills dst with BernoulliWord masks for probability p: after
+// the call, every bit of dst is an independent Bernoulli(QuantizeProb
+// approximation of p) sample. Words are generated in slice order from
+// the sequential Uint64 stream, so the draw count is
+// len(dst)*BernoulliDraws(QuantizeProb(p)).
+func (s *Stream) Bernoulli(p float64, dst []uint64) {
+	m := QuantizeProb(p)
+	for i := range dst {
+		dst[i] = s.BernoulliWord(m)
+	}
+}

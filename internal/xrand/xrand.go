@@ -12,12 +12,11 @@
 // determinism (a given seed always yields the same stream).
 //
 // For the bit-sliced batch samplers the package additionally exposes the
-// bare generator as the concrete Stream type plus bulk word helpers
-// (FillUint64, Bernoulli): hot loops draw whole 64-lane words without
-// the interface dispatch of rand.Source64, and FillUint64/Bernoulli are
-// defined to consume exactly the same underlying Uint64 stream a
-// sequential caller would see, so scalar and batch consumers of one seed
-// stay bit-compatible.
+// bare generator as the concrete Stream type plus BernoulliWord: hot loops
+// draw whole 64-lane words without the interface dispatch of
+// rand.Source64, and a mask word consumes a fixed count of the same
+// sequential Uint64 draws a scalar caller would see, so scalar and batch
+// consumers of one seed stay bit-compatible.
 package xrand
 
 import (
@@ -32,14 +31,11 @@ import (
 // package the single chokepoint for randomness.
 type Rand = rand.Rand
 
-// Source64 aliases math/rand.Source64 for callers wrapping NewSource.
-type Source64 = rand.Source64
-
 // Stream is the bare xoshiro256** generator (Blackman & Vigna, 2018) as
 // a concrete value type. Hot loops that draw raw words hold a Stream
 // directly — method calls inline and there is no Source64 interface
-// dispatch — while New/NewSource wrap the identical state machine for
-// callers that want math/rand's distribution helpers. A given seed
+// dispatch — while New wraps the identical state machine for callers
+// that want math/rand's distribution helpers. A given seed
 // yields the same word stream through every wrapper.
 type Stream struct {
 	s0, s1, s2, s3 uint64
@@ -52,14 +48,6 @@ func New(seed int64) *Rand {
 	var s Stream
 	s.Seed(seed)
 	return rand.New(&s)
-}
-
-// NewSource returns the bare Source64 for callers that want to wrap it
-// themselves.
-func NewSource(seed int64) Source64 {
-	var s Stream
-	s.Seed(seed)
-	return &s
 }
 
 // NewStream returns a seeded Stream by value (no heap allocation).
@@ -137,7 +125,7 @@ func (s *Stream) Int63() int64 {
 // the value the (i+1)-th sequential Uint64 call would have returned, so
 // bulk and scalar consumers of one stream interleave freely.
 //
-//xqlint:noalloc bulk word fill for the bit-sliced samplers
+//xqlint:noalloc bulk word fill into a caller-owned buffer
 func (s *Stream) FillUint64(dst []uint64) {
 	for i := range dst {
 		dst[i] = s.Uint64()
@@ -171,17 +159,6 @@ func QuantizeProb(p float64) uint32 {
 	return uint32(math.Round(p * ProbOne))
 }
 
-// BernoulliDraws returns how many Uint64 draws BernoulliWord(m)
-// consumes: 0 for the degenerate masks, otherwise one per significant
-// bit of m down from the top of the quantization (trailing zero bits of
-// m need no randomness).
-func BernoulliDraws(m uint32) int {
-	if m == 0 || m >= ProbOne {
-		return 0
-	}
-	return ProbBits - bits.TrailingZeros32(m)
-}
-
 // BernoulliWord returns a word whose 64 bits are independent Bernoulli
 // samples, each set with probability m/2^ProbBits (see QuantizeProb).
 // It implements the bitwise comparison acc = [U < m/2^ProbBits] of
@@ -191,9 +168,10 @@ func BernoulliDraws(m uint32) int {
 // digit is smaller, i.e. the strict suffix comparison already won OR
 // the random digit is 0" folds to r|acc after simplification), a
 // 0-digit ANDs it. Digits below the lowest set bit of m cannot change
-// the comparison and are skipped, so the word costs BernoulliDraws(m)
-// draws — e.g. a single draw for p=1/2 and none at all for p in {0,1},
-// which keeps p=1 noise channels fully deterministic.
+// the comparison and are skipped, so the word costs
+// ProbBits-TrailingZeros32(m) draws (none for the degenerate masks) —
+// e.g. a single draw for p=1/2 and none at all for p in {0,1}, which
+// keeps p=1 noise channels fully deterministic.
 //
 //xqlint:noalloc 64-lane noise mask generation in the batch inner loop
 func (s *Stream) BernoulliWord(m uint32) uint64 {
@@ -213,18 +191,4 @@ func (s *Stream) BernoulliWord(m uint32) uint64 {
 		}
 	}
 	return acc
-}
-
-// Bernoulli fills dst with BernoulliWord masks for probability p: after
-// the call, every bit of dst is an independent Bernoulli(QuantizeProb
-// approximation of p) sample. Words are generated in slice order from
-// the sequential Uint64 stream, so the draw count is
-// len(dst)*BernoulliDraws(QuantizeProb(p)).
-//
-//xqlint:noalloc bulk mask fill over a caller-owned buffer
-func (s *Stream) Bernoulli(p float64, dst []uint64) {
-	m := QuantizeProb(p)
-	for i := range dst {
-		dst[i] = s.BernoulliWord(m)
-	}
 }

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -132,4 +133,12 @@ func TestSeedReplaysIdenticalInt63(t *testing.T) {
 	if record(555) != record(555) {
 		t.Fatal("derived-helper stream is not a pure function of the seed")
 	}
+}
+
+// NewSource returns the bare Source64 for callers that want to wrap it
+// themselves.
+func NewSource(seed int64) rand.Source64 {
+	var s Stream
+	s.Seed(seed)
+	return &s
 }

@@ -228,11 +228,6 @@ var (
 	Table4       = sweep.Table4
 	Sensitivity  = sweep.Sensitivity
 
-	// Ablation studies of the design choices (DESIGN.md §4).
-	AblationMaskSharing   = sweep.AblationMaskSharing
-	AblationCodeDistance  = sweep.AblationCodeDistance
-	AblationCodewordWidth = sweep.AblationCodewordWidth
-
 	// Report rendering.
 	MarkdownReport    = sweep.Markdown
 	WorstDeviationPct = sweep.WorstDeviationPct
@@ -255,11 +250,6 @@ var (
 	// ns/round, max sustainable distance, and backlog degradation
 	// (xqsweep -tournament [-decoder=<name>]).
 	DecoderTournament = sweep.DecoderTournament
-
-	// LogicalErrorRate measures one memory configuration directly;
-	// LogicalErrorRateFaults does so under an injected fault environment.
-	LogicalErrorRate       = core.LogicalErrorRate
-	LogicalErrorRateFaults = core.LogicalErrorRateFaults
 
 	// StreamLogicalErrorRate measures one memory configuration with the
 	// syndrome stream replayed in real time through a windowed decode
@@ -332,7 +322,6 @@ var (
 	ExperimentIDs         = sweep.ExperimentIDs
 	WriteExperimentsJSONL = sweep.WriteJSONL
 	ExperimentJSONValue   = sweep.JSONValue
-	ExperimentFromJSON    = sweep.ResultFromJSON
 )
 
 // Budget holds the analysis environment (Table 4 by default); override it
